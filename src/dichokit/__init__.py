@@ -1,11 +1,10 @@
 """dichokit: numerics for nonuniform dichotomies of nonautonomous systems.
 
-The toolkit computes evolution operators of x' = A(t) x, verifies and
-estimates generalized dichotomy bounds driven by four growth rates,
-constructs quadratic Lyapunov functions and robust projections, builds the
-topological linearization of small nonlinear perturbations, and computes
-Lipschitz stable manifolds by graph transform.  Every construction ships
-with a grid-checked certificate.
+The toolkit computes evolution operators of x' = A(t) x, verifies
+generalized dichotomy bounds driven by four growth rates on pair grids and
+estimates their constants, constructs the quadratic Lyapunov functions of a
+dichotomy, and computes generalized Lyapunov spectra with the dichotomy
+they imply.
 """
 
 __version__ = "0.1.0"

@@ -10,12 +10,16 @@ spectral norms (n <= 16 keeps singular values cheap).  The nonuniform
 factors are always evaluated at |s|; rates themselves are stored over
 signed time.  Ratios are formed in log space so that saturated rate
 powers never poison a certificate with overflow.
+
+The grid checks share one pair table: T(t, s) for every pair from one row
+sweep of the evolution operator, P and the rates evaluated once per unique
+time, and the norms taken in batched calls over the stacked pairs.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,9 +27,11 @@ import numpy as np
 
 from .errors import DomainError, EstimationError
 from .evolution import EvolutionOperator
-from .growth import RateQuadruple
+from .growth import LOG_SATURATION, RateQuadruple
 
 _LOG_FLOOR = -745.0  # log of the smallest positive double
+
+logger = logging.getLogger(__name__)
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -113,7 +119,14 @@ class PairCheck:
 
 @dataclass
 class Certificate:
-    """Grid-checked pass/fail record for a claimed dichotomy bound."""
+    """Grid-checked pass/fail record for a claimed dichotomy bound.
+
+    The ``*_at`` fields say where each worst value occurred, as the (t, s)
+    of the inequality checked there: t >= s for the stable bound, t <= s for
+    the unstable one, and the row's (t, s) for the commutation residual.
+    They are None on an empty grid.  ``saturated`` counts the log-ratios
+    that were clamped at 700 (their ratio reads e^700).
+    """
 
     rows: list
     worst_stable_ratio: float
@@ -121,13 +134,22 @@ class Certificate:
     worst_commute_residual: float
     tol: float
     passed: bool
+    worst_stable_at: tuple | None
+    worst_unstable_at: tuple | None
+    worst_commute_at: tuple | None
+    saturated: int
 
     def to_dict(self) -> dict:
+        at = lambda pair: None if pair is None else list(pair)
         return {
             "pairs": len(self.rows),
             "worst_stable_ratio": self.worst_stable_ratio,
             "worst_unstable_ratio": self.worst_unstable_ratio,
             "worst_commute_residual": self.worst_commute_residual,
+            "worst_stable_at": at(self.worst_stable_at),
+            "worst_unstable_at": at(self.worst_unstable_at),
+            "worst_commute_at": at(self.worst_commute_at),
+            "saturated": self.saturated,
             "tol": self.tol,
             "passed": self.passed,
         }
@@ -139,10 +161,93 @@ def square_grid(lo: float, hi: float, step: float):
     return [(float(t), float(s)) for i, t in enumerate(vals) for s in vals[: i + 1]]
 
 
-def _log_ratio(norm_value: float, log_bound: float) -> float:
-    if norm_value <= 0.0:
-        return 0.0
-    return math.exp(min(math.log(norm_value) - log_bound, 700.0))
+# -- the pair table shared by the grid checks ---------------------------------
+
+
+def _grid_arrays(grid):
+    g = np.asarray(list(grid), dtype=float).reshape(-1, 2)
+    return g[:, 0], g[:, 1]
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Spectral norms of a (m, n, n) stack, in one batched call."""
+    return np.linalg.norm(stack, 2, axis=(1, 2))
+
+
+def _per_unique(fn, x: np.ndarray) -> np.ndarray:
+    """fn(v) for every entry v of x, calling fn once per unique value."""
+    vals, idx = np.unique(x, return_inverse=True)
+    return np.array([fn(v) for v in vals.tolist()])[idx.reshape(x.shape)]
+
+
+def _pair_table(op: EvolutionOperator, P: ProjectionFamily, t, s):
+    """T(t_k, s_k), P(t_k) and P(s_k) for arrays of directed pairs.
+
+    T comes from one row sweep (``EvolutionOperator.evolve_pairs``); P is
+    evaluated once per unique time.
+    """
+    n = op.field.dim
+    p_t, p_s = _per_unique(P, np.stack([t, s])).reshape(2, t.size, n, n)
+    return op.evolve_pairs(t, s), p_t, p_s
+
+
+@dataclass
+class _BoundTable:
+    """Grid pairs normalized to (hi, lo), hi >= lo, with both bounds' inputs.
+
+    ``stable`` = |T(hi, lo) P(lo)| and ``unstable`` = |T(lo, hi) Q(hi)|.  The
+    log-space features make a spec's log bounds x_stable @ (log K, a, eps)
+    and x_unstable @ (log K, b, eps), the same regression rows that
+    ``estimate_constants`` fits.
+    """
+
+    hi: np.ndarray
+    lo: np.ndarray
+    fwd: np.ndarray  # T(hi, lo)
+    bwd: np.ndarray  # T(lo, hi), backward integrated
+    p_hi: np.ndarray
+    p_lo: np.ndarray
+    stable: np.ndarray
+    unstable: np.ndarray
+    x_stable: np.ndarray
+    x_unstable: np.ndarray
+
+
+def _bound_table(op: EvolutionOperator, P: ProjectionFamily, rates: RateQuadruple, grid) -> _BoundTable:
+    t, s = _grid_arrays(grid)
+    hi, lo = np.maximum(t, s), np.minimum(t, s)
+    m = hi.size
+    T, p_to, p_from = _pair_table(op, P, np.concatenate([hi, lo]), np.concatenate([lo, hi]))
+    fwd, bwd, p_hi, p_lo = T[:m], T[m:], p_to[:m], p_from[:m]
+    q_hi = np.eye(op.field.dim) - p_hi
+    stable, unstable = _norms(np.concatenate([fwd @ p_lo, bwd @ q_hi])).reshape(2, m)
+    h, k, mu, nu = rates.rates()
+    lh, lk = _per_unique(h.log_u, np.stack([hi, lo])), _per_unique(k.log_u, np.stack([hi, lo]))
+    ones = np.ones(m)
+    x_stable = np.column_stack([ones, lh[0] - lh[1], _per_unique(mu.log_u, np.abs(lo))])
+    x_unstable = np.column_stack([ones, -(lk[0] - lk[1]), _per_unique(nu.log_u, np.abs(hi))])
+    return _BoundTable(hi, lo, fwd, bwd, p_hi, p_lo, stable, unstable, x_stable, x_unstable)
+
+
+def _ratios(norms: np.ndarray, log_bound: np.ndarray):
+    """norm / bound, formed in log space with the log-ratio clamped at 700.
+
+    A zero norm gives ratio 0.  Returns the ratios and how many log-ratios
+    were clamped.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(norms) - log_bound
+    live = norms > 0.0
+    ratios = np.where(live, np.exp(np.minimum(log_ratio, LOG_SATURATION)), 0.0)
+    return ratios, int(np.count_nonzero(live & (log_ratio > LOG_SATURATION)))
+
+
+def _worst(values: np.ndarray, t: np.ndarray, s: np.ndarray):
+    """Largest value and its (t, s); (0.0, None) when there are none."""
+    if values.size == 0:
+        return 0.0, None
+    k = int(np.argmax(values))
+    return float(values[k]), (float(t[k]), float(s[k]))
 
 
 def verify(
@@ -150,7 +255,6 @@ def verify(
     op: EvolutionOperator,
     grid,
     tol: float = 1e-6,
-    threads: int = 1,
 ) -> Certificate:
     """Check both bound regimes and the commutation identity on a pair grid.
 
@@ -158,40 +262,33 @@ def verify(
     (t, s), the unstable bound on the reversed pair (s plays the role of the
     later time), and the commutation residual |P(t)T(t,s) - T(t,s)P(s)| is
     taken over both orderings.  Pass iff every ratio <= 1 + tol and every
-    commutation residual <= tol.
+    commutation residual <= tol.  An empty grid passes with zero worst
+    values.
+
+    All pairs are evaluated together: T(t, s) and T(s, t) come from one
+    forward and one backward row sweep over the grid's unique times (one
+    ``evolve`` per adjacent pair of times), and every norm from batched
+    calls.
     """
     if spec.rates.common_domain() == "half" and op.field.domain == "full":
         raise DomainError("half-line rates cannot certify a full-line system")
 
-    def check(pair):
-        hi, lo = (pair[0], pair[1]) if pair[0] >= pair[1] else (pair[1], pair[0])
-        p_lo, p_hi = spec.P(lo), spec.P(hi)
-        q_hi = np.eye(p_hi.shape[0]) - p_hi
-        fwd = op.evolve(hi, lo)
-        stable = _log_ratio(spectral_norm(fwd @ p_lo), spec.log_bound_stable(hi, lo))
-        if hi == lo:
-            bwd = fwd
-        else:
-            bwd = op.evolve(lo, hi)
-        unstable = _log_ratio(spectral_norm(bwd @ q_hi), spec.log_bound_unstable(lo, hi))
-        commute = max(
-            spectral_norm(p_hi @ fwd - fwd @ p_lo),
-            spectral_norm(p_lo @ bwd - bwd @ p_hi),
-        )
-        return PairCheck(hi, lo, stable, unstable, commute)
-
-    pairs = list(grid)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(check, pairs))
-    else:
-        rows = [check(p) for p in pairs]
-
-    ws = max((r.stable_ratio for r in rows), default=0.0)
-    wu = max((r.unstable_ratio for r in rows), default=0.0)
-    wc = max((r.commute_residual for r in rows), default=0.0)
+    tab = _bound_table(op, spec.P, spec.rates, grid)
+    log_k = math.log(spec.K)
+    stable, sat_s = _ratios(tab.stable, tab.x_stable @ (log_k, spec.a, spec.eps))
+    unstable, sat_u = _ratios(tab.unstable, tab.x_unstable @ (log_k, spec.b, spec.eps))
+    hi, lo, fwd, bwd, p_hi, p_lo = tab.hi, tab.lo, tab.fwd, tab.bwd, tab.p_hi, tab.p_lo
+    commute = _norms(np.concatenate([p_hi @ fwd - fwd @ p_lo, p_lo @ bwd - bwd @ p_hi]))
+    commute = commute.reshape(2, hi.size).max(axis=0)
+    rows = [
+        PairCheck(*r)
+        for r in zip(hi.tolist(), lo.tolist(), stable.tolist(), unstable.tolist(), commute.tolist())
+    ]
+    ws, ws_at = _worst(stable, hi, lo)
+    wu, wu_at = _worst(unstable, lo, hi)
+    wc, wc_at = _worst(commute, hi, lo)
     passed = ws <= 1.0 + tol and wu <= 1.0 + tol and wc <= tol
-    return Certificate(rows, ws, wu, wc, tol, passed)
+    return Certificate(rows, ws, wu, wc, tol, passed, ws_at, wu_at, wc_at, sat_s + sat_u)
 
 
 @dataclass
@@ -205,14 +302,19 @@ class ProjectionReport:
 
 
 def check_projection(P: ProjectionFamily, op: EvolutionOperator, grid) -> ProjectionReport:
-    """Residuals of P(t)T(t,s) = T(t,s)P(s) and P(t)^2 = P(t) over a grid."""
-    commute = 0.0
-    idem = 0.0
-    for t, s in grid:
-        m = op.evolve(t, s)
-        commute = max(commute, spectral_norm(P(t) @ m - m @ P(s)))
-        idem = max(idem, spectral_norm(P(t) @ P(t) - P(t)))
-    return ProjectionReport(commute, idem)
+    """Residuals of P(t)T(t,s) = T(t,s)P(s) and P(t)^2 = P(t) over a grid.
+
+    Pairs keep their orientation, so a pair with t < s is evolved backward.
+    T(t, s) comes from one row sweep over the grid's unique times and the
+    norms from one batched call.  An empty grid gives (0.0, 0.0).
+    """
+    t, s = _grid_arrays(grid)
+    T, p_t, p_s = _pair_table(op, P, t, s)
+    _, first = np.unique(t, return_index=True)
+    p_u = p_t[first]
+    norms = _norms(np.concatenate([p_t @ T - T @ p_s, p_u @ p_u - p_u]))
+    commute, idem = norms[: t.size], norms[t.size :]
+    return ProjectionReport(float(commute.max(initial=0.0)), float(idem.max(initial=0.0)))
 
 
 @dataclass
@@ -240,28 +342,19 @@ def estimate_constants(
     only weakens the bound since mu(|s|) >= 1.  log K is inflated by the
     worst positive residual so the returned spec verifies on its own
     training grid by construction.
+
+    The norms come from the same pair table as ``verify`` (one forward and
+    one backward row sweep, batched norms) and are taken once, for both the
+    fit and the inflation.  Each diagnostics warning is also logged on the
+    ``dichokit.dichotomy`` logger.
     """
-    h, k, mu, nu = rates.rates()
     warnings = []
+    tab = _bound_table(op, P, rates, grid)
+    keep_s, keep_u = tab.stable > 0, tab.unstable > 0
+    rows_s, ys = tab.x_stable[keep_s], np.log(tab.stable[keep_s])
+    rows_u, yu = tab.x_unstable[keep_u], np.log(tab.unstable[keep_u])
 
-    rows_s, ys = [], []
-    rows_u, yu = [], []
-    for t, s in grid:
-        hi, lo = (t, s) if t >= s else (s, t)
-        p_lo = P(lo)
-        q_hi = np.eye(p_lo.shape[0]) - P(hi)
-        ns = spectral_norm(op.evolve(hi, lo) @ p_lo)
-        if ns > 0:
-            rows_s.append([1.0, h.log_u(hi) - h.log_u(lo), mu.log_u(abs(lo))])
-            ys.append(math.log(ns))
-        nu_val = spectral_norm(op.evolve(lo, hi) @ q_hi)
-        if nu_val > 0:
-            rows_u.append([1.0, -(k.log_u(hi) - k.log_u(lo)), nu.log_u(abs(hi))])
-            yu.append(math.log(nu_val))
-
-    def fit(rows, y, side):
-        X = np.asarray(rows)
-        y = np.asarray(y)
+    def fit(X, y, side):
         if eps_fixed is not None:
             y = y - eps_fixed * X[:, 2]
             X = X[:, :2]
@@ -296,27 +389,23 @@ def estimate_constants(
     candidate = DichotomySpec(P, rates, math.exp(logK), float(a_fit), float(b_fit), float(eps))
 
     # final inflation: push log K up by the worst training-grid violation
-    worst_log = 0.0
-    for t, s in grid:
-        hi, lo = (t, s) if t >= s else (s, t)
-        p_lo = P(lo)
-        q_hi = np.eye(p_lo.shape[0]) - P(hi)
-        ns = spectral_norm(op.evolve(hi, lo) @ p_lo)
-        if ns > 0:
-            worst_log = max(worst_log, math.log(ns) - candidate.log_bound_stable(hi, lo))
-        nv = spectral_norm(op.evolve(lo, hi) @ q_hi)
-        if nv > 0:
-            worst_log = max(worst_log, math.log(nv) - candidate.log_bound_unstable(lo, hi))
+    log_k = math.log(candidate.K)
+    worst_log = max(
+        float(np.max(ys - rows_s @ (log_k, candidate.a, candidate.eps), initial=0.0)),
+        float(np.max(yu - rows_u @ (log_k, candidate.b, candidate.eps), initial=0.0)),
+    )
     if worst_log > 0:
         candidate = DichotomySpec(
             P, rates, math.exp(logK + worst_log * (1 + 1e-12) + 1e-14), float(a_fit), float(b_fit), float(eps)
         )
 
-    resid_s = float(np.max(np.abs(np.asarray(rows_s) @ np.array([logK_s, a_fit, eps_s]) - ys))) if rows_s else 0.0
+    resid_s = float(np.max(np.abs(rows_s @ np.array([logK_s, a_fit, eps_s]) - ys)))
     resid_u = (
-        float(np.max(np.abs(np.asarray(rows_u) @ np.array([logK_u, b_fit, eps_u]) - yu)))
+        float(np.max(np.abs(rows_u @ np.array([logK_u, b_fit, eps_u]) - yu)))
         if len(rows_u) >= min_pairs
         else 0.0
     )
+    for w in warnings:
+        logger.warning(w)
     diag = EstimateDiagnostics(len(rows_s), len(rows_u), resid_s, resid_u, warnings)
     return candidate, diag

@@ -9,14 +9,13 @@ unstable direction is present.
 
 Coefficient fields may have jump discontinuities on the checkpoint lattice
 (the e^{|t|} hats of the worked example jump at t = 0); segment endpoints
-are evaluated a hair inside the segment so each integration sees the correct
-one-sided limit.
+are evaluated one floating-point step inside the segment so each integration
+sees the correct one-sided limit, at any |t|.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +43,15 @@ class IntegratorConfig:
 
 
 def _inward(a: float, b: float, t: float) -> float:
-    """Nudge segment endpoints into the open interval for field evaluation."""
-    eps = 1e-12 * max(1.0, abs(b - a))
+    """Move segment endpoints to the adjacent double inside the segment.
+
+    A relative nudge such as a + 1e-12 |b - a| rounds back to a once |a| is
+    large (1e5 + 1e-12 == 1e5); the adjacent double never does.
+    """
     if t == a:
-        return a + math.copysign(eps, b - a)
+        return math.nextafter(a, b)
     if t == b:
-        return b - math.copysign(eps, b - a)
+        return math.nextafter(b, a)
     return t
 
 
@@ -61,7 +63,6 @@ class EvolutionOperator:
         self.config = config or IntegratorConfig()
         self.anchor = float(anchor)
         self._cache: dict[tuple[float, float], np.ndarray] = {}
-        self._lock = threading.Lock()
 
     # -- low-level integration ------------------------------------------------
 
@@ -96,13 +97,11 @@ class EvolutionOperator:
         if a == b:
             return np.eye(self.field.dim)
         key = (a, b)
-        with self._lock:
-            hit = self._cache.get(key)
+        hit = self._cache.get(key)
         if hit is not None:
             return hit
         m = self._integrate_matrix(a, b, np.eye(self.field.dim))
-        with self._lock:
-            self._cache[key] = m
+        self._cache[key] = m
         return m
 
     def _checkpoint(self, i: int) -> float:
@@ -136,6 +135,45 @@ class EvolutionOperator:
         if c1 != t:
             m = self._segment(c1, t) @ m
         return m
+
+    def evolve_pairs(self, t, s) -> np.ndarray:
+        """Stack of T(t_k, s_k) for arrays of pairs in either orientation.
+
+        The unique times u_0 < ... < u_{N-1} are swept once forward,
+        T(u_j, s) = T(u_j, u_{j-1}) T(u_{j-1}, s), and once backward,
+        T(u_i, s) = T(u_i, u_{i+1}) T(u_{i+1}, s).  Each step is one
+        ``evolve`` between adjacent times, so backward steps stay backward
+        integrated and nothing is inverted.  Pairs with t == s give I.
+        Working memory is O(N n^2) beyond the (pairs, n, n) result.
+        """
+        t = np.asarray(t, dtype=float).ravel()
+        s = np.asarray(s, dtype=float).ravel()
+        if t.shape != s.shape:
+            raise ValueError(f"need as many t as s, got {t.size} and {s.size}")
+        n = self.field.dim
+        out = np.empty((t.size, n, n))
+        out[:] = np.eye(n)
+        u, idx = np.unique(np.concatenate([t, s]), return_inverse=True)
+        ti, si = idx[: t.size], idx[t.size :]
+        last = u.size - 1
+        # positions count along the sweep; the backward sweep reverses them
+        for times, end, start in ((u.tolist(), ti, si), (u[::-1].tolist(), last - ti, last - si)):
+            pairs = np.flatnonzero(end > start)
+            if pairs.size == 0:
+                continue
+            pairs = pairs[np.argsort(end[pairs], kind="stable")]
+            starts = np.unique(start[pairs])
+            col = np.searchsorted(starts, start[pairs])
+            ends = end[pairs]
+            # after step j, cur[c] holds T(times[j], times[starts[c]]) for starts[c] <= j
+            cur = np.empty((starts.size, n, n))
+            cur[:] = np.eye(n)
+            for j in range(starts[0] + 1, ends[-1] + 1):
+                live = np.searchsorted(starts, j)
+                cur[:live] = self.evolve(times[j], times[j - 1]) @ cur[:live]
+                lo, hi = np.searchsorted(ends, [j, j + 1])
+                out[pairs[lo:hi]] = cur[col[lo:hi]]
+        return out
 
     def evolve_inverse_unstable(self, t: float, s: float, q: np.ndarray) -> np.ndarray:
         """T(t, s)^{-1} Q(t) = T(s, t) Q(t) for t >= s, by backward integration."""
@@ -238,8 +276,7 @@ class EvolutionOperator:
 
     def cache_report(self) -> dict:
         """Cached segment count and the worst condition number among them."""
-        with self._lock:
-            mats = list(self._cache.values())
+        mats = list(self._cache.values())
         if not mats:
             return {"segments": 0, "worst_condition": 1.0}
         conds = [float(np.linalg.cond(m)) for m in mats]

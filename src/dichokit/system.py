@@ -283,7 +283,7 @@ def make_example22(params: Example22Params, domain: str | None = None):
 
 
 # ---------------------------------------------------------------------------
-# registry used by the CLI
+# named systems built from a config table
 # ---------------------------------------------------------------------------
 
 

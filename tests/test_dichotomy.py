@@ -1,7 +1,11 @@
+import json
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dichokit.dichotomy import (
     DichotomySpec,
@@ -101,14 +105,88 @@ def test_verify_monotone_in_K_and_eps():
     assert verify(bigger, op, grid).passed
 
 
-def test_verify_threads_match_serial():
+def nonnormal_setup():
+    """A non-diagonal, non-normal constant field and a claim that ignores it."""
+    op = EvolutionOperator(constant_field([[-0.5, 2.0], [0.25, 0.5]]))
+    spec = DichotomySpec(ProjectionFamily.constant(np.diag([1.0, 0.0])), exp_quad(), K=1.0, a=-1.0, b=1.0, eps=0.0)
+    return spec, op
+
+
+def example22_setup():
     field, _, spec = make_example22(Example22Params(1.0, 0.1, 1.0))
+    return spec, EvolutionOperator(field)
+
+
+# lattice times share cached segments with per-pair evolve; others do not
+pair_times = st.one_of(st.integers(-12, 12).map(lambda i: i * 0.25), st.floats(-3.0, 3.0))
+# distinct pairs in both orientations and with t == s, then a list drawn from them with repeats
+pair_lists = st.lists(
+    st.one_of(st.tuples(pair_times, pair_times), pair_times.map(lambda v: (v, v))), min_size=1, max_size=12
+).flatmap(lambda pairs: st.lists(st.sampled_from(pairs), min_size=len(pairs), max_size=len(pairs) + 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(setup=st.sampled_from([nonnormal_setup, example22_setup]), pairs=pair_lists, data=st.data())
+def test_pair_table_matches_per_pair_evolve(setup, pairs, data):
+    spec, op = setup()
+    t, s = np.array(pairs).T
+    table = op.evolve_pairs(t, s)
+    for (ti, si), got in zip(pairs, table):
+        want = op.evolve(ti, si)
+        assert np.linalg.norm(got - want, 2) <= 1e-9 * np.linalg.norm(want, 2)
+
+    shuffled = data.draw(st.permutations(pairs))
+    a, b = verify(spec, op, pairs), verify(spec, op, shuffled)
+    assert (a.worst_stable_ratio, a.worst_unstable_ratio, a.worst_commute_residual) == (
+        b.worst_stable_ratio,
+        b.worst_unstable_ratio,
+        b.worst_commute_residual,
+    )
+    key = lambda r: (r.t, r.s, r.stable_ratio, r.unstable_ratio, r.commute_residual)
+    assert sorted(map(key, a.rows)) == sorted(map(key, b.rows))
+    assert check_projection(spec.P, op, pairs) == check_projection(spec.P, op, shuffled)
+
+
+def test_empty_grid():
+    spec, op = tight_diag_setup()
+    cert = verify(spec, op, [])
+    assert cert.passed and cert.rows == []
+    assert (cert.worst_stable_ratio, cert.worst_unstable_ratio, cert.worst_commute_residual) == (0.0, 0.0, 0.0)
+    assert cert.worst_stable_at is None and cert.saturated == 0
+    rep = check_projection(spec.P, op, [])
+    assert (rep.max_commute_residual, rep.max_idempotency_residual) == (0.0, 0.0)
+    assert op.evolve_pairs([], []).shape == (0, 2, 2)
+
+
+def test_certificate_locates_worst_pairs():
+    # K halved: the worst pairs are where the closed form's ratios peak
+    field, analytic, spec = make_example22(Example22Params(1.0, 0.1, 1.0))
     op = EvolutionOperator(field)
+    halved = DichotomySpec(spec.P, spec.rates, spec.K / 2, spec.a, spec.b, spec.eps)
+    p, q = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    full = square_grid(-3.0, 3.0, 0.5)
+    for grid in (full, [(t, s) for t, s in full if t != s]):
+        cert = verify(halved, op, grid)
+        stable = [np.linalg.norm(analytic(t, s) @ p, 2) / math.exp(halved.log_bound_stable(t, s)) for t, s in grid]
+        unstable = [np.linalg.norm(analytic(s, t) @ q, 2) / math.exp(halved.log_bound_unstable(s, t)) for t, s in grid]
+        t, s = grid[int(np.argmax(stable))]
+        assert cert.worst_stable_at == (t, s)
+        t, s = grid[int(np.argmax(unstable))]
+        assert cert.worst_unstable_at == (s, t)  # the unstable bound is checked with t <= s
+        assert cert.worst_commute_at in grid
+
+
+def test_certificate_counts_saturated_ratios_and_serializes():
+    spec, op = tight_diag_setup()
     grid = square_grid(-2.0, 2.0, 0.5)
-    serial = verify(spec, op, grid)
-    threaded = verify(spec, op, grid, threads=4)
-    assert serial.worst_stable_ratio == threaded.worst_stable_ratio
-    assert serial.worst_unstable_ratio == threaded.worst_unstable_ratio
+    tiny = DichotomySpec(spec.P, spec.rates, 1e-305, spec.a, spec.b, spec.eps)  # log K < -700
+    cert = verify(tiny, op, grid)
+    assert cert.saturated == 2 * len(grid)
+    assert cert.worst_stable_ratio == math.exp(700.0)
+    assert verify(spec, op, grid).saturated == 0
+    record = cert.to_dict()
+    assert json.loads(json.dumps(record)) == record
+    assert record["worst_stable_at"] == list(cert.worst_stable_at)
 
 
 def test_estimate_recovers_diagonal_constants():
@@ -133,12 +211,15 @@ def test_estimate_recovers_example22_exponents():
     assert verify(fitted, op, grid).passed
 
 
-def test_estimate_with_trivial_unstable_side_warns():
+def test_estimate_with_trivial_unstable_side_warns(caplog):
     op = EvolutionOperator(constant_field([[-1.0]]))
     P = ProjectionFamily.constant([[1.0]])
-    fitted, diag = estimate_constants(op, P, exp_quad(), square_grid(0.0, 6.0, 0.5))
+    with caplog.at_level(logging.WARNING, logger="dichokit.dichotomy"):
+        fitted, diag = estimate_constants(op, P, exp_quad(), square_grid(0.0, 6.0, 0.5))
     assert fitted.b == 0.0
     assert any("unstable" in w for w in diag.warnings)
+    logged = [r.getMessage() for r in caplog.records if r.name == "dichokit.dichotomy"]
+    assert logged == diag.warnings
 
 
 def test_estimate_rejects_degenerate_grid():
@@ -170,3 +251,13 @@ def test_check_projection_rotated_projector_fails():
     rep = check_projection(P, op, pairs)
     assert rep.max_commute_residual == pytest.approx(math.sinh(2.0), rel=1e-7)
     assert not rep.passed
+
+
+def test_check_projection_evolves_reversed_pairs_backward():
+    # diag(-1, 2) flow, P at 45 degrees: |[P, T(t, s)]| = |T11 - T22| / 2
+    op = EvolutionOperator(constant_field(np.diag([-1.0, 2.0])))
+    P = ProjectionFamily.constant(np.full((2, 2), 0.5))
+    back = check_projection(P, op, [(0.0, 2.0)]).max_commute_residual
+    assert back == pytest.approx((math.exp(2.0) - math.exp(-4.0)) / 2, rel=1e-7)
+    fwd = check_projection(P, op, [(2.0, 0.0)]).max_commute_residual
+    assert fwd == pytest.approx((math.exp(4.0) - math.exp(-2.0)) / 2, rel=1e-7)

@@ -168,3 +168,34 @@ def test_cache_report_counts_segments():
     op.evolve(2.0, -2.0)
     rep = op.cache_report()
     assert rep["segments"] >= 4 and rep["worst_condition"] >= 1.0
+
+
+@pytest.mark.parametrize("c", [10.0, 2e4, 1e5])
+def test_jump_at_checkpoint_sees_one_sided_limits(c):
+    # A = -1 before the jump at c and +1 from it on, so T(c + 1/2, c - 1/2) = 1
+    # exactly; a relative endpoint nudge rounds back onto c once |c| is large
+    field = CoefficientField(1, lambda t: np.array([[-1.0 if t < c else 1.0]]))
+    op = EvolutionOperator(field, anchor=c)
+    got = op.evolve(c + 0.5, c - 0.5)[0, 0]
+    assert abs(got - 1.0) <= 1e-9
+
+
+def test_evolve_pairs_memory_is_linear_in_times():
+    # N unique times, one pair per adjacent pair plus the longest span: the
+    # sweep may hold O(N n^2) working state, never the N^2 n^2 of a full table
+    import tracemalloc
+
+    n_times = 300
+    u = np.linspace(0.0, 3.0, n_times)
+    t = np.append(u[1:], u[-1])
+    s = np.append(u[:-1], u[0])
+    op = EvolutionOperator(constant_field([[-1.0, 3.0], [0.5, 1.0]]))
+    op.evolve_pairs(t, s)  # fill the segment cache, which is O(N) on its own
+    tracemalloc.start()
+    try:
+        op.evolve_pairs(t, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    full_table = n_times**2 * 2 * 2 * 8
+    assert peak < full_table / 10
