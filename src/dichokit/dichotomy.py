@@ -302,16 +302,18 @@ class ProjectionReport:
 
 
 def check_projection(P: ProjectionFamily, op: EvolutionOperator, grid) -> ProjectionReport:
-    """Residuals of P(t)T(t,s) = T(t,s)P(s) and P(t)^2 = P(t) over a grid.
+    """Residuals of P(t)T(t,s) = T(t,s)P(s) and P(u)^2 = P(u) over a grid.
 
-    Pairs keep their orientation, so a pair with t < s is evolved backward.
-    T(t, s) comes from one row sweep over the grid's unique times and the
-    norms from one batched call.  An empty grid gives (0.0, 0.0).
+    The commutation residual is taken per pair; the idempotency residual at
+    every time of the grid, both ends of each pair.  Pairs keep their
+    orientation, so a pair with t < s is evolved backward.  T(t, s) comes
+    from one row sweep over the grid's unique times and the norms from one
+    batched call.  An empty grid gives (0.0, 0.0).
     """
     t, s = _grid_arrays(grid)
     T, p_t, p_s = _pair_table(op, P, t, s)
-    _, first = np.unique(t, return_index=True)
-    p_u = p_t[first]
+    _, first = np.unique(np.concatenate([t, s]), return_index=True)
+    p_u = np.concatenate([p_t, p_s])[first]
     norms = _norms(np.concatenate([p_t @ T - T @ p_s, p_u @ p_u - p_u]))
     commute, idem = norms[: t.size], norms[t.size :]
     return ProjectionReport(float(commute.max(initial=0.0)), float(idem.max(initial=0.0)))

@@ -5,9 +5,20 @@ S(t) is built from the verified bound by the two-integral construction
     S(t) =  int_t^inf  (T(v,t)P(t))^T (T(v,t)P(t)) (h(v)/h(t))^{-2(a+d)} h'(v)/h(v) dv
           - int_-inf^t (T(v,t)Q(t))^T (T(v,t)Q(t)) (k(t)/k(v))^{ 2(b-d)} k'(v)/k(v) dv
 
-for a damping constant 0 < d < min(-a, b).  Both integrands are dominated
-by the dichotomy envelope times (rate ratio)^{-2d} (rate slope), whose
-improper tail integrates in closed form, so truncation points are certified
+for a damping constant 0 < d < min(-a, b).  The rate powers are folded into
+shifted evolutions Phi, so the stable integral is the integral of
+G(v,t)^T G(v,t) h'/h(v) with G(v,t) = Phi(v,t) P(t).  Because P commutes
+with the flow, G(v,t) = G(v,t') Phi(t',t) P(t) for v >= t' >= t, which gives
+the congruence recurrence
+
+    S_s(t) = M^T S_s(t') M + int_t^{t'} G(v,t)^T G(v,t) h'/h(v) dv,
+    M = P(t') Phi(t',t) P(t),
+
+so one backward sweep over the grid yields every stable part from one
+integral per grid interval plus one tail integral; the unstable part is the
+mirror image, one forward sweep.  Both integrands are dominated by the
+dichotomy envelope times (rate ratio)^{-2d} (rate slope), whose improper
+tail integrates in closed form, so the truncation points are certified
 analytically before any quadrature runs.  The sign of H along orbits
 classifies stable and unstable vectors, and the derivative inequalities it
 satisfies are checked numerically on grids.
@@ -32,7 +43,7 @@ from .tails import time_backward_for_log_drop, time_for_log_decrease
 class QuadratureConfig:
     tail_tol: float = 1e-8  # relative envelope mass allowed past the cutoff
     quad_tol: float = 1e-10
-    reproject_window: float = 2.0  # bundle reprojection spacing along the solve
+    reproject_window: float = 2.0  # longest stretch of the solve between reprojections
 
     def __post_init__(self):
         if self.tail_tol <= 0 or self.quad_tol <= 0 or self.reproject_window <= 0:
@@ -40,36 +51,77 @@ class QuadratureConfig:
 
 
 def _projected_dense(shift_op: EvolutionOperator, projector, a: float, b: float, m0, window: float):
-    """Dense solution of the shifted system, reprojected every `window`.
+    """Dense solution of the shifted system on [a, b], reprojected at piece ends.
 
-    The evolved columns live in a bundle that commutes with the flow, so
-    applying the projector at window boundaries is the identity in exact
-    arithmetic; numerically it kills integrator noise that would otherwise
-    grow along the complementary directions over long spans.
+    The span is cut at the checkpoint lattice, so no step straddles a field
+    jump, and into pieces no longer than `window`.  The evolved columns live
+    in a bundle that commutes with the flow, so applying the projector at
+    piece ends is the identity in exact arithmetic; numerically it kills
+    integrator noise that would otherwise grow along the complementary
+    directions over long spans.  Returns the lookup v -> Y(v) and the
+    projected end value projector(b) Y(b).
     """
-    direction = 1.0 if b >= a else -1.0
+    knots = [a]
+    for lo, hi in shift_op._pieces(a, b):
+        m = max(1, math.ceil(abs(hi - lo) / window))
+        knots += [lo + (hi - lo) * j / m for j in range(1, m)] + [hi]
     pieces = []
     cur = np.asarray(m0, dtype=float)
-    lo = a
-    while (b - lo) * direction > 1e-12:
-        hi = min(lo + window, b) if direction > 0 else max(lo - window, b)
+    for lo, hi in zip(knots[:-1], knots[1:]):
         dense = shift_op.matrix_solution(lo, hi, cur)
-        pieces.append((lo, hi, dense))
+        pieces.append((min(lo, hi), max(lo, hi), dense))
         cur = projector(hi) @ dense(hi)
-        lo = hi
 
     def at(v):
-        for plo, phi, dense in pieces:
-            if (plo <= v <= phi) if direction > 0 else (phi <= v <= plo):
+        for lo, hi, dense in pieces:
+            if lo <= v <= hi:
                 return dense(v)
         raise ValueError(f"{v} outside solved span [{a}, {b}]")
 
-    return at
+    return at, cur
+
+
+def _congruence_sweep(shift_op: EvolutionOperator, projector, rate, ts, end: float, quad: QuadratureConfig):
+    """int from ts[i] to `end` of G^T G rate'/rate, for every i, by one sweep.
+
+    `ts` runs toward `end` (increasing for the stable side, decreasing for
+    the unstable side) and G(v, t) = Phi(v, t) projector(t).  The sweep
+    starts with the tail [ts[-1], end] and steps back one grid interval at a
+    time, S(ts[i]) = M^T S(ts[i+1]) M + (interval integral), with
+    M = projector(ts[i+1]) G(ts[i+1], ts[i]) read off the interval's solve.
+    Returns the stack in the order of `ts` and the summed quad_vec error
+    estimates.
+    """
+    n = shift_op.field.dim
+    knots = list(ts) + [end]
+    mats = np.zeros((len(ts), n, n))
+    err = 0.0
+    acc = np.zeros((n, n))  # the integral from the point just swept to `end`
+    for i in range(len(ts) - 1, -1, -1):
+        lo, hi = knots[i], knots[i + 1]
+        if lo != hi:  # only the tail can be empty: tail_tol >= 1 puts `end` on ts[-1]
+            g, m = _projected_dense(shift_op, projector, lo, hi, projector(lo), quad.reproject_window)
+
+            def integrand(v):
+                gv = g(v)
+                return (gv.T @ gv) * rate.dlog(v)
+
+            part, e = quad_vec(integrand, min(lo, hi), max(lo, hi), epsabs=quad.quad_tol, epsrel=quad.quad_tol)
+            err += float(e)
+            acc = part + m.T @ acc @ m
+        mats[i] = acc
+    return mats, err
 
 
 @dataclass
 class QuadraticLyapunov:
-    """Grid-backed symmetric matrix family with linear interpolation."""
+    """Grid-backed symmetric matrix family with linear interpolation.
+
+    `stable_cutoff` (V) and `unstable_cutoff` (W) are the certified
+    truncation times of the two integrals (None for a side that is not
+    integrated), and `quad_error` is the sum of the quad_vec error estimates
+    of every interval integral on both sides.
+    """
 
     times: np.ndarray
     matrices: np.ndarray
@@ -77,11 +129,16 @@ class QuadraticLyapunov:
     spec: DichotomySpec
     min_abs_eigenvalue: float = 0.0
     norm_margin: float = math.inf  # slack in |S(t)| <= (K^2/2d)(mu^2eps + nu^2eps)
+    stable_cutoff: float | None = None
+    unstable_cutoff: float | None = None
+    quad_error: float = 0.0
 
     def S(self, t: float) -> np.ndarray:
         ts = self.times
         if t < ts[0] - 1e-9 or t > ts[-1] + 1e-9:
             raise ValueError(f"t={t} outside the S grid [{ts[0]}, {ts[-1]}]")
+        if ts.size == 1:
+            return self.matrices[0].copy()
         i = int(np.clip(np.searchsorted(ts, t) - 1, 0, ts.size - 2))
         w = (t - ts[i]) / (ts[i + 1] - ts[i])
         w = min(max(w, 0.0), 1.0)
@@ -121,20 +178,33 @@ def construct_S(
 ) -> QuadraticLyapunov:
     """Evaluate the two-integral construction on a time grid.
 
+    The grid is sorted and deduplicated; an empty or non-finite grid raises
+    ValueError.  The stable parts come from one backward congruence sweep
+    and the unstable parts from one forward sweep (see the module
+    docstring): one dense solve of the shifted system per grid interval and
+    side, cut at the checkpoint lattice, one adaptive vector quadrature per
+    interval, and one tail each.  The integrands live in the decaying
+    bundles, so the solves are well-conditioned and each congruence step
+    damps the error carried from its neighbor.
+
     Truncation: the stable integrand past V is bounded by
-    K^2 mu(|t|)^{2 eps} (h(V)/h(t))^{-2 dbar} / (2 dbar), so V is placed
-    where the ratio factor has fallen below tail_tol; mirrored backward for
-    the unstable part.  Each finite integral runs through adaptive
-    vector quadrature with the evolved columns taken from one dense ODE
-    solution per side (the integrand lives in the decaying bundle, so the
-    dense solve is well-conditioned).
+    K^2 mu(|t|)^{2 eps} (h(V)/h(t))^{-2 dbar} / (2 dbar).  V is placed once,
+    where the ratio factor seen from the last grid time t_{N-1} has fallen
+    below tail_tol.  log h is nondecreasing, so (h(V)/h(t_i))^{-2 dbar} <=
+    (h(V)/h(t_{N-1}))^{-2 dbar} <= tail_tol at every grid time: each point is
+    truncated at or beyond its own certified cutoff.  Mirrored backward for
+    the unstable part, with W placed from the first grid time t_0.
     """
     quad = quad or QuadratureConfig()
     if not (0.0 < dbar < min(-spec.a, spec.b) or (spec.b == 0.0 and 0.0 < dbar < -spec.a)):
         raise ValueError(f"dbar must lie in (0, min(-a, b)) = (0, {min(-spec.a, spec.b)})")
+    times = np.asarray(times, dtype=float).ravel()
+    if times.size == 0 or not np.all(np.isfinite(times)):
+        raise ValueError("construct_S needs a nonempty grid of finite times")
+    times = np.unique(times)
     h, k = spec.rates.h, spec.rates.k
-    times = np.sort(np.asarray(times, dtype=float))
-    n = spec.P(times[0]).shape[0]
+    n = op.field.dim
+    projs = np.array([spec.P(t) for t in times])
     log_drop = math.log(1.0 / quad.tail_tol)
 
     # The rate-power weights are folded into shifted linear systems:
@@ -150,59 +220,49 @@ def construct_S(
         )
         return EvolutionOperator(fld, op.config, anchor=op.anchor)
 
-    stable_op = shifted_op(spec.a + dbar, h)
-    unstable_op = shifted_op(spec.b - dbar, k)
-
-    mats = []
-    min_eig = math.inf
-    margin = math.inf
-    for t in times:
-        p = spec.P(t)
-        q = np.eye(n) - p
-        s_mat = np.zeros((n, n))
-
-        if spectral_norm(p) > 0:
-            v_cut = time_for_log_decrease(h, t, -2.0 * dbar, log_drop)
-            gsol = _projected_dense(stable_op, spec.P, t, v_cut, p, quad.reproject_window)
-
-            def stable_integrand(v):
-                g = gsol(v)
-                return (g.T @ g) * h.dlog(v)
-
-            part, _ = quad_vec(stable_integrand, t, v_cut, epsabs=quad.quad_tol, epsrel=quad.quad_tol)
-            s_mat = s_mat + part
-
-        if spectral_norm(q) > 0:
-            if op.field.domain == "half":
-                raise DomainError("the unstable integral needs a full-line system")
-            w_cut = time_backward_for_log_drop(k, t, log_drop / (2.0 * dbar))
-            zsol = _projected_dense(
-                unstable_op, lambda v: np.eye(n) - spec.P(v), t, w_cut, q, quad.reproject_window
-            )
-
-            def unstable_integrand(v):
-                z = zsol(v)
-                return (z.T @ z) * k.dlog(v)
-
-            part, _ = quad_vec(unstable_integrand, w_cut, t, epsabs=quad.quad_tol, epsrel=quad.quad_tol)
-            s_mat = s_mat - part
-
-        s_mat = 0.5 * (s_mat + s_mat.T)
-        mats.append(s_mat)
-        eigs = np.linalg.eigvalsh(s_mat)
-        min_eig = min(min_eig, float(np.min(np.abs(eigs))))
-        cap = (spec.K**2 / (2 * dbar)) * (
-            math.exp(2 * spec.eps * spec.rates.mu.log_u(abs(t)))
-            + math.exp(2 * spec.eps * spec.rates.nu.log_u(abs(t)))
+    s_mats = np.zeros((times.size, n, n))
+    v_cut = w_cut = None
+    quad_err = 0.0
+    if np.any(projs):
+        v_cut = time_for_log_decrease(h, times[-1], -2.0 * dbar, log_drop)
+        part, err = _congruence_sweep(shifted_op(spec.a + dbar, h), spec.P, h, times, v_cut, quad)
+        s_mats += part
+        quad_err += err
+    if np.any(np.eye(n) - projs):
+        if op.field.domain == "half":
+            raise DomainError("the unstable integral needs a full-line system")
+        w_cut = time_backward_for_log_drop(k, times[0], log_drop / (2.0 * dbar))
+        part, err = _congruence_sweep(
+            shifted_op(spec.b - dbar, k), spec.P.complement, k, times[::-1], w_cut, quad
         )
-        gap = cap - spectral_norm(s_mat)
-        margin = min(margin, gap)
-        if gap < -1e-6 * cap:
-            raise DichokitError(
-                f"|S({t})| exceeds the envelope cap {cap:.4g}; the input spec does not hold"
-            )
+        s_mats -= part[::-1]
+        quad_err += err
 
-    return QuadraticLyapunov(times, np.array(mats), dbar, spec, min_eig, margin)
+    s_mats = 0.5 * (s_mats + s_mats.transpose(0, 2, 1))
+    eigs = np.abs(np.linalg.eigvalsh(s_mats))
+    mu_pow, nu_pow = (
+        np.array([math.exp(2 * spec.eps * r.log_u(abs(t))) for t in times])
+        for r in (spec.rates.mu, spec.rates.nu)
+    )
+    cap = (spec.K**2 / (2 * dbar)) * (mu_pow + nu_pow)
+    gap = cap - eigs.max(axis=1)  # |S| is the largest |eigenvalue| of symmetric S
+    bad = np.flatnonzero(gap < -1e-6 * cap)
+    if bad.size:
+        i = int(bad[0])
+        raise DichokitError(
+            f"|S({times[i]})| exceeds the envelope cap {cap[i]:.4g}; the input spec does not hold"
+        )
+    return QuadraticLyapunov(
+        times,
+        s_mats,
+        dbar,
+        spec,
+        float(eigs.min()),
+        float(gap.min()),
+        stable_cutoff=v_cut,
+        unstable_cutoff=w_cut,
+        quad_error=quad_err,
+    )
 
 
 @dataclass

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dichokit.dichotomy import DichotomySpec, ProjectionFamily, square_grid, verify
@@ -63,6 +66,7 @@ def test_construct_S_pure_contraction_is_positive_definite():
     lyap = construct_S(spec, op, 0.5, np.linspace(0.0, 2.0, 5))
     for m in lyap.matrices:
         assert np.all(np.linalg.eigvalsh(m) > 0)
+    assert lyap.unstable_cutoff is None  # Q = 0: no unstable integral
 
 
 def test_construct_S_rejects_bad_damping():
@@ -79,6 +83,143 @@ def test_construct_S_norm_cap_margin_nonnegative():
     lyap = construct_S(spec, op, 0.5, np.linspace(0.5, 2.5, 5))
     assert lyap.norm_margin >= 0.0
     assert lyap.min_abs_eigenvalue > 0.0
+
+
+def example22_setup():
+    return make_example22(Example22Params(1.0, 0.1, 1.0))
+
+
+def test_construct_S_example22_matches_scalar_quadrature_off_zero():
+    # grid without 0: the field jump at 0 falls inside a grid interval
+    field, analytic, spec = example22_setup()
+    dbar, times = 0.5, np.linspace(-1.9, 2.1, 17)
+    lyap = construct_S(spec, EvolutionOperator(field), dbar, times)
+
+    def integral(f, lo, hi):
+        pts = [0.0] if lo < 0.0 < hi else None
+        return quad(f, lo, hi, points=pts, limit=400, epsabs=0.0, epsrel=1e-12)[0]
+
+    # h = k = e^t, so h'/h = k'/k = 1; 40 time units out the integrands are below e^-40
+    a, b = spec.a, spec.b
+    s11 = [integral(lambda v: analytic(v, t)[0, 0] ** 2 * math.exp(-2 * (a + dbar) * (v - t)), t, t + 40) for t in times]
+    s22 = [-integral(lambda v: analytic(v, t)[1, 1] ** 2 * math.exp(2 * (b - dbar) * (t - v)), t - 40, t) for t in times]
+    got = lyap.matrices
+    assert np.max(np.abs(got[:, 0, 0] - s11) / np.abs(s11)) <= 5e-8
+    assert np.max(np.abs(got[:, 1, 1] - s22) / np.abs(s22)) <= 5e-8
+    assert np.max(np.abs(got[:, 0, 1])) <= 1e-12
+
+
+def test_construct_S_subgrid_matches_full_grid():
+    # a tail_tol far below the tolerance keeps truncation out of the comparison:
+    # the full grid truncates every point further out than a sub-grid does
+    field, _, spec = example22_setup()
+    grid = np.linspace(-2.0, 2.0, 17)
+    cfg = QuadratureConfig(tail_tol=1e-12)
+    full = construct_S(spec, EvolutionOperator(field), 0.5, grid, cfg)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.lists(st.integers(0, grid.size - 1), min_size=1, max_size=6, unique=True))
+    def check(idx):
+        idx = sorted(idx)
+        sub = construct_S(spec, EvolutionOperator(field), 0.5, grid[idx], cfg)
+        want = full.matrices[idx]
+        err = np.linalg.norm(sub.matrices - want, 2, axis=(1, 2)) / np.linalg.norm(want, 2, axis=(1, 2))
+        assert err.max() <= 1e-8
+
+    check()
+
+
+def test_construct_S_commutes_with_rotation():
+    # y = R(wt) x turns x' = A x into y' = (R A R^T + wJ) y, P into R P R^T,
+    # and S into R S R^T: a non-diagonal field with a non-constant projector
+    w = 0.7
+
+    def rot(t):
+        c, s = math.cos(w * t), math.sin(w * t)
+        return np.array([[c, -s], [s, c]])
+
+    def a_x(t):
+        return np.diag([-1.0 - 0.3 * math.sin(t), 1.0 + 0.2 * math.cos(t)])
+
+    gen = np.array([[0.0, -1.0], [1.0, 0.0]])
+    p = np.diag([1.0, 0.0])
+    field_y = CoefficientField(2, lambda t: rot(t) @ a_x(t) @ rot(t).T + w * gen)
+    families = (ProjectionFamily.constant(p), ProjectionFamily.from_callable(lambda t: rot(t) @ p @ rot(t).T, rank=1))
+    spec_x, spec_y = (DichotomySpec(P, EXPQUAD, K=math.exp(0.6), a=-1.0, b=1.0, eps=0.0) for P in families)
+    times = np.linspace(-1.0, 1.0, 9)
+    s_x = construct_S(spec_x, EvolutionOperator(CoefficientField(2, a_x)), 0.4, times).matrices
+    s_y = construct_S(spec_y, EvolutionOperator(field_y), 0.4, times).matrices
+    want = np.array([rot(t) @ m @ rot(t).T for t, m in zip(times, s_x)])
+    err = np.linalg.norm(s_y - want, 2, axis=(1, 2)) / np.linalg.norm(want, 2, axis=(1, 2))
+    assert err.max() <= 1e-8
+
+
+def test_construct_S_field_evaluations_grow_slowly_with_grid_size():
+    # one sweep per side: the tails dominate, each grid interval adds a short solve
+    field, _, spec = example22_setup()
+    calls = [0]
+
+    def counted(t):
+        calls[0] += 1
+        return field.eval(t)
+
+    counted_field = replace(field, eval=counted)
+    evals = []
+    for n in (9, 129):
+        calls[0] = 0
+        construct_S(spec, EvolutionOperator(counted_field), 0.5, np.linspace(-2.0, 2.0, n))
+        evals.append(calls[0])
+    assert evals[1] < 3 * evals[0]
+
+
+def test_construct_S_reports_cutoffs_and_quadrature_error():
+    field, _, spec = example22_setup()
+    times = np.linspace(-2.0, 2.0, 9)
+    lyap = construct_S(spec, EvolutionOperator(field), 0.5, times)
+    v_cut, w_cut = lyap.stable_cutoff, lyap.unstable_cutoff
+    assert all(math.isfinite(x) for x in (v_cut, w_cut, lyap.quad_error))
+    assert v_cut > times[-1] > times[0] > w_cut
+    assert 0.0 <= lyap.quad_error < 1e-6
+
+
+def test_construct_S_truncates_every_point_within_tail_tol():
+    # diag(-1, 1) at dbar = 1/2: S11(t) = 1 - e^{-(V - t)} and S22(t) = -(1 - e^{-(t - W)}),
+    # the envelope is the integrand itself, so the truncated mass is exactly the tail
+    spec, op = diag_setup()
+    tol = 1e-4
+    lyap = construct_S(spec, op, 0.5, np.linspace(-2.0, 2.0, 9), QuadratureConfig(tail_tol=tol))
+    lost = np.concatenate([1.0 - lyap.matrices[:, 0, 0], 1.0 + lyap.matrices[:, 1, 1]])
+    assert lost.max() <= tol * (1 + 1e-3)
+    assert lost[8] >= 0.99 * tol and lost[9] >= 0.99 * tol  # the end points sit at their own cutoffs
+
+
+def test_construct_S_deduplicates_repeated_times():
+    spec, op = diag_setup()
+    lyap = construct_S(spec, op, 0.5, [1.0, -1.0, 0.0, 0.0, 1.0])
+    assert lyap.times.tolist() == [-1.0, 0.0, 1.0]
+    assert np.allclose(lyap.S(0.0), np.diag([1.0, -1.0]), atol=1e-6)
+    assert derivative_condition(lyap, op.field, form="sufficiency").passed
+
+
+def test_construct_S_one_point_grid():
+    spec, op = diag_setup()
+    lyap = construct_S(spec, op, 0.5, [0.5])
+    assert np.allclose(lyap.S(0.5), np.diag([1.0, -1.0]), atol=1e-6)
+    with pytest.raises(ValueError):
+        lyap.S(0.6)
+
+
+def test_construct_S_rejects_empty_grid():
+    spec, op = diag_setup()
+    with pytest.raises(ValueError):
+        construct_S(spec, op, 0.5, [])
+
+
+def test_construct_S_rejects_non_finite_grid():
+    spec, op = diag_setup()
+    for bad in ([0.0, math.nan], [0.0, math.inf]):
+        with pytest.raises(ValueError):
+            construct_S(spec, op, 0.5, bad)
 
 
 def test_derivative_condition_both_forms_pass_on_diag():
