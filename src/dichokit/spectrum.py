@@ -7,9 +7,17 @@ exponent of a solution relative to a rate u is
 
 approximated by the supremum over a tail window of the horizon, with the
 window spread reported as the trust measure (no finite computation yields a
-true limsup).  Orbit norms are integrated in renormalized form (unit
-direction plus log-norm), so exponents of strongly expanding or contracting
-modes never overflow.
+true limsup).
+
+Every exponent run goes through one batched solve: all start vectors of a
+block and direction are integrated together in a single RK45 run whose state
+is one unit direction q and one log-norm log r per column,
+
+    q' = W q^ - (q^T W q^) q^,    (log r)' = q^T W q^,    q^ = q / |q|,
+
+so the field is evaluated once per stage for every column, and exponents of
+strongly expanding or contracting modes never overflow.  Each column still
+follows its own orbit (no orthogonalization between columns).
 
 Regularity coefficients pair forward and adjoint exponents over dual bases.
 The true minimum over all dual bases is a hard search; we return certified
@@ -49,38 +57,47 @@ class ExponentTrace:
         return math.isfinite(self.estimate) and self.spread <= SPREAD_LIMIT
 
 
-def lyapunov_exponent(
+def _exponent_traces(
     field_w: CoefficientField,
     rate: GrowthRate,
-    x0,
+    X0,
     horizon: float,
     window: float = 0.2,
     samples: int = 200,
     rel_tol: float = 1e-9,
-) -> ExponentTrace:
-    """Tail-window exponent of the solution through x0 at time 0.
+) -> tuple[list[ExponentTrace], int]:
+    """Tail-window exponents of the solutions through the columns of X0.
 
-    x0 = 0 gets the distinguished value -inf.  Requires log u(horizon) > 10
-    so the denominator dominates integration error.
+    All nonzero columns are integrated together in one RK45 run; a zero
+    column gets the distinguished value -inf and is not integrated.  Returns
+    one trace per column and the field evaluations of the run (0 when every
+    column is zero).
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if np.linalg.norm(x0) == 0.0:
-        return ExponentTrace(np.array([]), np.array([]), -math.inf, 0.0)
+    X0 = np.asarray(X0, dtype=float)
+    n = field_w.dim
+    if X0.shape[0] != n:
+        raise ValueError(f"start vectors have size {X0.shape[0]}, field dimension is {n}")
+    norms = np.linalg.norm(X0, axis=0)
+    live = np.flatnonzero(norms > 0.0)
+    traces = [ExponentTrace(np.array([]), np.array([]), -math.inf, 0.0) for _ in norms]
+    if live.size == 0:
+        return traces, 0
     if rate.log_u(horizon) <= 10.0:
         raise ValueError(f"horizon too short: log u({horizon}) <= 10")
-    n = field_w.dim
+    m = live.size
+    split = n * m
 
     def rhs(t, state):
-        y = state[:n]
-        w = field_w(t)
-        wy = w @ y
-        # projective form: norm drift is neutral, not exponentially unstable
-        growth = float(y @ wy) / float(y @ y)
-        return np.append(wy - growth * y, growth)
+        q = state[:split].reshape(n, m)
+        q = q / np.sqrt(np.einsum("ij,ij->j", q, q))
+        wq = field_w(t) @ q
+        # q' is orthogonal to q, so |q| stays 1 up to round-off, which the
+        # renormalization above keeps out of the direction and the growth
+        growth = np.einsum("ij,ij->j", q, wq)
+        return np.concatenate([(wq - growth * q).ravel(), growth])
 
-    y0 = np.append(x0 / np.linalg.norm(x0), math.log(np.linalg.norm(x0)))
-    t_lo = (1.0 - window) * horizon
-    times = np.linspace(t_lo, horizon, samples)
+    y0 = np.concatenate([(X0[:, live] / norms[live]).ravel(), np.log(norms[live])])
+    times = np.linspace((1.0 - window) * horizon, horizon, samples)
     sol = solve_ivp(
         rhs,
         (0.0, horizon),
@@ -93,10 +110,32 @@ def lyapunov_exponent(
     )
     if not sol.success:
         raise DichokitError(f"exponent integration failed: {sol.message}")
-    log_norms = sol.y[n]
     denom = np.array([rate.log_u(t) for t in times])
-    values = log_norms / denom
-    return ExponentTrace(times, values, float(np.max(values)), float(np.max(values) - np.min(values)))
+    for j, log_norms in zip(live, sol.y[split:]):
+        values = log_norms / denom
+        traces[j] = ExponentTrace(times, values, float(np.max(values)), float(np.max(values) - np.min(values)))
+    return traces, int(sol.nfev)
+
+
+def lyapunov_exponent(
+    field_w: CoefficientField,
+    rate: GrowthRate,
+    x0,
+    horizon: float,
+    window: float = 0.2,
+    samples: int = 200,
+    rel_tol: float = 1e-9,
+) -> ExponentTrace:
+    """Tail-window exponent of the solution through x0 at time 0.
+
+    The one-column case of the batched renormalized solve (see the module
+    docstring).  x0 = 0 gets the distinguished value -inf; an x0 whose size
+    is not the field dimension raises ValueError.  Requires
+    log u(horizon) > 10 so the denominator dominates integration error.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    traces, _ = _exponent_traces(field_w, rate, x0.reshape(-1, 1), horizon, window, samples, rel_tol)
+    return traces[0]
 
 
 def _cluster(estimates: list[float], gap: float = GAP_THRESHOLD):
@@ -122,6 +161,7 @@ class SpectrumReport:
     horizon: float
     traces: dict = field(default_factory=dict)
     reliable: bool = True
+    nfev: int = 0  # field evaluations of the four solves
 
     @property
     def lambda_top(self) -> float:
@@ -132,15 +172,6 @@ class SpectrumReport:
     def chi_bottom(self) -> float:
         """Smallest unstable-block exponent (the chi_1 of the F side)."""
         return self.values_F[0][0]
-
-
-def _column_exponents(field_w, rate, horizon, window):
-    traces = []
-    for j in range(field_w.dim):
-        e = np.zeros(field_w.dim)
-        e[j] = 1.0
-        traces.append(lyapunov_exponent(field_w, rate, e, horizon, window))
-    return traces
 
 
 def spectrum(
@@ -154,30 +185,35 @@ def spectrum(
 ) -> SpectrumReport:
     """Exponents of the fundamental-matrix columns of both blocks.
 
-    The adjoint systems y' = -W(t)^T y are measured against hbar/kbar
-    (defaulting to h/k).  A report is marked unreliable when any column's
-    tail-window spread exceeds 0.2.
+    One batched solve per block and direction (four in all) integrates the
+    coordinate columns of the block, or of its adjoint y' = -W(t)^T y,
+    measured against h/k or hbar/kbar (defaulting to h/k).  A report is
+    marked unreliable when any column's tail-window spread exceeds 0.2;
+    ``nfev`` is the field evaluations of the four solves.
     """
     hbar = hbar or h
     kbar = kbar or k
-    tr_e = _column_exponents(block.W1, h, horizon, window)
-    tr_f = _column_exponents(block.W2, k, horizon, window)
-    tr_eb = _column_exponents(adjoint(block.W1), hbar, horizon, window)
-    tr_fb = _column_exponents(adjoint(block.W2), kbar, horizon, window)
-
-    report = SpectrumReport(
-        values_E=_cluster([t.estimate for t in tr_e]),
-        values_F=_cluster([t.estimate for t in tr_f]),
-        adjoint_E=_cluster([t.estimate for t in tr_eb]),
-        adjoint_F=_cluster([t.estimate for t in tr_fb]),
+    runs = {
+        "E": (block.W1, h),
+        "F": (block.W2, k),
+        "E_adjoint": (adjoint(block.W1), hbar),
+        "F_adjoint": (adjoint(block.W2), kbar),
+    }
+    traces, nfev = {}, 0
+    for key, (field_w, rate) in runs.items():
+        traces[key], evals = _exponent_traces(field_w, rate, np.eye(field_w.dim), horizon, window)
+        nfev += evals
+    values = {key: _cluster([t.estimate for t in trs]) for key, trs in traces.items()}
+    return SpectrumReport(
+        values_E=values["E"],
+        values_F=values["F"],
+        adjoint_E=values["E_adjoint"],
+        adjoint_F=values["F_adjoint"],
         horizon=horizon,
-        traces={"E": tr_e, "F": tr_f, "E_adjoint": tr_eb, "F_adjoint": tr_fb},
-        reliable=all(t.reliable for t in tr_e + tr_f + tr_eb + tr_fb),
+        traces=traces,
+        reliable=all(t.reliable for trs in traces.values() for t in trs),
+        nfev=nfev,
     )
-    # property (5): at most as many distinct values as the block dimension
-    assert len(report.values_E) <= block.W1.dim
-    assert len(report.values_F) <= block.W2.dim
-    return report
 
 
 @dataclass(frozen=True)
@@ -211,6 +247,7 @@ class RegularityReport:
     basis_F: DualBasisPair
     per_candidate_E: list = field(default_factory=list)
     per_candidate_F: list = field(default_factory=list)
+    nfev: int = 0  # field evaluations of the four solves
 
 
 def _default_candidates(dim: int):
@@ -218,20 +255,18 @@ def _default_candidates(dim: int):
 
 
 def _best_pairing(field_w, rate, rate_bar, candidates, horizon, window):
-    adj = adjoint(field_w)
-    best = math.inf
-    best_pair = None
-    scores = []
-    for cand in candidates:
-        pair_max = -math.inf
-        for i in range(cand.basis.shape[1]):
-            fwd = lyapunov_exponent(field_w, rate, cand.basis[:, i], horizon, window).estimate
-            bwd = lyapunov_exponent(adj, rate_bar, cand.dual[:, i], horizon, window).estimate
-            pair_max = max(pair_max, fwd + bwd)
-        scores.append(pair_max)
-        if pair_max < best:
-            best, best_pair = pair_max, cand
-    return best, best_pair, scores
+    """Best candidate, every candidate's score and the field evaluations.
+
+    The basis columns of all candidates go into one forward solve and their
+    dual columns into one adjoint solve.
+    """
+    fwd, nfev_fwd = _exponent_traces(field_w, rate, np.hstack([c.basis for c in candidates]), horizon, window)
+    bwd, nfev_bwd = _exponent_traces(adjoint(field_w), rate_bar, np.hstack([c.dual for c in candidates]), horizon, window)
+    sums = [f.estimate + b.estimate for f, b in zip(fwd, bwd)]
+    ends = np.cumsum([c.basis.shape[1] for c in candidates])
+    scores = [max(sums[end - c.basis.shape[1] : end]) for c, end in zip(candidates, ends)]
+    best = int(np.argmin(scores))
+    return scores[best], candidates[best], scores, nfev_fwd + nfev_bwd
 
 
 def regularity(
@@ -250,15 +285,17 @@ def regularity(
     Each candidate pairs basis vector i with dual vector i; the candidate's
     score is the max paired sum of forward and adjoint exponents, and the
     bound is the min over candidates.  The exact min over all dual bases is
-    not computed.
+    not computed.  Per block, the basis columns of every candidate share one
+    batched forward solve and the dual columns one batched adjoint solve
+    (see the module docstring); ``nfev`` is the field evaluations of all four.
     """
     hbar = hbar or h
     kbar = kbar or k
     cands_e = candidates_E or _default_candidates(block.W1.dim)
     cands_f = candidates_F or _default_candidates(block.W2.dim)
-    gamma, pair_e, scores_e = _best_pairing(block.W1, h, hbar, cands_e, horizon, window)
-    gamma_bar, pair_f, scores_f = _best_pairing(block.W2, k, kbar, cands_f, horizon, window)
-    return RegularityReport(gamma, gamma_bar, pair_e, pair_f, scores_e, scores_f)
+    gamma, pair_e, scores_e, nfev_e = _best_pairing(block.W1, h, hbar, cands_e, horizon, window)
+    gamma_bar, pair_f, scores_f, nfev_f = _best_pairing(block.W2, k, kbar, cands_f, horizon, window)
+    return RegularityReport(gamma, gamma_bar, pair_e, pair_f, scores_e, scores_f, nfev_e + nfev_f)
 
 
 def dichotomy_from_spectrum(

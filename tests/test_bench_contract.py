@@ -1,0 +1,24 @@
+"""One pass of the `coupled-spectrum` benchmark workload against its reference.
+
+The benchmark's workloads (bench/workloads.py) check every top-level call
+against an independent reference; this test runs one pass of one workload so
+that a change to the package cannot silently break those checks.  Ops the
+workload flags as a known defect are exempt, as they are in the benchmark.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
+
+
+def test_coupled_spectrum_pass_meets_its_references():
+    wl = workloads.WORKLOADS["coupled-spectrum"]
+    inputs = wl.build(11)
+    ref = wl.reference(inputs)
+    values = wl.values(wl.run(inputs, lambda fn, *args, **kwargs: fn(*args, **kwargs)))
+    failed = [op for op in wl.check(values, ref) if not op.passed and not op.known_defect]
+    assert failed == []
+    missed = [label for label, caught in workloads.self_check(wl, values, ref) if not caught]
+    assert missed == []

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from dichokit import spectrum as spectrum_module
 from dichokit.dichotomy import square_grid, verify
 from dichokit.errors import DichokitError
 from dichokit.evolution import EvolutionOperator
 from dichokit.growth import builtin
 from dichokit.spectrum import (
     DualBasisPair,
+    _exponent_traces,
     dichotomy_from_spectrum,
     lyapunov_exponent,
     regularity,
@@ -17,6 +22,21 @@ from dichokit.spectrum import (
 from dichokit.system import BlockSystem, CoefficientField, constant_field
 
 EXP = builtin("exp")
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(state size, nfev) of every solve_ivp run the spectrum module makes."""
+    seen = []
+    real = spectrum_module.solve_ivp
+
+    def recording(fun, t_span, y0, **kwargs):
+        sol = real(fun, t_span, y0, **kwargs)
+        seen.append((len(y0), sol.nfev))
+        return sol
+
+    monkeypatch.setattr(spectrum_module, "solve_ivp", recording)
+    return seen
 
 
 def standard_block():
@@ -40,6 +60,24 @@ def test_polynomial_rate_exponent():
 def test_zero_vector_gets_minus_infinity():
     tr = lyapunov_exponent(constant_field([[-1.0]]), EXP, [0.0], horizon=50.0)
     assert tr.estimate == -math.inf
+
+
+def test_mismatched_start_vector_rejected():
+    field = constant_field(np.diag([-1.0, -2.0]))
+    with pytest.raises(ValueError, match="size 3.*dimension is 2"):
+        lyapunov_exponent(field, EXP, [1.0, 2.0, 3.0], horizon=50.0)
+
+
+def test_zero_column_is_not_integrated(solves):
+    field = constant_field([[-1.0, 2.0], [0.0, -3.0]])
+    x0 = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 1.0]])
+    traces, _ = _exponent_traces(field, EXP, x0, 50.0)
+    # one run over the two live columns: two directions of size 2, two log-norms
+    assert [size for size, _ in solves] == [6]
+    assert traces[1].estimate == -math.inf and traces[1].values.size == 0
+    for j in (0, 2):
+        alone = lyapunov_exponent(field, EXP, x0[:, j], 50.0)
+        np.testing.assert_allclose(traces[j].values, alone.values, rtol=0, atol=1e-7)
 
 
 def test_short_horizon_rejected():
@@ -158,3 +196,77 @@ def test_sign_condition_violation_raises():
     reg = regularity(blk, EXP, EXP, horizon=50.0)
     with pytest.raises(DichokitError):
         dichotomy_from_spectrum(rep, reg, EXP, EXP, EXP, EXP, eps_tilde=0.1, block=blk)
+
+
+def rotated_block(diag, angle, omega):
+    """W(t) = R(w t) Q D Q^T R(w t)^T + w J, with T(t, 0) = R(w t) Q e^{D t} Q^T."""
+
+    def rot(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        return np.array([[c, -s], [s, c]])
+
+    q = rot(angle)
+    m = q @ np.diag(diag) @ q.T
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    field = CoefficientField(2, lambda t: rot(omega * t) @ m @ rot(omega * t).T + omega * j)
+    exact = lambda t: rot(omega * t) @ q @ np.diag(np.exp(np.array(diag) * t)) @ q.T
+    return field, exact
+
+
+def assert_traces_match_closed_form(traces, x0, exact):
+    for j, tr in enumerate(traces):
+        want = [math.log(np.linalg.norm(exact(t) @ x0[:, j])) / t for t in tr.times]
+        np.testing.assert_allclose(tr.values, want, rtol=0, atol=1e-7)
+
+
+def test_batched_traces_match_expm_on_constant_field():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(3, 3)) + np.triu(rng.normal(size=(3, 3)), 1)
+    x0 = np.column_stack([np.eye(3), rng.normal(size=(3, 2))])
+    traces, _ = _exponent_traces(constant_field(a), EXP, x0, 50.0)
+    assert_traces_match_closed_form(traces, x0, lambda t: expm(a * t))
+
+
+@pytest.mark.parametrize("diag, angle, omega", [((-2.0, -1.0), 0.6, 0.75), ((1.0, 2.0), 1.1, 0.7)])
+def test_batched_traces_match_rotated_block_closed_form(diag, angle, omega):
+    field, exact = rotated_block(diag, angle, omega)
+    x0 = np.column_stack([np.eye(2), [0.3, -1.2]])
+    traces, _ = _exponent_traces(field, EXP, x0, 50.0)
+    assert_traces_match_closed_form(traces, x0, exact)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_columns_solved_together_match_columns_solved_alone(dim, data):
+    entries = st.floats(-1.5, 1.5, allow_nan=False)
+    a = np.array(data.draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+    assume(np.max(np.abs(a @ a.T - a.T @ a)) > 0.1)  # non-normal
+    x0 = np.array(data.draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+    assume(np.all(np.linalg.norm(x0, axis=0) > 0.1))
+    field = constant_field(a)
+    together, _ = _exponent_traces(field, EXP, x0, 50.0)
+    for j, tr in enumerate(together):
+        alone = lyapunov_exponent(field, EXP, x0[:, j], 50.0)
+        np.testing.assert_allclose(tr.values, alone.values, rtol=0, atol=1e-7)
+
+
+def diagonal_block(l, m):
+    return BlockSystem(constant_field(np.diag(-1.0 - np.arange(l))), constant_field(np.diag(1.0 + np.arange(m))))
+
+
+@pytest.mark.parametrize("l, m", [(1, 1), (2, 3), (3, 2)])
+def test_spectrum_makes_four_solves_and_reports_their_evaluations(solves, l, m):
+    rep = spectrum(diagonal_block(l, m), EXP, EXP, horizon=50.0)
+    assert len(solves) == 4
+    assert rep.nfev == sum(nfev for _, nfev in solves)
+    assert sum(mult for _, mult in rep.values_E) == l and sum(mult for _, mult in rep.values_F) == m
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_regularity_makes_two_solves_per_block_and_reports_their_evaluations(solves, count):
+    rng = np.random.default_rng(count)
+    cands = [DualBasisPair.from_basis(np.eye(2) + 0.3 * rng.normal(size=(2, 2))) for _ in range(count)]
+    rep = regularity(diagonal_block(2, 1), EXP, EXP, candidates_E=cands, horizon=50.0)
+    assert len(solves) == 4
+    assert rep.nfev == sum(nfev for _, nfev in solves)
+    assert len(rep.per_candidate_E) == count
