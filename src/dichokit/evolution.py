@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -42,17 +43,38 @@ class IntegratorConfig:
             raise ValueError("checkpoint spacing must be positive")
 
 
-def _inward(a: float, b: float, t: float) -> float:
-    """Move segment endpoints to the adjacent double inside the segment.
+def _inward(a: float, b: float):
+    """The clamp of RK stage times into the open segment between a and b.
 
-    A relative nudge such as a + 1e-12 |b - a| rounds back to a once |a| is
-    large (1e5 + 1e-12 == 1e5); the adjacent double never does.
+    A stage time can round onto or past an end, where a field jump on the
+    lattice would be seen from the wrong side; such a time moves to the
+    adjacent double inside the segment.  A relative nudge such as
+    a + 1e-12 |b - a| would round back to a once |a| is large.
     """
-    if t == a:
-        return math.nextafter(a, b)
-    if t == b:
-        return math.nextafter(b, a)
-    return t
+    lo, hi = min(a, b), max(a, b)
+    first, last = math.nextafter(lo, hi), math.nextafter(hi, lo)
+    return lambda t: first if t <= lo else last if t >= hi else t
+
+
+def piecewise_solution(pieces, y0, solve):
+    """Dense solution over consecutive pieces, each started where the last ended.
+
+    `solve(lo, hi, y)` integrates one piece from y and returns its dense
+    lookup and the start value of the next piece.  Returns the lookup
+    v -> y(v) over the whole span and the value after the last piece.
+    """
+    dense, y = [], y0
+    for lo, hi in pieces:
+        lookup, y = solve(lo, hi, y)
+        dense.append((min(lo, hi), max(lo, hi), lookup))
+
+    def at(v):
+        for lo, hi, lookup in dense:
+            if lo <= v <= hi:
+                return lookup(v)
+        raise ValueError(f"time {v} outside the solved span [{pieces[0][0]}, {pieces[-1][1]}]")
+
+    return at, y
 
 
 class EvolutionOperator:
@@ -67,11 +89,13 @@ class EvolutionOperator:
     # -- low-level integration ------------------------------------------------
 
     def _integrate_matrix(self, a: float, b: float, m0: np.ndarray, dense: bool = False):
+        """(dense lookup or None, Y(b)) for Y' = A(v) Y, Y(a) = m0."""
         n = self.field.dim
         cols = np.asarray(m0).shape[1]
+        inward = _inward(a, b)
 
         def rhs(t, y):
-            return (self.field(_inward(a, b, t)) @ y.reshape(n, cols)).ravel()
+            return (self.field(inward(t)) @ y.reshape(n, cols)).ravel()
 
         sol = solve_ivp(
             rhs,
@@ -87,10 +111,8 @@ class EvolutionOperator:
             raise IntegrationError(
                 f"integration failed on [{a}, {b}]: {sol.message}", time=sol.t[-1]
             )
-        if dense:
-            interp = sol.sol
-            return lambda v: interp(v).reshape(n, cols)
-        return sol.y[:, -1].reshape(n, cols)
+        lookup = (lambda v, interp=sol.sol: interp(v).reshape(n, cols)) if dense else None
+        return lookup, sol.y[:, -1].reshape(n, cols)
 
     def _segment(self, a: float, b: float) -> np.ndarray:
         """Transition matrix T(b, a), cached."""
@@ -100,7 +122,7 @@ class EvolutionOperator:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        m = self._integrate_matrix(a, b, np.eye(self.field.dim))
+        _, m = self._integrate_matrix(a, b, np.eye(self.field.dim))
         self._cache[key] = m
         return m
 
@@ -187,11 +209,12 @@ class EvolutionOperator:
         Meant for decaying initial data (e.g. m0 = P(a) in the stable bundle
         going forward); the dense interpolant shares the integrator accuracy.
         m0 may be rectangular (n x m) to evolve a set of columns at once.
+        The span is integrated piecewise between checkpoints, like `evolve`.
         """
+        m0 = np.asarray(m0, dtype=float)
         if a == b:
-            m = np.asarray(m0, dtype=float)
-            return lambda v: m
-        return self._integrate_matrix(a, b, m0, dense=True)
+            return lambda v: m0
+        return piecewise_solution(self._pieces(a, b), m0, partial(self._integrate_matrix, dense=True))[0]
 
     def vector_solution(self, a: float, b: float, x0):
         """Dense vector solution of the linear system through (a, x0)."""
@@ -233,11 +256,11 @@ class EvolutionOperator:
 
         escape.terminal = True
 
-        pieces = []
-        y0 = xi
-        for lo, hi in self._pieces(a, b):
-            def rhs(t, y, lo=lo, hi=hi):
-                ti = _inward(lo, hi, t)
+        def solve(lo, hi, y0):
+            inward = _inward(lo, hi)
+
+            def rhs(t, y):
+                ti = inward(t)
                 return self.field(ti) @ y + f(ti, y, lam)
 
             sol = solve_ivp(
@@ -260,19 +283,9 @@ class EvolutionOperator:
                 raise IntegrationError(
                     f"integration failed on [{lo}, {hi}]: {sol.message}", time=sol.t[-1]
                 )
-            pieces.append((lo, hi, sol.sol))
-            y0 = sol.y[:, -1]
+            return sol.sol, sol.y[:, -1]
 
-        forward = b > a
-
-        def at(v):
-            for lo, hi, interp in pieces:
-                inside = lo <= v <= hi if forward else hi <= v <= lo
-                if inside:
-                    return interp(v)
-            raise ValueError(f"time {v} outside the solved span [{a}, {b}]")
-
-        return at
+        return piecewise_solution(self._pieces(a, b), xi, solve)[0]
 
     def cache_report(self) -> dict:
         """Cached segment count and the worst condition number among them."""

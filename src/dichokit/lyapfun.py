@@ -34,7 +34,7 @@ from scipy.integrate import quad_vec
 
 from .dichotomy import DichotomySpec, spectral_norm
 from .errors import DichokitError, DomainError
-from .evolution import EvolutionOperator
+from .evolution import EvolutionOperator, piecewise_solution
 from .system import CoefficientField
 from .tails import time_backward_for_log_drop, time_for_log_decrease
 
@@ -65,20 +65,12 @@ def _projected_dense(shift_op: EvolutionOperator, projector, a: float, b: float,
     for lo, hi in shift_op._pieces(a, b):
         m = max(1, math.ceil(abs(hi - lo) / window))
         knots += [lo + (hi - lo) * j / m for j in range(1, m)] + [hi]
-    pieces = []
-    cur = np.asarray(m0, dtype=float)
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        dense = shift_op.matrix_solution(lo, hi, cur)
-        pieces.append((min(lo, hi), max(lo, hi), dense))
-        cur = projector(hi) @ dense(hi)
 
-    def at(v):
-        for lo, hi, dense in pieces:
-            if lo <= v <= hi:
-                return dense(v)
-        raise ValueError(f"{v} outside solved span [{a}, {b}]")
+    def solve(lo, hi, y):
+        lookup, end = shift_op._integrate_matrix(lo, hi, y, dense=True)
+        return lookup, projector(hi) @ end
 
-    return at, cur
+    return piecewise_solution(list(zip(knots[:-1], knots[1:])), np.asarray(m0, dtype=float), solve)
 
 
 def _congruence_sweep(shift_op: EvolutionOperator, projector, rate, ts, end: float, quad: QuadratureConfig):

@@ -9,15 +9,15 @@ approximated by the supremum over a tail window of the horizon, with the
 window spread reported as the trust measure (no finite computation yields a
 true limsup).
 
-Every exponent run goes through one batched solve: all start vectors of a
-block and direction are integrated together in a single RK45 run whose state
-is one unit direction q and one log-norm log r per column,
+`spectrum` and `regularity` each make one RK45 solve of the doubled system
+D(t) = diag(A(t), -A(t)^T), A = diag(W1, W2), evaluating W1 and W2 once per
+stage for every forward and adjoint column.  Per column, the state holds a
+unit direction q (only the entries of the column's own block of D) and a
+log-norm log r, measured against the column's rate (h, k, hbar or kbar):
 
-    q' = W q^ - (q^T W q^) q^,    (log r)' = q^T W q^,    q^ = q / |q|,
+    q' = D q^ - (q^T D q^) q^,    (log r)' = q^T D q^,    q^ = q / |q|,
 
-so the field is evaluated once per stage for every column, and exponents of
-strongly expanding or contracting modes never overflow.  Each column still
-follows its own orbit (no orthogonalization between columns).
+so no mode overflows.  Columns are not orthogonalized against each other.
 
 Regularity coefficients pair forward and adjoint exponents over dual bases.
 The true minimum over all dual bases is a hard search; we return certified
@@ -33,11 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import block_diag
 
 from .dichotomy import DichotomySpec, ProjectionFamily
 from .errors import DichokitError
 from .growth import GrowthRate, RateQuadruple, product_rate
-from .system import BlockSystem, CoefficientField, adjoint
+from .system import BlockSystem, CoefficientField
 
 GAP_THRESHOLD = 0.05
 SPREAD_LIMIT = 0.2
@@ -59,44 +60,52 @@ class ExponentTrace:
 
 def _exponent_traces(
     field_w: CoefficientField,
-    rate: GrowthRate,
+    rate,
     X0,
     horizon: float,
     window: float = 0.2,
     samples: int = 200,
     rel_tol: float = 1e-9,
+    mask=None,
 ) -> tuple[list[ExponentTrace], int]:
     """Tail-window exponents of the solutions through the columns of X0.
 
-    All nonzero columns are integrated together in one RK45 run; a zero
-    column gets the distinguished value -inf and is not integrated.  Returns
-    one trace per column and the field evaluations of the run (0 when every
-    column is zero).
+    `rate` is one GrowthRate for all columns or one per column.  The state
+    holds only the entries in `mask` (default: all; X0 is zero outside it),
+    so the field must map each column's masked entries into themselves.
+    All nonzero columns are integrated in one RK45 run; a zero column gets
+    -inf and is left out.  Returns one trace per column and the run's field
+    evaluations (0 when every column is zero).
     """
     X0 = np.asarray(X0, dtype=float)
     n = field_w.dim
     if X0.shape[0] != n:
         raise ValueError(f"start vectors have size {X0.shape[0]}, field dimension is {n}")
+    mask = np.ones(X0.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    rates = [rate] * X0.shape[1] if isinstance(rate, GrowthRate) else list(rate)
     norms = np.linalg.norm(X0, axis=0)
     live = np.flatnonzero(norms > 0.0)
     traces = [ExponentTrace(np.array([]), np.array([]), -math.inf, 0.0) for _ in norms]
     if live.size == 0:
         return traces, 0
-    if rate.log_u(horizon) <= 10.0:
+    distinct = {id(rates[j]): rates[j] for j in live}
+    if min(r.log_u(horizon) for r in distinct.values()) <= 10.0:
         raise ValueError(f"horizon too short: log u({horizon}) <= 10")
     m = live.size
-    split = n * m
+    entries = np.flatnonzero(mask[:, live])  # into the row-major (n, m) directions
+    split = entries.size
 
     def rhs(t, state):
-        q = state[:split].reshape(n, m)
+        q = np.zeros((n, m))
+        np.put(q, entries, state[:split])
         q = q / np.sqrt(np.einsum("ij,ij->j", q, q))
         wq = field_w(t) @ q
         # q' is orthogonal to q, so |q| stays 1 up to round-off, which the
         # renormalization above keeps out of the direction and the growth
         growth = np.einsum("ij,ij->j", q, wq)
-        return np.concatenate([(wq - growth * q).ravel(), growth])
+        return np.concatenate([(wq - growth * q).ravel()[entries], growth])
 
-    y0 = np.concatenate([(X0[:, live] / norms[live]).ravel(), np.log(norms[live])])
+    y0 = np.concatenate([(X0[:, live] / norms[live]).ravel()[entries], np.log(norms[live])])
     times = np.linspace((1.0 - window) * horizon, horizon, samples)
     sol = solve_ivp(
         rhs,
@@ -110,9 +119,9 @@ def _exponent_traces(
     )
     if not sol.success:
         raise DichokitError(f"exponent integration failed: {sol.message}")
-    denom = np.array([rate.log_u(t) for t in times])
+    denoms = {key: np.array([r.log_u(t) for t in times]) for key, r in distinct.items()}
     for j, log_norms in zip(live, sol.y[split:]):
-        values = log_norms / denom
+        values = log_norms / denoms[id(rates[j])]
         traces[j] = ExponentTrace(times, values, float(np.max(values)), float(np.max(values) - np.min(values)))
     return traces, int(sol.nfev)
 
@@ -150,6 +159,36 @@ def _cluster(estimates: list[float], gap: float = GAP_THRESHOLD):
     return [(float(np.mean(c)), len(c)) for c in clusters]
 
 
+def _doubled_traces(block: BlockSystem, starts, rates, horizon: float, window: float):
+    """Traces of four start sets from one solve of D(t) = diag(A(t), -A(t)^T).
+
+    A = block.combined(); the sets are columns of W1, W2, -W1^T and -W2^T,
+    in that order, each placed in and masked to its block of D and measured
+    against the matching rate.  Returns the four trace lists and the field
+    evaluations of the solve.
+    """
+    a, n, l = block.combined(), block.dim, block.split
+    sizes = [np.shape(s)[0] for s in starts]
+    if sizes != [l, n - l] * 2:
+        raise ValueError(f"start sets have sizes {sizes}, blocks are {[l, n - l] * 2}")
+
+    def doubled(t):
+        at = a.eval(t)
+        d = np.zeros((2 * n, 2 * n))
+        d[:n, :n] = at
+        d[n:, n:] = -at.T
+        return d
+
+    widths = [np.shape(s)[1] for s in starts]
+    mask = block_diag(*(np.ones(np.shape(s)) for s in starts)) > 0
+    per_column = [r for r, w in zip(rates, widths) for _ in range(w)]
+    flat, nfev = _exponent_traces(
+        CoefficientField(2 * n, doubled, a.domain), per_column, block_diag(*starts), horizon, window, mask=mask
+    )
+    ends = np.cumsum(widths)
+    return [flat[e - w : e] for w, e in zip(widths, ends)], nfev
+
+
 @dataclass
 class SpectrumReport:
     """Distinct exponents of both blocks and their adjoints."""
@@ -161,7 +200,7 @@ class SpectrumReport:
     horizon: float
     traces: dict = field(default_factory=dict)
     reliable: bool = True
-    nfev: int = 0  # field evaluations of the four solves
+    nfev: int = 0  # field evaluations of the one solve
 
     @property
     def lambda_top(self) -> float:
@@ -185,35 +224,17 @@ def spectrum(
 ) -> SpectrumReport:
     """Exponents of the fundamental-matrix columns of both blocks.
 
-    One batched solve per block and direction (four in all) integrates the
-    coordinate columns of the block, or of its adjoint y' = -W(t)^T y,
-    measured against h/k or hbar/kbar (defaulting to h/k).  A report is
-    marked unreliable when any column's tail-window spread exceeds 0.2;
-    ``nfev`` is the field evaluations of the four solves.
+    One solve of the doubled system (see the module docstring) integrates
+    the coordinate columns of each block, measured against h/k, and of each
+    block's adjoint, measured against hbar/kbar (defaulting to h/k).  A
+    report is marked unreliable when any column's tail-window spread exceeds
+    0.2; ``nfev`` is the field evaluations of the solve.
     """
-    hbar = hbar or h
-    kbar = kbar or k
-    runs = {
-        "E": (block.W1, h),
-        "F": (block.W2, k),
-        "E_adjoint": (adjoint(block.W1), hbar),
-        "F_adjoint": (adjoint(block.W2), kbar),
-    }
-    traces, nfev = {}, 0
-    for key, (field_w, rate) in runs.items():
-        traces[key], evals = _exponent_traces(field_w, rate, np.eye(field_w.dim), horizon, window)
-        nfev += evals
-    values = {key: _cluster([t.estimate for t in trs]) for key, trs in traces.items()}
-    return SpectrumReport(
-        values_E=values["E"],
-        values_F=values["F"],
-        adjoint_E=values["E_adjoint"],
-        adjoint_F=values["F_adjoint"],
-        horizon=horizon,
-        traces=traces,
-        reliable=all(t.reliable for trs in traces.values() for t in trs),
-        nfev=nfev,
-    )
+    eyes = [np.eye(block.split), np.eye(block.dim - block.split)] * 2
+    flat, nfev = _doubled_traces(block, eyes, (h, k, hbar or h, kbar or k), horizon, window)
+    values = [_cluster([t.estimate for t in trs]) for trs in flat]
+    traces = dict(zip(("E", "F", "E_adjoint", "F_adjoint"), flat))
+    return SpectrumReport(*values, horizon, traces, all(t.reliable for trs in flat for t in trs), nfev)
 
 
 @dataclass(frozen=True)
@@ -247,26 +268,7 @@ class RegularityReport:
     basis_F: DualBasisPair
     per_candidate_E: list = field(default_factory=list)
     per_candidate_F: list = field(default_factory=list)
-    nfev: int = 0  # field evaluations of the four solves
-
-
-def _default_candidates(dim: int):
-    return [DualBasisPair.from_basis(np.eye(dim))]
-
-
-def _best_pairing(field_w, rate, rate_bar, candidates, horizon, window):
-    """Best candidate, every candidate's score and the field evaluations.
-
-    The basis columns of all candidates go into one forward solve and their
-    dual columns into one adjoint solve.
-    """
-    fwd, nfev_fwd = _exponent_traces(field_w, rate, np.hstack([c.basis for c in candidates]), horizon, window)
-    bwd, nfev_bwd = _exponent_traces(adjoint(field_w), rate_bar, np.hstack([c.dual for c in candidates]), horizon, window)
-    sums = [f.estimate + b.estimate for f, b in zip(fwd, bwd)]
-    ends = np.cumsum([c.basis.shape[1] for c in candidates])
-    scores = [max(sums[end - c.basis.shape[1] : end]) for c, end in zip(candidates, ends)]
-    best = int(np.argmin(scores))
-    return scores[best], candidates[best], scores, nfev_fwd + nfev_bwd
+    nfev: int = 0  # field evaluations of the one solve
 
 
 def regularity(
@@ -285,17 +287,22 @@ def regularity(
     Each candidate pairs basis vector i with dual vector i; the candidate's
     score is the max paired sum of forward and adjoint exponents, and the
     bound is the min over candidates.  The exact min over all dual bases is
-    not computed.  Per block, the basis columns of every candidate share one
-    batched forward solve and the dual columns one batched adjoint solve
-    (see the module docstring); ``nfev`` is the field evaluations of all four.
+    not computed.  The basis columns of every candidate of both blocks and
+    their dual columns share one solve of the doubled system (see the module
+    docstring); ``nfev`` is the field evaluations of that solve.
     """
-    hbar = hbar or h
-    kbar = kbar or k
-    cands_e = candidates_E or _default_candidates(block.W1.dim)
-    cands_f = candidates_F or _default_candidates(block.W2.dim)
-    gamma, pair_e, scores_e, nfev_e = _best_pairing(block.W1, h, hbar, cands_e, horizon, window)
-    gamma_bar, pair_f, scores_f, nfev_f = _best_pairing(block.W2, k, kbar, cands_f, horizon, window)
-    return RegularityReport(gamma, gamma_bar, pair_e, pair_f, scores_e, scores_f, nfev_e + nfev_f)
+    cands = [
+        candidates_E or [DualBasisPair.from_basis(np.eye(block.W1.dim))],
+        candidates_F or [DualBasisPair.from_basis(np.eye(block.W2.dim))],
+    ]
+    starts = [np.hstack([c.basis for c in cs]) for cs in cands] + [np.hstack([c.dual for c in cs]) for cs in cands]
+    traces, nfev = _doubled_traces(block, starts, (h, k, hbar or h, kbar or k), horizon, window)
+    scores = []
+    for i, cs in enumerate(cands):
+        sums = iter([f.estimate + b.estimate for f, b in zip(traces[i], traces[i + 2])])
+        scores.append([max(next(sums) for _ in range(c.basis.shape[1])) for c in cs])
+    best = [int(np.argmin(s)) for s in scores]
+    return RegularityReport(scores[0][best[0]], scores[1][best[1]], cands[0][best[0]], cands[1][best[1]], *scores, nfev)
 
 
 def dichotomy_from_spectrum(

@@ -1,8 +1,8 @@
-"""One pass of the `coupled-spectrum` benchmark workload against its reference.
+"""One pass of each benchmark workload against its reference.
 
 The benchmark's workloads (bench/workloads.py) check every top-level call
-against an independent reference; this test runs one pass of one workload so
-that a change to the package cannot silently break those checks.  Ops the
+against an independent reference; this test runs one pass of every workload
+so that a change to the package cannot silently break those checks.  Ops the
 workload flags as a known defect are exempt, as they are in the benchmark.
 """
 
@@ -10,11 +10,13 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import pytest  # noqa: E402
 import workloads  # noqa: E402
 
 
-def test_coupled_spectrum_pass_meets_its_references():
-    wl = workloads.WORKLOADS["coupled-spectrum"]
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_pass_meets_its_references(name):
+    wl = workloads.WORKLOADS[name]
     inputs = wl.build(11)
     ref = wl.reference(inputs)
     values = wl.values(wl.run(inputs, lambda fn, *args, **kwargs: fn(*args, **kwargs)))

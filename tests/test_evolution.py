@@ -156,6 +156,31 @@ def test_dense_matrix_solution_accuracy():
         assert np.allclose(sol(v), analytic(v, 0.0), rtol=1e-7, atol=1e-10)
 
 
+@pytest.mark.parametrize("a, b", [(-1.5, 1.5), (-1.0, 1.0), (1.5, -1.5), (-0.3, 2.7), (0.0, 2.0)])
+def test_dense_solutions_across_the_jump_match_closed_form(a, b):
+    # Example 2.2's field jumps at 0; each span is cut there like evolve's
+    op, analytic = example22_pair()
+    x = np.array([1.0, 1.0])
+    orbit = op.vector_solution(a, b, x)
+    cols = op.matrix_solution(a, b, np.eye(2))
+    for v in np.linspace(a, b, 13):
+        want = analytic(v, a)
+        assert np.linalg.norm(orbit(v) - want @ x) <= 2e-9 * np.linalg.norm(want @ x)
+        assert np.linalg.norm(cols(v) - want, 2) <= 2e-9 * np.linalg.norm(want, 2)
+
+
+def test_nonlinear_stage_times_stay_on_their_side_of_the_jump():
+    # an end a hair below the jump at 0: RK stage times that round onto or
+    # past it must still see the field of t < 0
+    op, analytic = example22_pair()
+    x = np.array([1.0, 1.0])
+    f0 = NonlinearTerm(lambda t, x, lam: np.zeros_like(x))
+    for end in (-1.6549270241938287e-36, -1e-20, 0.0):
+        want = analytic(end, -1.0) @ x
+        got = op.nonlinear_solution(-1.0, end, x, f0)(end)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
 def test_config_rejects_bad_tolerances():
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=0.0)

@@ -19,7 +19,7 @@ from dichokit.spectrum import (
     regularity,
     spectrum,
 )
-from dichokit.system import BlockSystem, CoefficientField, constant_field
+from dichokit.system import BlockSystem, CoefficientField, adjoint, constant_field
 
 EXP = builtin("exp")
 
@@ -254,19 +254,80 @@ def diagonal_block(l, m):
     return BlockSystem(constant_field(np.diag(-1.0 - np.arange(l))), constant_field(np.diag(1.0 + np.arange(m))))
 
 
+def block_dims(l, m, count=1):
+    """State size of one solve over `count` start sets per block and direction."""
+    return 2 * count * (l * l + m * m + l + m)
+
+
 @pytest.mark.parametrize("l, m", [(1, 1), (2, 3), (3, 2)])
-def test_spectrum_makes_four_solves_and_reports_their_evaluations(solves, l, m):
+def test_spectrum_makes_one_solve_and_reports_its_evaluations(solves, l, m):
     rep = spectrum(diagonal_block(l, m), EXP, EXP, horizon=50.0)
-    assert len(solves) == 4
-    assert rep.nfev == sum(nfev for _, nfev in solves)
+    # each forward and adjoint column holds its own block's entries and a log-norm, no padding
+    assert solves == [(block_dims(l, m), rep.nfev)]
     assert sum(mult for _, mult in rep.values_E) == l and sum(mult for _, mult in rep.values_F) == m
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])
-def test_regularity_makes_two_solves_per_block_and_reports_their_evaluations(solves, count):
+def test_regularity_makes_one_solve_and_reports_its_evaluations(solves, count):
     rng = np.random.default_rng(count)
     cands = [DualBasisPair.from_basis(np.eye(2) + 0.3 * rng.normal(size=(2, 2))) for _ in range(count)]
     rep = regularity(diagonal_block(2, 1), EXP, EXP, candidates_E=cands, horizon=50.0)
-    assert len(solves) == 4
-    assert rep.nfev == sum(nfev for _, nfev in solves)
+    # count candidates on E, the default one on F
+    assert solves == [(2 * count * (4 + 2) + 2 * (1 + 1), rep.nfev)]
     assert len(rep.per_candidate_E) == count
+
+
+# h, k, hbar, kbar: distinct, so a column measured against the wrong rate shows
+RATES = [builtin("exp", {"rate": c}) for c in (1.0, 1.5, 2.0, 0.5)]
+
+
+def nonnormal_block(l, m):
+    rng = np.random.default_rng(10 * l + m)
+    w1, w2 = (constant_field(rng.normal(size=(d, d)) + np.triu(rng.normal(size=(d, d)), 1)) for d in (l, m))
+    return BlockSystem(w1, w2)
+
+
+def assert_matches_solo_runs(traces, blk, starts):
+    """The four trace lists equal per-block solo solves of the four start sets."""
+    fields = [blk.W1, blk.W2, adjoint(blk.W1), adjoint(blk.W2)]
+    assert len(traces) == 4
+    for got, w, rate, x0 in zip(traces, fields, RATES, starts):
+        alone, _ = _exponent_traces(w, rate, x0, 50.0)
+        assert len(got) == len(alone)
+        for g, a in zip(got, alone):
+            np.testing.assert_allclose(g.values, a.values, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("l, m", [(1, 1), (2, 3), (3, 2)])
+def test_spectrum_solve_matches_solo_block_runs(l, m):
+    blk = nonnormal_block(l, m)
+    rep = spectrum(blk, *RATES, horizon=50.0)
+    traces = [rep.traces[key] for key in ("E", "F", "E_adjoint", "F_adjoint")]
+    assert_matches_solo_runs(traces, blk, [np.eye(l), np.eye(m)] * 2)
+
+
+@pytest.mark.parametrize("l, m", [(1, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_regularity_solve_matches_solo_block_runs(monkeypatch, l, m, count):
+    blk = nonnormal_block(l, m)
+    rng = np.random.default_rng(count)
+    near_identity = lambda d: DualBasisPair.from_basis(np.eye(d) + 0.3 * rng.normal(size=(d, d)))
+    cands = [[near_identity(d) for _ in range(count)] for d in (l, m)]
+    seen = []
+    real = spectrum_module._doubled_traces
+    monkeypatch.setattr(spectrum_module, "_doubled_traces", lambda *args: seen.append(real(*args)) or seen[-1])
+    rep = regularity(blk, *RATES, candidates_E=cands[0], candidates_F=cands[1], horizon=50.0)
+    [(traces, nfev)] = seen
+    assert rep.nfev == nfev
+    starts = [np.hstack([c.basis for c in cs]) for cs in cands] + [np.hstack([c.dual for c in cs]) for cs in cands]
+    assert_matches_solo_runs(traces, blk, starts)
+    # each candidate's score is the max paired sum over its own columns
+    for scores, fwd, bwd, d in ((rep.per_candidate_E, *traces[::2], l), (rep.per_candidate_F, *traces[1::2], m)):
+        sums = [f.estimate + b.estimate for f, b in zip(fwd, bwd)]
+        assert scores == [max(sums[i * d : (i + 1) * d]) for i in range(count)]
+    assert rep.gamma == min(rep.per_candidate_E) and rep.gamma_bar == min(rep.per_candidate_F)
+
+
+def test_start_set_of_the_wrong_block_size_rejected():
+    with pytest.raises(ValueError, match="start sets have sizes"):
+        regularity(diagonal_block(2, 1), EXP, EXP, candidates_E=[DualBasisPair.from_basis(np.eye(3))], horizon=50.0)
