@@ -17,7 +17,8 @@ log-norm log r, measured against the column's rate (h, k, hbar or kbar):
 
     q' = D q^ - (q^T D q^) q^,    (log r)' = q^T D q^,    q^ = q / |q|,
 
-so no mode overflows.  Columns are not orthogonalized against each other.
+so no mode overflows.  Columns are not orthogonalized against each other,
+and the one run's error norm pools all of them (see `_exponent_traces`).
 
 Regularity coefficients pair forward and adjoint exponents over dual bases.
 The true minimum over all dual bases is a hard search; we return certified
@@ -59,8 +60,8 @@ class ExponentTrace:
 
 
 def _exponent_traces(
-    field_w: CoefficientField,
-    rate,
+    matrix,
+    rates: list,
     X0,
     horizon: float,
     window: float = 0.2,
@@ -70,19 +71,19 @@ def _exponent_traces(
 ) -> tuple[list[ExponentTrace], int]:
     """Tail-window exponents of the solutions through the columns of X0.
 
-    `rate` is one GrowthRate for all columns or one per column.  The state
-    holds only the entries in `mask` (default: all; X0 is zero outside it),
-    so the field must map each column's masked entries into themselves.
-    All nonzero columns are integrated in one RK45 run; a zero column gets
+    `matrix(t)` is the n x n coefficient matrix, n = X0.shape[0], and
+    `rates` holds one GrowthRate per column.  The state holds only the
+    entries in `mask` (default: all; X0 is zero outside it), so the matrix
+    must map each column's masked entries into themselves.  All nonzero
+    columns are integrated in one RK45 run, so scipy's RMS error norm pools
+    the entries of every column: a column's own local error may exceed
+    rel_tol by up to sqrt(state size / its entries).  A zero column gets
     -inf and is left out.  Returns one trace per column and the run's field
     evaluations (0 when every column is zero).
     """
     X0 = np.asarray(X0, dtype=float)
-    n = field_w.dim
-    if X0.shape[0] != n:
-        raise ValueError(f"start vectors have size {X0.shape[0]}, field dimension is {n}")
+    n = X0.shape[0]
     mask = np.ones(X0.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    rates = [rate] * X0.shape[1] if isinstance(rate, GrowthRate) else list(rate)
     norms = np.linalg.norm(X0, axis=0)
     live = np.flatnonzero(norms > 0.0)
     traces = [ExponentTrace(np.array([]), np.array([]), -math.inf, 0.0) for _ in norms]
@@ -99,7 +100,7 @@ def _exponent_traces(
         q = np.zeros((n, m))
         np.put(q, entries, state[:split])
         q = q / np.sqrt(np.einsum("ij,ij->j", q, q))
-        wq = field_w(t) @ q
+        wq = matrix(t) @ q
         # q' is orthogonal to q, so |q| stays 1 up to round-off, which the
         # renormalization above keeps out of the direction and the growth
         growth = np.einsum("ij,ij->j", q, wq)
@@ -143,7 +144,9 @@ def lyapunov_exponent(
     log u(horizon) > 10 so the denominator dominates integration error.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    traces, _ = _exponent_traces(field_w, rate, x0.reshape(-1, 1), horizon, window, samples, rel_tol)
+    if x0.size != field_w.dim:
+        raise ValueError(f"start vector has size {x0.size}, field dimension is {field_w.dim}")
+    traces, _ = _exponent_traces(field_w, [rate], x0.reshape(-1, 1), horizon, window, samples, rel_tol)
     return traces[0]
 
 
@@ -162,29 +165,28 @@ def _cluster(estimates: list[float], gap: float = GAP_THRESHOLD):
 def _doubled_traces(block: BlockSystem, starts, rates, horizon: float, window: float):
     """Traces of four start sets from one solve of D(t) = diag(A(t), -A(t)^T).
 
-    A = block.combined(); the sets are columns of W1, W2, -W1^T and -W2^T,
-    in that order, each placed in and masked to its block of D and measured
-    against the matching rate.  Returns the four trace lists and the field
-    evaluations of the solve.
+    A = diag(W1, W2), evaluated block by block, so D may exceed the
+    coefficient-field size cap; the sets are columns of W1, W2, -W1^T and
+    -W2^T, in that order, each placed in and masked to its block of D and
+    measured against the matching rate.  Returns the four trace lists and
+    the field evaluations of the solve.
     """
-    a, n, l = block.combined(), block.dim, block.split
+    n, l = block.dim, block.split
     sizes = [np.shape(s)[0] for s in starts]
     if sizes != [l, n - l] * 2:
         raise ValueError(f"start sets have sizes {sizes}, blocks are {[l, n - l] * 2}")
 
     def doubled(t):
-        at = a.eval(t)
         d = np.zeros((2 * n, 2 * n))
-        d[:n, :n] = at
-        d[n:, n:] = -at.T
+        d[:l, :l] = block.W1(t)
+        d[l:n, l:n] = block.W2(t)
+        d[n:, n:] = -d[:n, :n].T
         return d
 
     widths = [np.shape(s)[1] for s in starts]
     mask = block_diag(*(np.ones(np.shape(s)) for s in starts)) > 0
     per_column = [r for r, w in zip(rates, widths) for _ in range(w)]
-    flat, nfev = _exponent_traces(
-        CoefficientField(2 * n, doubled, a.domain), per_column, block_diag(*starts), horizon, window, mask=mask
-    )
+    flat, nfev = _exponent_traces(doubled, per_column, block_diag(*starts), horizon, window, mask=mask)
     ends = np.cumsum(widths)
     return [flat[e - w : e] for w, e in zip(widths, ends)], nfev
 
@@ -232,9 +234,17 @@ def spectrum(
     """
     eyes = [np.eye(block.split), np.eye(block.dim - block.split)] * 2
     flat, nfev = _doubled_traces(block, eyes, (h, k, hbar or h, kbar or k), horizon, window)
-    values = [_cluster([t.estimate for t in trs]) for trs in flat]
-    traces = dict(zip(("E", "F", "E_adjoint", "F_adjoint"), flat))
-    return SpectrumReport(*values, horizon, traces, all(t.reliable for trs in flat for t in trs), nfev)
+    values_E, values_F, adjoint_E, adjoint_F = (_cluster([t.estimate for t in trs]) for trs in flat)
+    return SpectrumReport(
+        values_E=values_E,
+        values_F=values_F,
+        adjoint_E=adjoint_E,
+        adjoint_F=adjoint_F,
+        horizon=horizon,
+        traces=dict(zip(("E", "F", "E_adjoint", "F_adjoint"), flat)),
+        reliable=all(t.reliable for trs in flat for t in trs),
+        nfev=nfev,
+    )
 
 
 @dataclass(frozen=True)
@@ -298,11 +308,20 @@ def regularity(
     starts = [np.hstack([c.basis for c in cs]) for cs in cands] + [np.hstack([c.dual for c in cs]) for cs in cands]
     traces, nfev = _doubled_traces(block, starts, (h, k, hbar or h, kbar or k), horizon, window)
     scores = []
-    for i, cs in enumerate(cands):
-        sums = iter([f.estimate + b.estimate for f, b in zip(traces[i], traces[i + 2])])
-        scores.append([max(next(sums) for _ in range(c.basis.shape[1])) for c in cs])
-    best = [int(np.argmin(s)) for s in scores]
-    return RegularityReport(scores[0][best[0]], scores[1][best[1]], cands[0][best[0]], cands[1][best[1]], *scores, nfev)
+    for cs, fwd, bwd in zip(cands, traces[:2], traces[2:]):
+        sums = [f.estimate + b.estimate for f, b in zip(fwd, bwd)]
+        ends = np.cumsum([c.basis.shape[1] for c in cs])
+        scores.append([max(sums[end - c.basis.shape[1] : end]) for c, end in zip(cs, ends)])
+    best_E, best_F = (int(np.argmin(s)) for s in scores)
+    return RegularityReport(
+        gamma=scores[0][best_E],
+        gamma_bar=scores[1][best_F],
+        basis_E=cands[0][best_E],
+        basis_F=cands[1][best_F],
+        per_candidate_E=scores[0],
+        per_candidate_F=scores[1],
+        nfev=nfev,
+    )
 
 
 def dichotomy_from_spectrum(

@@ -71,7 +71,7 @@ def test_mismatched_start_vector_rejected():
 def test_zero_column_is_not_integrated(solves):
     field = constant_field([[-1.0, 2.0], [0.0, -3.0]])
     x0 = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 1.0]])
-    traces, _ = _exponent_traces(field, EXP, x0, 50.0)
+    traces, _ = _exponent_traces(field, [EXP] * x0.shape[1], x0, 50.0)
     # one run over the two live columns: two directions of size 2, two log-norms
     assert [size for size, _ in solves] == [6]
     assert traces[1].estimate == -math.inf and traces[1].values.size == 0
@@ -223,7 +223,7 @@ def test_batched_traces_match_expm_on_constant_field():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(3, 3)) + np.triu(rng.normal(size=(3, 3)), 1)
     x0 = np.column_stack([np.eye(3), rng.normal(size=(3, 2))])
-    traces, _ = _exponent_traces(constant_field(a), EXP, x0, 50.0)
+    traces, _ = _exponent_traces(constant_field(a), [EXP] * x0.shape[1], x0, 50.0)
     assert_traces_match_closed_form(traces, x0, lambda t: expm(a * t))
 
 
@@ -231,7 +231,7 @@ def test_batched_traces_match_expm_on_constant_field():
 def test_batched_traces_match_rotated_block_closed_form(diag, angle, omega):
     field, exact = rotated_block(diag, angle, omega)
     x0 = np.column_stack([np.eye(2), [0.3, -1.2]])
-    traces, _ = _exponent_traces(field, EXP, x0, 50.0)
+    traces, _ = _exponent_traces(field, [EXP] * x0.shape[1], x0, 50.0)
     assert_traces_match_closed_form(traces, x0, exact)
 
 
@@ -244,7 +244,7 @@ def test_columns_solved_together_match_columns_solved_alone(dim, data):
     x0 = np.array(data.draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
     assume(np.all(np.linalg.norm(x0, axis=0) > 0.1))
     field = constant_field(a)
-    together, _ = _exponent_traces(field, EXP, x0, 50.0)
+    together, _ = _exponent_traces(field, [EXP] * x0.shape[1], x0, 50.0)
     for j, tr in enumerate(together):
         alone = lyapunov_exponent(field, EXP, x0[:, j], 50.0)
         np.testing.assert_allclose(tr.values, alone.values, rtol=0, atol=1e-7)
@@ -292,13 +292,14 @@ def assert_matches_solo_runs(traces, blk, starts):
     fields = [blk.W1, blk.W2, adjoint(blk.W1), adjoint(blk.W2)]
     assert len(traces) == 4
     for got, w, rate, x0 in zip(traces, fields, RATES, starts):
-        alone, _ = _exponent_traces(w, rate, x0, 50.0)
+        alone, _ = _exponent_traces(w, [rate] * x0.shape[1], x0, 50.0)
         assert len(got) == len(alone)
         for g, a in zip(got, alone):
             np.testing.assert_allclose(g.values, a.values, rtol=0, atol=1e-7)
 
 
-@pytest.mark.parametrize("l, m", [(1, 1), (2, 3), (3, 2)])
+# (5, 4): the doubled system has dimension 18, past the coefficient-field cap of 16
+@pytest.mark.parametrize("l, m", [(1, 1), (2, 3), (3, 2), (5, 4)])
 def test_spectrum_solve_matches_solo_block_runs(l, m):
     blk = nonnormal_block(l, m)
     rep = spectrum(blk, *RATES, horizon=50.0)
@@ -306,7 +307,7 @@ def test_spectrum_solve_matches_solo_block_runs(l, m):
     assert_matches_solo_runs(traces, blk, [np.eye(l), np.eye(m)] * 2)
 
 
-@pytest.mark.parametrize("l, m", [(1, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("l, m", [(1, 1), (2, 3), (3, 2), (5, 4)])
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_regularity_solve_matches_solo_block_runs(monkeypatch, l, m, count):
     blk = nonnormal_block(l, m)
@@ -326,6 +327,15 @@ def test_regularity_solve_matches_solo_block_runs(monkeypatch, l, m, count):
         sums = [f.estimate + b.estimate for f, b in zip(fwd, bwd)]
         assert scores == [max(sums[i * d : (i + 1) * d]) for i in range(count)]
     assert rep.gamma == min(rep.per_candidate_E) and rep.gamma_bar == min(rep.per_candidate_F)
+
+
+def test_blocks_past_the_field_cap_together():
+    # W1 and W2 each within the cap of 16, A = diag(W1, W2) of dimension 17 beyond it
+    rep = spectrum(diagonal_block(9, 8), EXP, EXP, horizon=50.0)
+    assert [v for v, _ in rep.values_E] == pytest.approx(-1.0 - np.arange(9)[::-1], abs=1e-6)
+    assert [v for v, _ in rep.values_F] == pytest.approx(1.0 + np.arange(8), abs=1e-6)
+    assert [v for v, _ in rep.adjoint_F] == pytest.approx(-1.0 - np.arange(8)[::-1], abs=1e-6)
+    assert regularity(diagonal_block(9, 8), EXP, EXP, horizon=50.0).gamma == pytest.approx(0.0, abs=1e-6)
 
 
 def test_start_set_of_the_wrong_block_size_rejected():
