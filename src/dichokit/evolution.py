@@ -28,9 +28,9 @@ from .system import CoefficientField, NonlinearTerm
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Embedded Runge-Kutta 5(4) pair with step control (scipy RK45)."""
+    """Tolerances, step cap and checkpoint lattice of every solve (see `_integrate`)."""
 
-    rel_tol: float = 1e-9
+    rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = math.inf
     checkpoint_spacing: float = 1.0
@@ -54,6 +54,25 @@ def _inward(a: float, b: float):
     lo, hi = min(a, b), max(a, b)
     first, last = math.nextafter(lo, hi), math.nextafter(hi, lo)
     return lambda t: first if t <= lo else last if t >= hi else t
+
+
+def _integrate(solve, rhs, span, y0, rtol, atol, max_step=math.inf, dense_output=False, t_eval=None, events=None):
+    """One adaptive solve of y' = rhs(t, y) over `span` by the 8(5,3) Dormand-Prince pair.
+
+    Every solve in the package goes through here.  `solve` is the caller's
+    module-level `solve_ivp`, passed at each call so that a rebinding of
+    that global sees every solve.  Raises IntegrationError at the last time
+    reached (the last output time when `t_eval` is given) if the solve
+    fails; a terminal event is not a failure.
+    """
+    sol = solve(
+        rhs, span, y0, method="DOP853", rtol=rtol, atol=atol, max_step=max_step,
+        dense_output=dense_output, t_eval=t_eval, events=events,
+    )
+    if not sol.success:
+        reached = sol.t[-1] if sol.t.size else span[0]
+        raise IntegrationError(f"integration failed on [{span[0]}, {span[1]}]: {sol.message}", time=reached)
+    return sol
 
 
 def piecewise_solution(pieces, y0, solve):
@@ -97,20 +116,9 @@ class EvolutionOperator:
         def rhs(t, y):
             return (self.field(inward(t)) @ y.reshape(n, cols)).ravel()
 
-        sol = solve_ivp(
-            rhs,
-            (a, b),
-            np.asarray(m0, dtype=float).ravel(),
-            method="RK45",
-            rtol=self.config.rel_tol,
-            atol=self.config.abs_tol,
-            max_step=self.config.max_step,
-            dense_output=dense,
-        )
-        if not sol.success:
-            raise IntegrationError(
-                f"integration failed on [{a}, {b}]: {sol.message}", time=sol.t[-1]
-            )
+        cfg = self.config
+        y0 = np.asarray(m0, dtype=float).ravel()
+        sol = _integrate(solve_ivp, rhs, (a, b), y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, dense_output=dense)
         lookup = (lambda v, interp=sol.sol: interp(v).reshape(n, cols)) if dense else None
         return lookup, sol.y[:, -1].reshape(n, cols)
 
@@ -129,24 +137,25 @@ class EvolutionOperator:
     def _checkpoint(self, i: int) -> float:
         return self.anchor + i * self.config.checkpoint_spacing
 
+    def _bracket(self, v: float) -> tuple[int, int]:
+        """Indices of the checkpoints at or below and at or above v.
+
+        Both are the index of a checkpoint within 1e-9 spacings of v, so a
+        time that misses a checkpoint by round-off counts as on it.
+        """
+        x = (v - self.anchor) / self.config.checkpoint_spacing
+        return math.floor(x + 1e-9), math.ceil(x - 1e-9)
+
     # -- public surface --------------------------------------------------------
 
     def evolve(self, t: float, s: float) -> np.ndarray:
         """T(t, s), composed from per-interval operators; T(s, s) = I."""
         if t == s:
             return np.eye(self.field.dim)
-        d = self.config.checkpoint_spacing
-        if t > s:
-            i0 = math.ceil((s - self.anchor) / d - 1e-9)
-            i1 = math.floor((t - self.anchor) / d + 1e-9)
-            step = 1
-            inside = i0 <= i1
-        else:
-            i0 = math.floor((s - self.anchor) / d + 1e-9)
-            i1 = math.ceil((t - self.anchor) / d - 1e-9)
-            step = -1
-            inside = i0 >= i1
-        if not inside:
+        (s_below, s_above), (t_below, t_above) = self._bracket(s), self._bracket(t)
+        # the checkpoints i0, i0 + step, ..., i1 lie between s and t
+        i0, i1, step = (s_above, t_below, 1) if t > s else (s_below, t_above, -1)
+        if (i1 - i0) * step < 0:
             return self._segment(s, t)
         m = np.eye(self.field.dim)
         c0, c1 = self._checkpoint(i0), self._checkpoint(i1)
@@ -227,16 +236,9 @@ class EvolutionOperator:
 
     def _pieces(self, a: float, b: float):
         """Split [a, b] at internal checkpoints (field jumps live there)."""
-        d = self.config.checkpoint_spacing
-        if b > a:
-            i0 = math.floor((a - self.anchor) / d + 1e-9) + 1
-            i1 = math.ceil((b - self.anchor) / d - 1e-9) - 1
-            cps = [self._checkpoint(i) for i in range(i0, i1 + 1)]
-        else:
-            i0 = math.ceil((a - self.anchor) / d - 1e-9) - 1
-            i1 = math.floor((b - self.anchor) / d + 1e-9) + 1
-            cps = [self._checkpoint(i) for i in range(i0, i1 - 1, -1)]
-        knots = [a] + [c for c in cps if c != a and c != b] + [b]
+        (a_below, a_above), (b_below, b_above) = self._bracket(a), self._bracket(b)
+        inner = range(a_below + 1, b_above) if b > a else range(a_above - 1, b_below, -1)
+        knots = [a] + [c for c in map(self._checkpoint, inner) if c != a and c != b] + [b]
         return list(zip(knots[:-1], knots[1:]))
 
     def nonlinear_solution(self, a: float, b: float, xi, f: NonlinearTerm, lam=None):
@@ -263,26 +265,13 @@ class EvolutionOperator:
                 ti = inward(t)
                 return self.field(ti) @ y + f(ti, y, lam)
 
-            sol = solve_ivp(
-                rhs,
-                (lo, hi),
-                y0,
-                method="RK45",
-                rtol=self.config.rel_tol,
-                atol=self.config.abs_tol,
-                max_step=self.config.max_step,
-                dense_output=True,
-                events=escape,
+            cfg = self.config
+            sol = _integrate(
+                solve_ivp, rhs, (lo, hi), y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, dense_output=True, events=escape
             )
             if sol.status == 1:
                 t_esc = float(sol.t_events[0][0])
-                raise IntegrationError(
-                    f"trajectory escaped |x| > {bound:g} at t={t_esc:.6g}", time=t_esc
-                )
-            if not sol.success:
-                raise IntegrationError(
-                    f"integration failed on [{lo}, {hi}]: {sol.message}", time=sol.t[-1]
-                )
+                raise IntegrationError(f"trajectory escaped |x| > {bound:g} at t={t_esc:.6g}", time=t_esc)
             return sol.sol, sol.y[:, -1]
 
         return piecewise_solution(self._pieces(a, b), xi, solve)[0]

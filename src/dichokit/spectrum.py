@@ -9,11 +9,12 @@ approximated by the supremum over a tail window of the horizon, with the
 window spread reported as the trust measure (no finite computation yields a
 true limsup).
 
-`spectrum` and `regularity` each make one RK45 solve of the doubled system
-D(t) = diag(A(t), -A(t)^T), A = diag(W1, W2), evaluating W1 and W2 once per
-stage for every forward and adjoint column.  Per column, the state holds a
-unit direction q (only the entries of the column's own block of D) and a
-log-norm log r, measured against the column's rate (h, k, hbar or kbar):
+`spectrum` and `regularity` each make one solve (`evolution._integrate`) of
+the doubled system D(t) = diag(A(t), -A(t)^T), A = diag(W1, W2), evaluating
+W1 and W2 once per stage for every forward and adjoint column.  Per column,
+the state holds a unit direction q (only the entries of the column's own
+block of D) and a log-norm log r, measured against the column's rate (h, k,
+hbar or kbar):
 
     q' = D q^ - (q^T D q^) q^,    (log r)' = q^T D q^,    q^ = q / |q|,
 
@@ -38,6 +39,7 @@ from scipy.linalg import block_diag
 
 from .dichotomy import DichotomySpec, ProjectionFamily
 from .errors import DichokitError
+from .evolution import _integrate
 from .growth import GrowthRate, RateQuadruple, product_rate
 from .system import BlockSystem, CoefficientField
 
@@ -75,11 +77,11 @@ def _exponent_traces(
     `rates` holds one GrowthRate per column.  The state holds only the
     entries in `mask` (default: all; X0 is zero outside it), so the matrix
     must map each column's masked entries into themselves.  All nonzero
-    columns are integrated in one RK45 run, so scipy's RMS error norm pools
-    the entries of every column: a column's own local error may exceed
-    rel_tol by up to sqrt(state size / its entries).  A zero column gets
-    -inf and is left out.  Returns one trace per column and the run's field
-    evaluations (0 when every column is zero).
+    columns are integrated in one `evolution._integrate` solve, so scipy's
+    RMS error norm pools the entries of every column: a column's own local
+    error may exceed rel_tol by up to sqrt(state size / its entries).  A
+    zero column gets -inf and is left out.  Returns one trace per column
+    and the run's field evaluations (0 when every column is zero).
     """
     X0 = np.asarray(X0, dtype=float)
     n = X0.shape[0]
@@ -108,18 +110,7 @@ def _exponent_traces(
 
     y0 = np.concatenate([(X0[:, live] / norms[live]).ravel()[entries], np.log(norms[live])])
     times = np.linspace((1.0 - window) * horizon, horizon, samples)
-    sol = solve_ivp(
-        rhs,
-        (0.0, horizon),
-        y0,
-        method="RK45",
-        rtol=rel_tol,
-        atol=1e-12,
-        t_eval=times,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise DichokitError(f"exponent integration failed: {sol.message}")
+    sol = _integrate(solve_ivp, rhs, (0.0, horizon), y0, rel_tol, 1e-12, t_eval=times)
     denoms = {key: np.array([r.log_u(t) for t in times]) for key, r in distinct.items()}
     for j, log_norms in zip(live, sol.y[split:]):
         values = log_norms / denoms[id(rates[j])]

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from dichokit import evolution, spectrum
+from dichokit.dichotomy import DichotomySpec, ProjectionFamily
 from dichokit.errors import IntegrationError
 from dichokit.evolution import EvolutionOperator, IntegratorConfig
+from dichokit.growth import RateQuadruple, builtin
+from dichokit.lyapfun import construct_S
 from dichokit.system import (
+    BlockSystem,
     CoefficientField,
     Example22Params,
     NonlinearTerm,
@@ -181,6 +186,50 @@ def test_nonlinear_stage_times_stay_on_their_side_of_the_jump():
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("t, s", [(9.99, -9.023), (-9.174, 7.579), (-9.926, 8.371)])
+def test_evolve_at_the_default_config_matches_closed_form(t, s):
+    # the worst spans of 1,000 random off-lattice queries, each across the jump at 0
+    field, analytic, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
+    got = EvolutionOperator(field, IntegratorConfig()).evolve(t, s)
+    want = analytic(t, s)
+    assert np.max(np.abs(np.diag(got) - np.diag(want)) / np.diag(want)) <= 1.5e-9
+    assert got[0, 1] == got[1, 0] == 0.0
+
+
+def test_every_solve_reaches_its_module_global_at_call_time(monkeypatch):
+    # a tracer counts solves by rebinding these two globals; a solve_ivp bound
+    # at definition time (a default argument, say) would escape it
+    seen = []
+    for module in (evolution, spectrum):
+
+        def recording(*args, module=module, real=module.solve_ivp, **kwargs):
+            seen.append((module.__name__, kwargs["method"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_ivp", recording)
+    exp = builtin("exp")
+    diag = constant_field(np.diag([-1.0, 1.0]))
+    block = BlockSystem(constant_field([[-1.0]]), constant_field([[1.0]]))
+    spec = DichotomySpec(
+        ProjectionFamily.constant(np.diag([1.0, 0.0])), RateQuadruple(exp, exp, exp, exp), K=1.0, a=-1.0, b=1.0, eps=0.0
+    )
+    f0 = NonlinearTerm(lambda t, x, lam: np.zeros_like(x))
+    calls = {
+        "evolve": (evolution, lambda op: op.evolve(2.5, -1.5)),
+        "matrix_solution": (evolution, lambda op: op.matrix_solution(-1.5, 2.5, np.eye(2))(0.5)),
+        "nonlinear_solution": (evolution, lambda op: op.nonlinear_solution(-1.5, 2.5, [1.0, 1.0], f0)(0.5)),
+        "construct_S": (evolution, lambda op: construct_S(spec, op, 0.5, [0.0, 1.0])),
+        "spectrum": (spectrum, lambda op: spectrum.spectrum(block, exp, exp)),
+    }
+    methods = set()
+    for name, (module, call) in calls.items():
+        seen.clear()
+        call(EvolutionOperator(diag))
+        assert seen and {m for m, _ in seen} == {module.__name__}, name
+        methods |= {method for _, method in seen}
+    assert len(methods) == 1
+
+
 def test_config_rejects_bad_tolerances():
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=0.0)
@@ -203,6 +252,14 @@ def test_jump_at_checkpoint_sees_one_sided_limits(c):
     op = EvolutionOperator(field, anchor=c)
     got = op.evolve(c + 0.5, c - 0.5)[0, 0]
     assert abs(got - 1.0) <= 1e-9
+
+
+def test_times_within_round_off_of_a_checkpoint_count_as_on_it():
+    # 0.3 / 0.1 is 2.9999999999999996: taken literally, the span would start
+    # with a piece 5.6e-17 long, up to the checkpoint 3 * 0.1
+    op = EvolutionOperator(constant_field([[1.0]]), IntegratorConfig(checkpoint_spacing=0.1))
+    assert [round(lo, 12) for lo, _ in op._pieces(0.3, 0.7)] == [0.3, 0.4, 0.5, 0.6]
+    assert [round(lo, 12) for lo, _ in op._pieces(0.7, 0.3)] == [0.7, 0.6, 0.5, 0.4]
 
 
 def test_evolve_pairs_memory_is_linear_in_times():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -235,19 +236,72 @@ def test_batched_traces_match_rotated_block_closed_form(diag, angle, omega):
     assert_traces_match_closed_form(traces, x0, exact)
 
 
+ATOL = 1e-12  # the absolute tolerance of `_exponent_traces`
+
+
+def exact_log_norms(a, x0, times):
+    """log |e^{At} x0_j| at evenly spaced times, one column per j, exactly.
+
+    In floating point, e^{At} x0_j errs by about eps |e^{At}| |x0_j|, which
+    swamps a column that starts in a decaying mode; the digits here exceed
+    log10 of the condition number of e^{At} by 30.
+    """
+    cond = np.linalg.norm(expm(a * times[-1]), 2) * np.linalg.norm(expm(-a * times[-1]), 2)
+    with mpmath.workdps(30 + int(math.log10(cond))):
+        am = mpmath.matrix(a.tolist())
+        step = mpmath.expm(am * (times[1] - times[0]))
+        x = mpmath.expm(am * times[0]) * mpmath.matrix(x0.tolist())
+        rows = []
+        for k in range(len(times)):
+            x = step * x if k else x
+            rows.append([float(mpmath.log(mpmath.norm(x.column(j)))) for j in range(x.cols)])
+    return np.array(rows)
+
+
+def assert_solves_within_promise(a, x0):
+    """The columns of x0 solved together and alone, against the exact value.
+
+    That is 1e-7 plus what an error of size ATOL in the unit start direction
+    u may cost: it moves x(t) by up to ATOL |e^{At}| relative to |e^{At} u|,
+    the log by up to log1p(ATOL kappa), kappa = |e^{At}| / |e^{At} u|, and
+    the value by that over log u(t) = t.  kappa is large only where u seeds
+    a growing mode weakly (through a small entry) or not at all.
+    """
+    field, dim = constant_field(a), x0.shape[1]
+    together, _ = _exponent_traces(field, [EXP] * dim, x0, 50.0)
+    alone = [lyapunov_exponent(field, EXP, x0[:, j], 50.0) for j in range(dim)]
+    times = together[0].times
+    log_sizes = exact_log_norms(a, x0, times)
+    log_flow = np.log(np.linalg.norm(expm(a * times[:, None, None]), 2, axis=(1, 2)))
+    for j in range(dim):
+        log_kappa = log_flow + math.log(np.linalg.norm(x0[:, j])) - log_sizes[:, j]
+        promise = 1e-7 + np.logaddexp(0.0, math.log(ATOL) + log_kappa) / times
+        for tr in (together[j], alone[j]):
+            np.testing.assert_array_less(np.abs(tr.values - log_sizes[:, j] / times), promise)
+
+
 @settings(max_examples=15, deadline=None)
 @given(dim=st.sampled_from([2, 3]), data=st.data())
-def test_columns_solved_together_match_columns_solved_alone(dim, data):
+def test_columns_solved_together_and_alone_match_expm(dim, data):
     entries = st.floats(-1.5, 1.5, allow_nan=False)
     a = np.array(data.draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
     assume(np.max(np.abs(a @ a.T - a.T @ a)) > 0.1)  # non-normal
     x0 = np.array(data.draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
     assume(np.all(np.linalg.norm(x0, axis=0) > 0.1))
-    field = constant_field(a)
-    together, _ = _exponent_traces(field, [EXP] * x0.shape[1], x0, 50.0)
-    for j, tr in enumerate(together):
-        alone = lyapunov_exponent(field, EXP, x0[:, j], 50.0)
-        np.testing.assert_allclose(tr.values, alone.values, rtol=0, atol=1e-7)
+    assert_solves_within_promise(a, x0)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        # e2 seeds the growing mode through the entry 1e-9 (kappa 1e9): within 2.5e-5
+        [[1.0, 1e-9, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+        # e3 seeds it through 2.2e-16, below ATOL (kappa 4.5e15): within 0.21
+        [[0.0, 0.0, 0.0], [0.0, 1.0, 2.2e-16], [0.0, 1.0, 0.0]],
+    ],
+)
+def test_growing_mode_seeded_near_atol_within_its_promise(a):
+    assert_solves_within_promise(np.array(a), np.eye(3))
 
 
 def diagonal_block(l, m):
