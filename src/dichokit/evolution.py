@@ -79,8 +79,9 @@ def piecewise_solution(pieces, y0, solve):
     """Dense solution over consecutive pieces, each started where the last ended.
 
     `solve(lo, hi, y)` integrates one piece from y and returns its dense
-    lookup and the start value of the next piece.  Returns the lookup
-    v -> y(v) over the whole span and the value after the last piece.
+    lookup (1-d array of times to values stacked along axis 0) and the next
+    start value.  Returns the lookup v -> y(v) over the whole span, for a
+    time or an array of times, one lookup call per piece hit.
     """
     dense, y = [], y0
     for lo, hi in pieces:
@@ -88,12 +89,17 @@ def piecewise_solution(pieces, y0, solve):
         dense.append((min(lo, hi), max(lo, hi), lookup))
 
     def at(v):
+        vs = np.atleast_1d(np.asarray(v, dtype=float))
+        out, todo = np.empty(vs.shape + np.shape(y0)), np.ones(vs.shape, dtype=bool)
         for lo, hi, lookup in dense:
-            if lo <= v <= hi:
-                return lookup(v)
-        raise ValueError(f"time {v} outside the solved span [{pieces[0][0]}, {pieces[-1][1]}]")
+            hit = todo & (lo <= vs) & (vs <= hi)
+            if hit.any():
+                out[hit], todo = lookup(vs[hit]), todo & ~hit
+        if todo.any():
+            raise ValueError(f"time {vs[todo][0]} outside the solved span [{pieces[0][0]}, {pieces[-1][1]}]")
+        return out if np.ndim(v) else out[0]
 
-    return at, y
+    return at
 
 
 class EvolutionOperator:
@@ -119,7 +125,7 @@ class EvolutionOperator:
         cfg = self.config
         y0 = np.asarray(m0, dtype=float).ravel()
         sol = _integrate(solve_ivp, rhs, (a, b), y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, dense_output=dense)
-        lookup = (lambda v, interp=sol.sol: interp(v).reshape(n, cols)) if dense else None
+        lookup = (lambda v, interp=sol.sol: interp(v).T.reshape(-1, n, cols)) if dense else None
         return lookup, sol.y[:, -1].reshape(n, cols)
 
     def _segment(self, a: float, b: float) -> np.ndarray:
@@ -218,17 +224,18 @@ class EvolutionOperator:
         Meant for decaying initial data (e.g. m0 = P(a) in the stable bundle
         going forward); the dense interpolant shares the integrator accuracy.
         m0 may be rectangular (n x m) to evolve a set of columns at once.
-        The span is integrated piecewise between checkpoints, like `evolve`.
+        The span is integrated piecewise between checkpoints, like `evolve`;
+        the lookup takes a time or an array of times (stacked along axis 0).
         """
         m0 = np.asarray(m0, dtype=float)
         if a == b:
-            return lambda v: m0
-        return piecewise_solution(self._pieces(a, b), m0, partial(self._integrate_matrix, dense=True))[0]
+            return lambda v: np.broadcast_to(m0, np.shape(v) + m0.shape).copy()
+        return piecewise_solution(self._pieces(a, b), m0, partial(self._integrate_matrix, dense=True))
 
     def vector_solution(self, a: float, b: float, x0):
         """Dense vector solution of the linear system through (a, x0)."""
         col = self.matrix_solution(a, b, np.asarray(x0, dtype=float).reshape(-1, 1))
-        return lambda v: col(v)[:, 0]
+        return lambda v: col(v)[..., 0]
 
     def solve_nonlinear(self, t: float, tbar: float, xi, f: NonlinearTerm, lam=None):
         """X(t, tbar, xi) for x' = A(t) x + f(t, x, lam)."""
@@ -272,9 +279,9 @@ class EvolutionOperator:
             if sol.status == 1:
                 t_esc = float(sol.t_events[0][0])
                 raise IntegrationError(f"trajectory escaped |x| > {bound:g} at t={t_esc:.6g}", time=t_esc)
-            return sol.sol, sol.y[:, -1]
+            return (lambda v, interp=sol.sol: interp(v).T), sol.y[:, -1]
 
-        return piecewise_solution(self._pieces(a, b), xi, solve)[0]
+        return piecewise_solution(self._pieces(a, b), xi, solve)
 
     def cache_report(self) -> dict:
         """Cached segment count and the worst condition number among them."""

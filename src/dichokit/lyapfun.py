@@ -14,14 +14,14 @@ the congruence recurrence
     S_s(t) = M^T S_s(t') M + int_t^{t'} G(v,t)^T G(v,t) h'/h(v) dv,
     M = P(t') Phi(t',t) P(t),
 
-so one backward sweep over the grid yields every stable part from one
-integral per grid interval plus one tail integral; the unstable part is the
-mirror image, one forward sweep.  Both integrands are dominated by the
-dichotomy envelope times (rate ratio)^{-2d} (rate slope), whose improper
-tail integrates in closed form, so the truncation points are certified
-analytically before any quadrature runs.  The sign of H along orbits
-classifies stable and unstable vectors, and the derivative inequalities it
-satisfies are checked numerically on grids.
+so one backward sweep over the grid yields every stable part from the grid
+interval integrals and a tail integral, each group from one batched solve
+and one stacked quadrature; the unstable part is the mirror image.  Both
+integrands are dominated by the dichotomy envelope times (rate ratio)^{-2d}
+(rate slope), whose improper tail integrates in closed form, so the
+truncation points are certified analytically before any quadrature runs.
+The sign of H along orbits classifies stable and unstable vectors, and the
+derivative inequalities it satisfies are checked numerically on grids.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from scipy.integrate import quad_vec
 
 from .dichotomy import DichotomySpec, spectral_norm
 from .errors import DichokitError, DomainError
-from .evolution import EvolutionOperator, piecewise_solution
+from . import evolution
+from .evolution import EvolutionOperator, _integrate, _inward
 from .system import CoefficientField
 from .tails import time_backward_for_log_drop, time_for_log_decrease
 
@@ -50,59 +51,67 @@ class QuadratureConfig:
             raise ValueError("quadrature tolerances must be positive")
 
 
-def _projected_dense(shift_op: EvolutionOperator, projector, a: float, b: float, m0, window: float):
-    """Dense solution of the shifted system on [a, b], reprojected at piece ends.
-
-    The span is cut at the checkpoint lattice, so no step straddles a field
-    jump, and into pieces no longer than `window`.  The evolved columns live
-    in a bundle that commutes with the flow, so applying the projector at
-    piece ends is the identity in exact arithmetic; numerically it kills
-    integrator noise that would otherwise grow along the complementary
-    directions over long spans.  Returns the lookup v -> Y(v) and the
-    projected end value projector(b) Y(b).
-    """
-    knots = [a]
-    for lo, hi in shift_op._pieces(a, b):
-        m = max(1, math.ceil(abs(hi - lo) / window))
-        knots += [lo + (hi - lo) * j / m for j in range(1, m)] + [hi]
-
-    def solve(lo, hi, y):
-        lookup, end = shift_op._integrate_matrix(lo, hi, y, dense=True)
-        return lookup, projector(hi) @ end
-
-    return piecewise_solution(list(zip(knots[:-1], knots[1:])), np.asarray(m0, dtype=float), solve)
-
-
-def _congruence_sweep(shift_op: EvolutionOperator, projector, rate, ts, end: float, quad: QuadratureConfig):
+def _congruence_sweep(op: EvolutionOperator, projector, coeff: float, rate, ts, end: float, quad: QuadratureConfig):
     """int from ts[i] to `end` of G^T G rate'/rate, for every i, by one sweep.
 
-    `ts` runs toward `end` (increasing for the stable side, decreasing for
-    the unstable side) and G(v, t) = Phi(v, t) projector(t).  The sweep
-    starts with the tail [ts[-1], end] and steps back one grid interval at a
-    time, S(ts[i]) = M^T S(ts[i+1]) M + (interval integral), with
-    M = projector(ts[i+1]) G(ts[i+1], ts[i]) read off the interval's solve.
-    Returns the stack in the order of `ts` and the summed quad_vec error
-    estimates.
+    `ts` runs toward `end` (increasing for the stable side, decreasing for the
+    unstable side), G(v, t) = Phi(v, t) projector(t), and Phi evolves
+    Y' = (A - coeff rate'/rate) Y.  The grid intervals and the tail [ts[-1], end]
+    form two groups of pieces, cut at the checkpoint lattice (field jumps live
+    there) and at `reproject_window`.  A group's pieces start from I and run on
+    one clock sigma in [0, l], l its longest piece, piece k at lo_k + c_k sigma,
+    c_k = (hi_k - lo_k) / l, in one `evolution._integrate` solve, so scipy's RMS
+    error norm pools the entries of every piece: a piece's own local error may
+    exceed rel_tol by up to sqrt(number of pieces).  An interval's pieces are
+    chained from projector(lo), reprojecting at piece ends to kill noise along
+    the complement; one quad_vec over sigma of the stacked |c_k| rate'/rate(v_k)
+    (Phi_k s_k)^T (Phi_k s_k), s_k the start of piece k, gives every piece's
+    integral.  Then S(ts[i]) = M^T S(ts[i+1]) M + (interval integral), with
+    M = projector(ts[i+1]) G(ts[i+1], ts[i]).  Returns the stack in the order
+    of `ts` and the summed quad_vec error estimates.
     """
-    n = shift_op.field.dim
-    knots = list(ts) + [end]
-    mats = np.zeros((len(ts), n, n))
-    err = 0.0
-    acc = np.zeros((n, n))  # the integral from the point just swept to `end`
-    for i in range(len(ts) - 1, -1, -1):
-        lo, hi = knots[i], knots[i + 1]
-        if lo != hi:  # only the tail can be empty: tail_tol >= 1 puts `end` on ts[-1]
-            g, m = _projected_dense(shift_op, projector, lo, hi, projector(lo), quad.reproject_window)
+    n, last, cfg, knots = op.field.dim, len(ts) - 1, op.config, list(ts) + [end]
+    parts, maps, err = np.zeros((last + 1, n, n)), np.zeros((last + 1, n, n)), 0.0
+    # a one-point grid has no intervals, and tail_tol >= 1 puts `end` on ts[-1]
+    for group in filter(len, (range(last), range(last, last + (end != ts[-1])))):
+        lo, hi, owner = [], [], []
+        for i in group:
+            for p, q in op._pieces(knots[i], knots[i + 1]):
+                m = math.ceil(abs(q - p) / quad.reproject_window)
+                cuts = [p + (q - p) * j / m for j in range(m)] + [q]
+                lo, hi, owner = lo + cuts[:-1], hi + cuts[1:], owner + [i] * m
+        ell = max(abs(q - p) for p, q in zip(lo, hi))
+        c = np.subtract(hi, lo) / ell
+        clamps = [(_inward(p, q), p, ck) for p, q, ck in zip(lo, hi, c)]
 
-            def integrand(v):
-                gv = g(v)
-                return (gv.T @ gv) * rate.dlog(v)
+        def at(sigma):
+            return [inward(p + ck * sigma) for inward, p, ck in clamps]
 
-            part, e = quad_vec(integrand, min(lo, hi), max(lo, hi), epsabs=quad.quad_tol, epsrel=quad.quad_tol)
-            err += float(e)
-            acc = part + m.T @ acc @ m
-        mats[i] = acc
-    return mats, err
+        def rhs(sigma, y):
+            vs, y = at(sigma), y.reshape(-1, n, n)
+            shift = coeff * np.array([rate.dlog(v) for v in vs])[:, None, None]
+            return (c[:, None, None] * (np.array([op.field(v) for v in vs]) @ y - shift * y)).ravel()
+
+        y0 = np.tile(np.eye(n).ravel(), len(lo))
+        sol = _integrate(
+            evolution.solve_ivp, rhs, (0.0, ell), y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, dense_output=True
+        )
+        ends, starts = sol.y[:, -1].reshape(-1, n, n), np.empty((len(lo), n, n))
+        for k, i in enumerate(owner):
+            starts[k] = maps[i] if k and owner[k - 1] == i else projector(lo[k])
+            maps[i] = projector(hi[k]) @ ends[k] @ starts[k]
+
+        def integrand(sigma):
+            g = sol.sol(sigma).reshape(-1, n, n) @ starts
+            w = np.abs(c) * np.array([rate.dlog(v) for v in at(sigma)])
+            return w[:, None, None] * (g.transpose(0, 2, 1) @ g)
+
+        vals, e = quad_vec(integrand, 0.0, ell, epsabs=quad.quad_tol, epsrel=quad.quad_tol)
+        np.add.at(parts, owner, vals)
+        err += float(e)
+    for i in range(last - 1, -1, -1):
+        parts[i] += maps[i].T @ parts[i + 1] @ maps[i]
+    return parts, err
 
 
 @dataclass
@@ -111,8 +120,8 @@ class QuadraticLyapunov:
 
     `stable_cutoff` (V) and `unstable_cutoff` (W) are the certified
     truncation times of the two integrals (None for a side that is not
-    integrated), and `quad_error` is the sum of the quad_vec error estimates
-    of every interval integral on both sides.
+    integrated), and `quad_error` is the sum of the error estimates of the
+    stacked quad_vec calls, at most two per side (grid intervals and tail).
     """
 
     times: np.ndarray
@@ -125,15 +134,16 @@ class QuadraticLyapunov:
     unstable_cutoff: float | None = None
     quad_error: float = 0.0
 
-    def S(self, t: float) -> np.ndarray:
+    def S(self, t) -> np.ndarray:
+        """S at a time, or stacked along axis 0 at an array of times."""
         ts = self.times
-        if t < ts[0] - 1e-9 or t > ts[-1] + 1e-9:
+        t = np.asarray(t, dtype=float)
+        if np.any((t < ts[0] - 1e-9) | (t > ts[-1] + 1e-9)):
             raise ValueError(f"t={t} outside the S grid [{ts[0]}, {ts[-1]}]")
         if ts.size == 1:
-            return self.matrices[0].copy()
-        i = int(np.clip(np.searchsorted(ts, t) - 1, 0, ts.size - 2))
-        w = (t - ts[i]) / (ts[i + 1] - ts[i])
-        w = min(max(w, 0.0), 1.0)
+            return np.broadcast_to(self.matrices[0], t.shape + self.matrices[0].shape).copy()
+        i = np.clip(np.searchsorted(ts, t) - 1, 0, ts.size - 2)
+        w = np.clip((t - ts[i]) / (ts[i + 1] - ts[i]), 0.0, 1.0)[..., None, None]
         return (1 - w) * self.matrices[i] + w * self.matrices[i + 1]
 
     def H(self, t: float, x) -> float:
@@ -173,9 +183,9 @@ def construct_S(
     The grid is sorted and deduplicated; an empty or non-finite grid raises
     ValueError.  The stable parts come from one backward congruence sweep
     and the unstable parts from one forward sweep (see the module
-    docstring): one dense solve of the shifted system per grid interval and
-    side, cut at the checkpoint lattice, one adaptive vector quadrature per
-    interval, and one tail each.  The integrands live in the decaying
+    docstring): per side, one batched dense solve of the shifted system and
+    one adaptive vector quadrature for the grid intervals and one each for
+    the tail, whatever the grid size.  The integrands live in the decaying
     bundles, so the solves are well-conditioned and each congruence step
     damps the error carried from its neighbor.
 
@@ -203,30 +213,19 @@ def construct_S(
     # G(v) = T(v,t)P(t) (h(v)/h(t))^{-(a+dbar)} solves G' = (A - (a+dbar) h'/h) G,
     # which decays like (ratio)^{-dbar}, so no growing weight ever multiplies
     # the integrator's absolute error floor.
-    def shifted_op(coeff, rate):
-        fld = CoefficientField(
-            n,
-            lambda v: op.field(v) - coeff * rate.dlog(v) * np.eye(n),
-            op.field.domain,
-            op.field.assumed_continuous,
-        )
-        return EvolutionOperator(fld, op.config, anchor=op.anchor)
-
     s_mats = np.zeros((times.size, n, n))
     v_cut = w_cut = None
     quad_err = 0.0
     if np.any(projs):
         v_cut = time_for_log_decrease(h, times[-1], -2.0 * dbar, log_drop)
-        part, err = _congruence_sweep(shifted_op(spec.a + dbar, h), spec.P, h, times, v_cut, quad)
+        part, err = _congruence_sweep(op, spec.P, spec.a + dbar, h, times, v_cut, quad)
         s_mats += part
         quad_err += err
     if np.any(np.eye(n) - projs):
         if op.field.domain == "half":
             raise DomainError("the unstable integral needs a full-line system")
         w_cut = time_backward_for_log_drop(k, times[0], log_drop / (2.0 * dbar))
-        part, err = _congruence_sweep(
-            shifted_op(spec.b - dbar, k), spec.P.complement, k, times[::-1], w_cut, quad
-        )
+        part, err = _congruence_sweep(op, spec.P.complement, spec.b - dbar, k, times[::-1], w_cut, quad)
         s_mats -= part[::-1]
         quad_err += err
 
@@ -348,7 +347,8 @@ def classify(
         margin = 1e-8 * float(x @ x)
     orbit = op.vector_solution(tau, tau + horizon, x)
     ts = tau + horizon * np.arange(1, samples + 1) / samples
-    values = np.array([lyap.H(t, orbit(t)) for t in ts])
+    xs = orbit(ts)
+    values = np.einsum("ki,kij,kj->k", xs, lyap.S(ts), xs)
     if np.all(values > margin):
         return "stable"
     if np.all(values < -margin):

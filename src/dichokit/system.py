@@ -28,7 +28,6 @@ class CoefficientField:
     dim: int
     eval: Callable[[float], np.ndarray]
     domain: str = "full"  # "full" | "half"
-    assumed_continuous: bool = True
 
     def __post_init__(self):
         if not 1 <= self.dim <= MAX_DIM:
@@ -52,12 +51,7 @@ def constant_field(matrix, domain: str = "full") -> CoefficientField:
 
 def adjoint(field: CoefficientField) -> CoefficientField:
     """The adjoint system y' = -A(t)^T y."""
-    return CoefficientField(
-        field.dim,
-        lambda t: -field.eval(t).T,
-        field.domain,
-        field.assumed_continuous,
-    )
+    return CoefficientField(field.dim, lambda t: -field.eval(t).T, field.domain)
 
 
 def tabulated_field(times, matrices, domain: str | None = None) -> CoefficientField:
@@ -255,8 +249,7 @@ def make_example22(params: Example22Params, domain: str | None = None):
             ]
         )
 
-    continuous = all(r.name != "expabs" for r in params.hats.rates())
-    field = CoefficientField(2, a_eval, domain, assumed_continuous=continuous)
+    field = CoefficientField(2, a_eval, domain)
 
     def log_t11(t, s):
         return -e1 * (hh.log_u(t) - hh.log_u(s)) + e2 * (

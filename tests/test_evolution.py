@@ -174,6 +174,22 @@ def test_dense_solutions_across_the_jump_match_closed_form(a, b):
         assert np.linalg.norm(cols(v) - want, 2) <= 2e-9 * np.linalg.norm(want, 2)
 
 
+@pytest.mark.parametrize("a, b", [(-1.5, 1.5), (1.5, -1.5)])
+def test_dense_lookup_of_an_array_matches_one_time_at_a_time(a, b):
+    # the lookup of an array makes one interpolant call per piece; the
+    # per-time loop is the reference, knots (-1, 0, 1) and both ends included
+    op, _ = example22_pair()
+    x = np.array([1.0, 1.0])
+    orbit = op.vector_solution(a, b, x)
+    cols = op.matrix_solution(a, b, np.eye(2))
+    vs = np.concatenate([np.linspace(a, b, 13), RNG.uniform(-1.5, 1.5, 20)])
+    assert orbit(vs).shape == (vs.size, 2) and cols(vs).shape == (vs.size, 2, 2)
+    assert np.array_equal(orbit(vs), [orbit(v) for v in vs])
+    assert np.array_equal(cols(vs), [cols(v) for v in vs])
+    with pytest.raises(ValueError):
+        orbit(np.array([0.0, 1.6]))
+
+
 def test_nonlinear_stage_times_stay_on_their_side_of_the_jump():
     # an end a hair below the jump at 0: RK stage times that round onto or
     # past it must still see the field of t < 0

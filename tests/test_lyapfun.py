@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from dichokit import evolution, lyapfun
 from dichokit.dichotomy import DichotomySpec, ProjectionFamily, square_grid, verify
 from dichokit.errors import DichokitError
-from dichokit.evolution import EvolutionOperator
+from dichokit.evolution import EvolutionOperator, IntegratorConfig
 from dichokit.growth import RateQuadruple, builtin
 from dichokit.lyapfun import (
     LyapunovHypotheses,
@@ -89,24 +90,65 @@ def example22_setup():
     return make_example22(Example22Params(1.0, 0.1, 1.0))
 
 
-def test_construct_S_example22_matches_scalar_quadrature_off_zero():
-    # grid without 0: the field jump at 0 falls inside a grid interval
-    field, analytic, spec = example22_setup()
-    dbar, times = 0.5, np.linspace(-1.9, 2.1, 17)
-    lyap = construct_S(spec, EvolutionOperator(field), dbar, times)
-
+def example22_oracle(analytic, spec, dbar, times):
+    # h = k = e^t, so h'/h = k'/k = 1; 40 time units out the integrands are below e^-40
     def integral(f, lo, hi):
         pts = [0.0] if lo < 0.0 < hi else None
         return quad(f, lo, hi, points=pts, limit=400, epsabs=0.0, epsrel=1e-12)[0]
 
-    # h = k = e^t, so h'/h = k'/k = 1; 40 time units out the integrands are below e^-40
     a, b = spec.a, spec.b
     s11 = [integral(lambda v: analytic(v, t)[0, 0] ** 2 * math.exp(-2 * (a + dbar) * (v - t)), t, t + 40) for t in times]
     s22 = [-integral(lambda v: analytic(v, t)[1, 1] ** 2 * math.exp(2 * (b - dbar) * (t - v)), t - 40, t) for t in times]
-    got = lyap.matrices
+    return np.array(s11), np.array(s22)
+
+
+def assert_matches_example22_oracle(times):
+    field, analytic, spec = example22_setup()
+    dbar = 0.5
+    got = construct_S(spec, EvolutionOperator(field), dbar, times).matrices
+    s11, s22 = example22_oracle(analytic, spec, dbar, times)
     assert np.max(np.abs(got[:, 0, 0] - s11) / np.abs(s11)) <= 5e-8
     assert np.max(np.abs(got[:, 1, 1] - s22) / np.abs(s22)) <= 5e-8
     assert np.max(np.abs(got[:, 0, 1])) <= 1e-12
+
+
+def test_construct_S_example22_matches_scalar_quadrature_off_zero():
+    # grid without 0: the field jump at 0 falls inside a grid interval
+    assert_matches_example22_oracle(np.linspace(-1.9, 2.1, 17))
+
+
+def test_construct_S_example22_matches_scalar_quadrature_on_a_nonuniform_grid():
+    # intervals of lengths 0.05 to 1.55 share one clock; the jump at 0 lies inside (-0.3, 0.05)
+    assert_matches_example22_oracle(np.array([-1.9, -1.85, -0.3, 0.05, 0.7, 2.1]))
+
+
+def test_construct_S_max_step_keeps_its_meaning():
+    # the batched clock runs in the real time of a group's longest piece,
+    # so a step cap changes the steps taken and not the form
+    field, _, spec = example22_setup()
+    times = np.linspace(-2.0, 2.0, 17)
+    default = construct_S(spec, EvolutionOperator(field), 0.5, times).matrices
+    capped = construct_S(spec, EvolutionOperator(field, IntegratorConfig(max_step=0.1)), 0.5, times).matrices
+    err = np.linalg.norm(capped - default, 2, axis=(1, 2)) / np.linalg.norm(default, 2, axis=(1, 2))
+    assert err.max() <= 1e-8
+
+
+@pytest.mark.parametrize("times", [np.linspace(-2.0, 2.0, 17), np.array([0.3])], ids=["17-point", "one-point"])
+def test_construct_S_takes_two_solves_and_two_quadratures_per_side(monkeypatch, times):
+    # per side, one batched solve and one stacked quad_vec for the grid
+    # intervals and one each for the tail, whatever the grid size
+    calls = {"solve_ivp": 0, "quad_vec": 0}
+    for module, name in ((evolution, "solve_ivp"), (lyapfun, "quad_vec")):
+
+        def recording(*args, real=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    field, _, spec = example22_setup()
+    construct_S(spec, EvolutionOperator(field), 0.5, times)
+    per_side = 2 if times.size > 1 else 1
+    assert calls == {"solve_ivp": 2 * per_side, "quad_vec": 2 * per_side}
 
 
 def test_construct_S_subgrid_matches_full_grid():
