@@ -14,8 +14,6 @@ from .system import (
     BlockSystem,
     CoefficientField,
     Example22Params,
-    NonlinearTerm,
-    ParameterSpace,
     adjoint,
     constant_field,
     make_example22,
@@ -41,8 +39,6 @@ __all__ = [
     "BlockSystem",
     "CoefficientField",
     "Example22Params",
-    "NonlinearTerm",
-    "ParameterSpace",
     "adjoint",
     "constant_field",
     "make_example22",

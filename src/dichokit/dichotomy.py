@@ -65,9 +65,6 @@ class ProjectionFamily:
         p = self(t)
         return np.eye(p.shape[0]) - p
 
-    def idempotency_residual(self, probes) -> float:
-        return max(spectral_norm(self(t) @ self(t) - self(t)) for t in probes)
-
 
 @dataclass(frozen=True)
 class DichotomySpec:
@@ -88,13 +85,6 @@ class DichotomySpec:
         if self.eps < 0:
             raise ValueError(f"need eps >= 0, got {self.eps}")
 
-    @property
-    def usable_for_conjugacy(self) -> bool:
-        """b = 0 makes the unstable bound non-decaying; the linearization
-        construction divides by b, so such specs are flagged unusable
-        unless the unstable bundle is trivial."""
-        return self.b > 0 or self.P.rank == 0 or np.allclose(self.P(0.0), np.eye(self.P(0.0).shape[0]))
-
     # -- log-space bound evaluation -------------------------------------------
 
     def log_bound_stable(self, t: float, s: float) -> float:
@@ -109,15 +99,6 @@ class DichotomySpec:
 
 
 @dataclass
-class PairCheck:
-    t: float
-    s: float
-    stable_ratio: float
-    unstable_ratio: float
-    commute_residual: float
-
-
-@dataclass
 class Certificate:
     """Grid-checked pass/fail record for a claimed dichotomy bound.
 
@@ -125,10 +106,12 @@ class Certificate:
     of the inequality checked there: t >= s for the stable bound, t <= s for
     the unstable one, and the row's (t, s) for the commutation residual.
     They are None on an empty grid.  ``saturated`` counts the log-ratios
-    that were clamped at 700 (their ratio reads e^700).
+    that were clamped at 700 (their ratio reads e^700).  ``rows`` holds one
+    record per grid pair, normalized to t >= s, with fields t, s,
+    stable_ratio, unstable_ratio and commute_residual.
     """
 
-    rows: list
+    rows: np.recarray
     worst_stable_ratio: float
     worst_unstable_ratio: float
     worst_commute_residual: float
@@ -270,7 +253,7 @@ def verify(
     ``evolve`` per adjacent pair of times), and every norm from batched
     calls.
     """
-    if spec.rates.common_domain() == "half" and op.field.domain == "full":
+    if not spec.rates.compatible_with(op.field.domain):
         raise DomainError("half-line rates cannot certify a full-line system")
 
     tab = _bound_table(op, spec.P, spec.rates, grid)
@@ -280,10 +263,9 @@ def verify(
     hi, lo, fwd, bwd, p_hi, p_lo = tab.hi, tab.lo, tab.fwd, tab.bwd, tab.p_hi, tab.p_lo
     commute = _norms(np.concatenate([p_hi @ fwd - fwd @ p_lo, p_lo @ bwd - bwd @ p_hi]))
     commute = commute.reshape(2, hi.size).max(axis=0)
-    rows = [
-        PairCheck(*r)
-        for r in zip(hi.tolist(), lo.tolist(), stable.tolist(), unstable.tolist(), commute.tolist())
-    ]
+    rows = np.rec.fromarrays(
+        [hi, lo, stable, unstable, commute], names="t,s,stable_ratio,unstable_ratio,commute_residual"
+    )
     ws, ws_at = _worst(stable, hi, lo)
     wu, wu_at = _worst(unstable, lo, hi)
     wc, wc_at = _worst(commute, hi, lo)

@@ -21,13 +21,5 @@ class TailCertificationError(DichokitError):
     """An improper-integral tail could not be certified below tolerance."""
 
 
-class ContractionError(DichokitError):
-    """A fixed-point iteration was not (or stopped being) a contraction."""
-
-
 class EstimationError(DichokitError):
     """Constant estimation failed (degenerate grid, wrong-sign exponent)."""
-
-
-class ConfigError(DichokitError):
-    """A run configuration is malformed; message lists the offending paths."""

@@ -1,4 +1,4 @@
-"""Evolution operators T(t, s) of x' = A(t) x and nonlinear flows.
+"""Evolution operators T(t, s) of x' = A(t) x and their dense solutions.
 
 T(t, s) is assembled from per-interval transition matrices between cached
 checkpoints (spacing <= checkpoint_spacing, anchored at 0), because a single
@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
-from .system import CoefficientField, NonlinearTerm
+from .system import CoefficientField
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     max_step: float = math.inf
     checkpoint_spacing: float = 1.0
-    escape_bound: float = 1e12
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -56,18 +55,18 @@ def _inward(a: float, b: float):
     return lambda t: first if t <= lo else last if t >= hi else t
 
 
-def _integrate(solve, rhs, span, y0, rtol, atol, max_step=math.inf, dense_output=False, t_eval=None, events=None):
+def _integrate(solve, rhs, span, y0, rtol, atol, max_step=math.inf, dense_output=False, t_eval=None):
     """One adaptive solve of y' = rhs(t, y) over `span` by the 8(5,3) Dormand-Prince pair.
 
     Every solve in the package goes through here.  `solve` is the caller's
     module-level `solve_ivp`, passed at each call so that a rebinding of
     that global sees every solve.  Raises IntegrationError at the last time
     reached (the last output time when `t_eval` is given) if the solve
-    fails; a terminal event is not a failure.
+    fails.
     """
     sol = solve(
         rhs, span, y0, method="DOP853", rtol=rtol, atol=atol, max_step=max_step,
-        dense_output=dense_output, t_eval=t_eval, events=events,
+        dense_output=dense_output, t_eval=t_eval,
     )
     if not sol.success:
         reached = sol.t[-1] if sol.t.size else span[0]
@@ -212,12 +211,6 @@ class EvolutionOperator:
                 out[pairs[lo:hi]] = cur[col[lo:hi]]
         return out
 
-    def evolve_inverse_unstable(self, t: float, s: float, q: np.ndarray) -> np.ndarray:
-        """T(t, s)^{-1} Q(t) = T(s, t) Q(t) for t >= s, by backward integration."""
-        if t < s:
-            raise ValueError(f"need t >= s, got t={t} < s={s}")
-        return self.evolve(s, t) @ np.asarray(q, dtype=float)
-
     def matrix_solution(self, a: float, b: float, m0: np.ndarray):
         """Dense solution Y(v) of Y' = A(v) Y, Y(a) = m0, for v between a and b.
 
@@ -237,51 +230,12 @@ class EvolutionOperator:
         col = self.matrix_solution(a, b, np.asarray(x0, dtype=float).reshape(-1, 1))
         return lambda v: col(v)[..., 0]
 
-    def solve_nonlinear(self, t: float, tbar: float, xi, f: NonlinearTerm, lam=None):
-        """X(t, tbar, xi) for x' = A(t) x + f(t, x, lam)."""
-        return self.nonlinear_solution(tbar, t, xi, f, lam)(t)
-
     def _pieces(self, a: float, b: float):
         """Split [a, b] at internal checkpoints (field jumps live there)."""
         (a_below, a_above), (b_below, b_above) = self._bracket(a), self._bracket(b)
         inner = range(a_below + 1, b_above) if b > a else range(a_above - 1, b_below, -1)
         knots = [a] + [c for c in map(self._checkpoint, inner) if c != a and c != b] + [b]
         return list(zip(knots[:-1], knots[1:]))
-
-    def nonlinear_solution(self, a: float, b: float, xi, f: NonlinearTerm, lam=None):
-        """Dense nonlinear trajectory on [a, b] with a blow-up guard.
-
-        Integrated piecewise between checkpoints so field discontinuities on
-        the lattice are only ever touched at segment endpoints.
-        """
-        xi = np.asarray(xi, dtype=float)
-        if a == b:
-            return lambda v: xi
-
-        bound = self.config.escape_bound
-
-        def escape(t, y):
-            return bound - float(np.linalg.norm(y))
-
-        escape.terminal = True
-
-        def solve(lo, hi, y0):
-            inward = _inward(lo, hi)
-
-            def rhs(t, y):
-                ti = inward(t)
-                return self.field(ti) @ y + f(ti, y, lam)
-
-            cfg = self.config
-            sol = _integrate(
-                solve_ivp, rhs, (lo, hi), y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, dense_output=True, events=escape
-            )
-            if sol.status == 1:
-                t_esc = float(sol.t_events[0][0])
-                raise IntegrationError(f"trajectory escaped |x| > {bound:g} at t={t_esc:.6g}", time=t_esc)
-            return (lambda v, interp=sol.sol: interp(v).T), sol.y[:, -1]
-
-        return piecewise_solution(self._pieces(a, b), xi, solve)
 
     def cache_report(self) -> dict:
         """Cached segment count and the worst condition number among them."""

@@ -279,9 +279,7 @@ def builtin(name: str, params: dict | None = None) -> GrowthRate:
         samples = params.get("samples")
         if samples is None:
             raise ValueError("rho_exp requires params['samples'] (path or (t, rho) array)")
-        if isinstance(samples, str):
-            return rho_exp_from_csv(samples)
-        arr = np.asarray(samples, dtype=float)
+        arr = read_csv(samples) if isinstance(samples, str) else np.asarray(samples, dtype=float)
         return rho_exp_from_samples(arr[:, 0], arr[:, 1])
     raise ValueError(f"unknown rate name {name!r}; expected one of {BUILTIN_NAMES}")
 
@@ -306,20 +304,25 @@ def rho_exp_from_samples(t, rho) -> GrowthRate:
     )
 
 
-def rho_exp_from_csv(path: str) -> GrowthRate:
-    """CSV with two columns t, rho(t); strictly increasing t."""
-    ts, rhos = [], []
+def read_csv(path: str) -> np.ndarray:
+    """The numeric rows of a CSV file as a 2-d array.
+
+    Blank rows, rows whose first cell starts with '#' and rows with a
+    non-numeric cell (headers) are skipped; a file with no data rows is a
+    ValueError.
+    """
+    rows = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].strip().startswith("#"):
                 continue
             try:
-                tv, rv = float(row[0]), float(row[1])
+                rows.append([float(v) for v in row])
             except ValueError:
-                continue  # header line
-            ts.append(tv)
-            rhos.append(rv)
-    return rho_exp_from_samples(ts, rhos)
+                continue  # header
+    if not rows:
+        raise ValueError(f"no data rows in {path}")
+    return np.asarray(rows, dtype=float)
 
 
 def product_rate(a: GrowthRate, b: GrowthRate, name: str | None = None) -> GrowthRate:
@@ -331,12 +334,3 @@ def product_rate(a: GrowthRate, b: GrowthRate, name: str | None = None) -> Growt
         lambda t: a.log_eval(t) + b.log_eval(t),
         lambda t: a.log_deriv(t) + b.log_deriv(t),
     )
-
-
-def rate_from_config(fragment: dict) -> GrowthRate:
-    """Build a rate from a config fragment like {"name": "exp"} or
-    {"name": "rho_exp", "samples": "path.csv"}."""
-    if "name" not in fragment:
-        raise ValueError("rate fragment needs a 'name' key")
-    params = {k: v for k, v in fragment.items() if k != "name"}
-    return builtin(fragment["name"], params)

@@ -1,22 +1,22 @@
-"""Linear coefficient fields, block systems and nonlinear perturbations.
+"""Linear coefficient fields, block systems and the worked example.
 
-Systems are supplied from a registry of named builtins or as CSV-tabulated
-matrices with linear interpolation; there is deliberately no expression
-parser.  Dimension is capped at 16: everything downstream is O(n^3) per
-grid point and the interesting behaviour is fully exercised at n = 2..4.
+Systems are supplied as callables, as constant matrices, or as tabulated
+(optionally CSV) matrices with linear interpolation; there is deliberately
+no expression parser.  Dimension is capped at 16: everything downstream is
+O(n^3) per grid point and the interesting behaviour is fully exercised at
+n = 2..4.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .growth import GrowthRate, RateQuadruple, builtin
+from .growth import GrowthRate, RateQuadruple, builtin, read_csv
 
 MAX_DIM = 16
 
@@ -74,18 +74,7 @@ def tabulated_field(times, matrices, domain: str | None = None) -> CoefficientFi
 
 def tabulated_field_from_csv(path: str) -> CoefficientField:
     """CSV columns t, a11, a12, ..., ann (row-major); strictly increasing t."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                continue  # header
-    if not rows:
-        raise ValueError(f"no data rows in {path}")
-    arr = np.asarray(rows, dtype=float)
+    arr = read_csv(path)
     n = int(round(math.sqrt(arr.shape[1] - 1)))
     if n * n != arr.shape[1] - 1:
         raise ValueError(f"{path}: {arr.shape[1] - 1} matrix columns is not a square n*n")
@@ -128,61 +117,6 @@ class BlockSystem:
         p = np.zeros((self.dim, self.dim))
         p[: self.split, : self.split] = np.eye(self.split)
         return p
-
-
-@dataclass(frozen=True)
-class NonlinearTerm:
-    """Perturbation f(t, x, lam) with its declared Lipschitz regime.
-
-    kind "conjugacy": |f| <= alpha * w(t) and Lip(f) <= gamma * w(t) with
-    w(t) = min(h'/h mu(|t|)^-eps, k'/k nu(|t|)^-eps).
-    kind "manifold": |f(x1)-f(x2)| <= chat |x1-x2| (|x1|^q + |x2|^q) and
-    f(t, 0, lam) = 0.
-    """
-
-    eval: Callable[[float, np.ndarray, object], np.ndarray]
-    kind: str = "conjugacy"
-    alpha: float = 0.0
-    gamma: float = 0.0
-    chat: float = 0.0
-    q: float = 1.0
-    zero_at_origin: bool = False
-
-    def __call__(self, t, x, lam=None):
-        return np.asarray(self.eval(t, np.asarray(x, dtype=float), lam), dtype=float)
-
-    def check_zero_at_origin(self, probes, dim: int, lam=None, tol: float = 1e-14) -> bool:
-        if not self.zero_at_origin:
-            return True
-        zero = np.zeros(dim)
-        return all(np.linalg.norm(self(t, zero, lam)) <= tol for t in probes)
-
-
-ZERO_TERM = NonlinearTerm(lambda t, x, lam: np.zeros_like(x), zero_at_origin=True)
-
-
-@dataclass(frozen=True)
-class ParameterSpace:
-    """A box of admissible parameter values."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if lo.shape != hi.shape or np.any(lo >= hi):
-            raise ValueError("need lo < hi componentwise")
-
-    @property
-    def dim(self) -> int:
-        return self.lo.size
-
-    def contains(self, lam) -> bool:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return bool(np.all(lam >= self.lo) and np.all(lam <= self.hi))
 
 
 # ---------------------------------------------------------------------------
@@ -273,49 +207,3 @@ def make_example22(params: Example22Params, domain: str | None = None):
         eps=2 * e2,
     )
     return field, analytic, spec
-
-
-# ---------------------------------------------------------------------------
-# named systems built from a config table
-# ---------------------------------------------------------------------------
-
-
-def build_system(config: dict):
-    """Construct a named system from a config table.
-
-    Recognized names: example22 (eta1/eta2/eta3, optional hat rates),
-    const_diag (entries), const_matrix (row-major entries), tabulated (csv).
-    Returns (field, extras) where extras may hold the analytic evolution
-    and reference spec for example22.
-    """
-    from .growth import rate_from_config
-
-    name = config.get("name")
-    if name == "example22":
-        hats = None
-        if "hats" in config:
-            hmap = config["hats"]
-            hats = RateQuadruple(
-                rate_from_config(hmap["h"]),
-                rate_from_config(hmap["k"]),
-                rate_from_config(hmap["mu"]),
-                rate_from_config(hmap["nu"]),
-            )
-        params = Example22Params(
-            float(config.get("eta1", 1.0)),
-            float(config.get("eta2", 0.1)),
-            float(config.get("eta3", 1.0)),
-            hats,
-        )
-        fieldv, analytic, spec = make_example22(params)
-        return fieldv, {"analytic": analytic, "spec": spec, "params": params}
-    if name == "const_diag":
-        entries = [float(v) for v in config["entries"]]
-        return constant_field(np.diag(entries)), {}
-    if name == "const_matrix":
-        n = int(config["dim"])
-        entries = np.asarray(config["entries"], dtype=float).reshape(n, n)
-        return constant_field(entries), {}
-    if name == "tabulated":
-        return tabulated_field_from_csv(config["csv"]), {}
-    raise ValueError(f"unknown system name {name!r}")

@@ -1,62 +1,18 @@
-"""Certified truncation of improper integrals.
+"""Certified truncation points for improper integrals.
 
 Every improper integral in this toolkit has an integrand dominated by a
-product of rate powers, so its tail decays either geometrically (the
-log-integrand has slope <= -r < 0) or polynomially (slope <= -p/tau with
-p > 1).  Both certificates are established by probing the log-integrand's
-slope on a geometric ladder of points beyond the truncation time; when
-neither applies the integral is refused rather than silently truncated.
+dichotomy envelope, a power of a rate ratio, whose tail integrates in
+closed form.  Truncation is then a matter of finding where the rate's log
+has moved by a given amount: forward for a tail on [V, inf), backward for
+one on (-inf, W].  Both searches march out by doubling and then bisect on
+the monotone log; a rate that does not move far enough within the cap is
+refused rather than silently truncated.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable
-
 from .errors import TailCertificationError
 from .growth import GrowthRate
-
-
-def decay_tail(
-    log_g: Callable[[float], float],
-    start: float,
-    max_doublings: int = 18,
-    slope_step: float = 1e-4,
-) -> float:
-    """Upper bound on integral of exp(log_g) over [start, +inf).
-
-    Requires start > 0 (callers integrate the finite part at least up to a
-    positive time first).  Raises TailCertificationError when no geometric
-    or polynomial envelope can be certified from the probed slopes.
-    """
-    if start <= 0:
-        raise ValueError("tail certification starts at a positive time")
-    probes = [start * (2.0**j) for j in range(max_doublings)]
-    rates = []
-    for tau in probes:
-        d = slope_step * max(1.0, tau)
-        slope = (log_g(tau + d) - log_g(tau)) / d
-        rates.append(-slope)
-    if any(r <= 0 for r in rates):
-        raise TailCertificationError(
-            f"integrand is not decaying beyond t={start:g}; tail diverges or grows"
-        )
-    g0 = math.exp(min(log_g(start), 700.0))
-    bounds = []
-    # geometric route: log-slope bounded away from zero and not collapsing
-    r_min = min(rates)
-    if rates[-1] >= 0.5 * rates[0] and r_min > 1e-10:
-        bounds.append(g0 / r_min)
-    # polynomial route: tau * slope bounded below by p > 1
-    p_min = min(t * r for t, r in zip(probes, rates))
-    if p_min > 1.0 + 1e-6:
-        bounds.append(g0 * start / (p_min - 1.0))
-    if not bounds:
-        raise TailCertificationError(
-            f"cannot certify tail beyond t={start:g}: slope decays like "
-            f"{rates[0]:.3g} -> {rates[-1]:.3g}, tau*slope min {p_min:.3g} <= 1"
-        )
-    return min(bounds)
 
 
 def time_for_log_decrease(rate: GrowthRate, t0: float, coeff: float, log_drop: float, cap: float = 1e6) -> float:

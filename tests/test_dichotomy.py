@@ -15,7 +15,7 @@ from dichokit.dichotomy import (
     square_grid,
     verify,
 )
-from dichokit.errors import EstimationError
+from dichokit.errors import DomainError, EstimationError
 from dichokit.evolution import EvolutionOperator
 from dichokit.growth import RateQuadruple, builtin
 from dichokit.system import Example22Params, constant_field, make_example22
@@ -48,14 +48,6 @@ def test_spec_constant_constraints():
         DichotomySpec(P, exp_quad(), K=0.0, a=-1.0, b=1.0, eps=0.0)
     with pytest.raises(ValueError):
         DichotomySpec(P, exp_quad(), K=1.0, a=-1.0, b=1.0, eps=-0.1)
-
-
-def test_b_zero_spec_is_flagged_for_conjugacy():
-    P = ProjectionFamily.constant(np.diag([1.0, 0.0]))
-    spec = DichotomySpec(P, exp_quad(), K=1.0, a=-1.0, b=0.0, eps=0.0)
-    assert not spec.usable_for_conjugacy
-    full = DichotomySpec(ProjectionFamily.constant(np.eye(2)), exp_quad(), K=1.0, a=-1.0, b=0.0, eps=0.0)
-    assert full.usable_for_conjugacy  # trivial unstable bundle
 
 
 def test_example22_certificate_passes():
@@ -105,6 +97,14 @@ def test_verify_monotone_in_K_and_eps():
     assert verify(bigger, op, grid).passed
 
 
+def test_verify_rejects_half_line_rates_on_a_full_line_system():
+    spec, op = tight_diag_setup()
+    rates = RateQuadruple(builtin("exp"), builtin("exp"), builtin("poly"), builtin("exp"))
+    half = DichotomySpec(spec.P, rates, spec.K, spec.a, spec.b, spec.eps)
+    with pytest.raises(DomainError):
+        verify(half, op, square_grid(0.0, 1.0, 0.5))
+
+
 def nonnormal_setup():
     """A non-diagonal, non-normal constant field and a claim that ignores it."""
     op = EvolutionOperator(constant_field([[-0.5, 2.0], [0.25, 0.5]]))
@@ -150,7 +150,7 @@ def test_pair_table_matches_per_pair_evolve(setup, pairs, data):
 def test_empty_grid():
     spec, op = tight_diag_setup()
     cert = verify(spec, op, [])
-    assert cert.passed and cert.rows == []
+    assert cert.passed and len(cert.rows) == 0
     assert (cert.worst_stable_ratio, cert.worst_unstable_ratio, cert.worst_commute_residual) == (0.0, 0.0, 0.0)
     assert cert.worst_stable_at is None and cert.saturated == 0
     rep = check_projection(spec.P, op, [])

@@ -13,7 +13,6 @@ from dichokit.system import (
     BlockSystem,
     CoefficientField,
     Example22Params,
-    NonlinearTerm,
     constant_field,
     make_example22,
 )
@@ -44,75 +43,12 @@ def test_example22_matches_closed_form():
     assert np.linalg.norm(got - want, 2) <= 1e-7 * np.linalg.norm(want, 2)
 
 
-def test_inverse_unstable_constant_diagonal():
-    op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0])))
-    got = op.evolve_inverse_unstable(2.0, 0.0, np.diag([0.0, 1.0]))
-    assert np.allclose(got, np.diag([0.0, math.exp(-2.0)]), atol=1e-10)
-
-
-def test_inverse_unstable_zero_projection():
-    op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0])))
-    assert np.allclose(op.evolve_inverse_unstable(3.0, 1.0, np.zeros((2, 2))), 0.0)
-
-
-def test_inverse_unstable_example22_closed_form():
-    op, analytic = example22_pair()
-    q = np.diag([0.0, 1.0])
-    got = op.evolve_inverse_unstable(4.0, 1.5, q)
-    want = analytic(1.5, 4.0) @ q
-    assert np.linalg.norm(got - want, 2) <= 1e-7 * np.linalg.norm(want, 2)
-
-
-def test_inverse_unstable_requires_ordered_times():
-    op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0])))
-    with pytest.raises(ValueError):
-        op.evolve_inverse_unstable(0.0, 1.0, np.diag([0.0, 1.0]))
-
-
-def test_nonlinear_reduces_to_linear_for_zero_term():
-    op, _ = example22_pair()
-    f0 = NonlinearTerm(lambda t, x, lam: np.zeros_like(x))
-    xi = np.array([0.7, -0.3])
-    got = op.solve_nonlinear(2.0, -1.0, xi, f0)
-    want = op.evolve(2.0, -1.0) @ xi
-    assert np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
-
-
-def test_nonlinear_scalar_decay():
-    op = EvolutionOperator(constant_field([[-1.0]]))
-    f0 = NonlinearTerm(lambda t, x, lam: np.zeros_like(x))
-    got = op.solve_nonlinear(2.5, 0.5, [1.0], f0)
-    assert got[0] == pytest.approx(math.exp(-2.0), rel=1e-9)
-
-
-def _rk4(rhs, t0, t1, y0, h):
-    # independent fixed-step oracle
-    steps = int(round((t1 - t0) / h))
-    t, y = t0, float(y0)
-    for _ in range(steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h * k1 / 2)
-        k3 = rhs(t + h / 2, y + h * k2 / 2)
-        k4 = rhs(t + h, y + h * k3)
-        y += (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return y
-
-
-def test_nonlinear_against_fixed_step_oracle():
-    op = EvolutionOperator(constant_field([[-1.0]]))
-    f = NonlinearTerm(lambda t, x, lam: 0.1 * np.tanh(x))
-    got = op.solve_nonlinear(1.0, 0.0, [1.0], f)[0]
-    want = _rk4(lambda t, y: -y + 0.1 * math.tanh(y), 0.0, 1.0, 1.0, 1e-5)
-    assert got == pytest.approx(want, abs=1e-7)
-
-
-def test_blowup_guard_reports_escape_time():
-    op = EvolutionOperator(constant_field([[0.0]]), IntegratorConfig(escape_bound=1e3))
-    f = NonlinearTerm(lambda t, x, lam: x**2)
-    with pytest.raises(IntegrationError) as err:
-        op.solve_nonlinear(1.5, 0.0, [1.0], f)  # x = 1/(1-t) blows up at t=1
-    assert err.value.time is not None and 0.9 <= err.value.time <= 1.05
+def test_integration_failure_reports_the_time_reached():
+    # x' = x / (1 - t)^2 has x = exp(1/(1 - t) - 1), which overflows well before t = 0.9999
+    op = EvolutionOperator(CoefficientField(1, lambda t: np.array([[1.0 / (1.0 - t) ** 2]])))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as err:
+        op.evolve(0.9999, 0.0)
+    assert 0.99 <= err.value.time < 0.9999
 
 
 def test_cocycle_identity_on_random_triples():
@@ -190,15 +126,14 @@ def test_dense_lookup_of_an_array_matches_one_time_at_a_time(a, b):
         orbit(np.array([0.0, 1.6]))
 
 
-def test_nonlinear_stage_times_stay_on_their_side_of_the_jump():
+def test_dense_stage_times_stay_on_their_side_of_the_jump():
     # an end a hair below the jump at 0: RK stage times that round onto or
     # past it must still see the field of t < 0
     op, analytic = example22_pair()
     x = np.array([1.0, 1.0])
-    f0 = NonlinearTerm(lambda t, x, lam: np.zeros_like(x))
     for end in (-1.6549270241938287e-36, -1e-20, 0.0):
         want = analytic(end, -1.0) @ x
-        got = op.nonlinear_solution(-1.0, end, x, f0)(end)
+        got = op.vector_solution(-1.0, end, x)(end)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
@@ -229,11 +164,9 @@ def test_every_solve_reaches_its_module_global_at_call_time(monkeypatch):
     spec = DichotomySpec(
         ProjectionFamily.constant(np.diag([1.0, 0.0])), RateQuadruple(exp, exp, exp, exp), K=1.0, a=-1.0, b=1.0, eps=0.0
     )
-    f0 = NonlinearTerm(lambda t, x, lam: np.zeros_like(x))
     calls = {
         "evolve": (evolution, lambda op: op.evolve(2.5, -1.5)),
         "matrix_solution": (evolution, lambda op: op.matrix_solution(-1.5, 2.5, np.eye(2))(0.5)),
-        "nonlinear_solution": (evolution, lambda op: op.nonlinear_solution(-1.5, 2.5, [1.0, 1.0], f0)(0.5)),
         "construct_S": (evolution, lambda op: construct_S(spec, op, 0.5, [0.0, 1.0])),
         "spectrum": (spectrum, lambda op: spectrum.spectrum(block, exp, exp)),
     }

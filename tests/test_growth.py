@@ -8,7 +8,6 @@ from dichokit.growth import (
     RateQuadruple,
     builtin,
     product_rate,
-    rate_from_config,
     ratio_power,
     rho_exp_from_samples,
     validate,
@@ -134,7 +133,7 @@ def test_rho_exp_from_csv(tmp_path):
         fh.write("t,rho\n")
         for tv, rv in zip(t, np.tanh(t) + t):
             fh.write(f"{tv},{rv}\n")
-    rate = rate_from_config({"name": "rho_exp", "samples": str(path)})
+    rate = builtin("rho_exp", {"samples": str(path)})
     assert rate.eval(0.0) == pytest.approx(1.0, abs=1e-12)
     assert rate.log_u(2.0) == pytest.approx(math.tanh(2.0) + 2.0, rel=1e-8)
 

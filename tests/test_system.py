@@ -9,10 +9,7 @@ from dichokit.growth import RateQuadruple, builtin
 from dichokit.system import (
     BlockSystem,
     Example22Params,
-    NonlinearTerm,
-    ParameterSpace,
     adjoint,
-    build_system,
     constant_field,
     make_example22,
     tabulated_field_from_csv,
@@ -124,20 +121,6 @@ def test_block_system_assembly():
         BlockSystem(constant_field(np.diag([-1.0])), constant_field([[3.0]]), split=2)
 
 
-def test_nonlinear_term_zero_at_origin():
-    good = NonlinearTerm(lambda t, x, lam: 0.01 * x**3, kind="manifold", chat=0.03, q=2, zero_at_origin=True)
-    assert good.check_zero_at_origin(np.linspace(-3, 3, 7), dim=2)
-    bad = NonlinearTerm(lambda t, x, lam: x + 1.0, zero_at_origin=True)
-    assert not bad.check_zero_at_origin([0.0], dim=2)
-
-
-def test_parameter_space_box():
-    box = ParameterSpace([-1.0], [1.0])
-    assert box.dim == 1 and box.contains(0.3) and not box.contains(2.0)
-    with pytest.raises(ValueError):
-        ParameterSpace([1.0], [1.0])
-
-
 def test_tabulated_field_roundtrip(tmp_path):
     path = tmp_path / "field.csv"
     times = np.linspace(0.0, 5.0, 26)
@@ -152,12 +135,17 @@ def test_tabulated_field_roundtrip(tmp_path):
     assert field(2.1)[0, 1] == pytest.approx(0.21, rel=1e-12)
 
 
-def test_build_system_registry():
-    field, extras = build_system({"name": "example22", "eta1": 1.0, "eta2": 0.1, "eta3": 1.0})
-    assert field.dim == 2 and "analytic" in extras and "spec" in extras
-    diag, _ = build_system({"name": "const_diag", "entries": [-1.0, 1.0]})
-    assert np.allclose(diag(0.0), np.diag([-1.0, 1.0]))
-    mat, _ = build_system({"name": "const_matrix", "dim": 2, "entries": [0.0, 1.0, -1.0, 0.0]})
-    assert np.allclose(mat(0.0), [[0.0, 1.0], [-1.0, 0.0]])
-    with pytest.raises(ValueError):
-        build_system({"name": "mystery"})
+
+def test_csv_readers_skip_comments_and_headers_and_reject_empty_files(tmp_path):
+    rho = tmp_path / "rho.csv"
+    rho.write_text("# rho(t) = 2 t\nt,rho\n\n-1.0,-2.0\n0.0,0.0\n1.0,2.0\n")
+    assert builtin("rho_exp", {"samples": str(rho)}).log_u(0.5) == pytest.approx(1.0, rel=1e-12)
+    field = tmp_path / "field.csv"
+    field.write_text("# constant\nt,a11\n0.0,-1.0\n\n1.0,-1.0\n")
+    assert tabulated_field_from_csv(str(field))(0.5)[0, 0] == -1.0
+    empty = tmp_path / "empty.csv"
+    empty.write_text("# nothing\nt,a11\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        tabulated_field_from_csv(str(empty))
+    with pytest.raises(ValueError, match="no data rows"):
+        builtin("rho_exp", {"samples": str(empty)})
