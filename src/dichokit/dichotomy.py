@@ -42,21 +42,16 @@ def spectral_norm(m: np.ndarray) -> float:
 class ProjectionFamily:
     """A t-indexed idempotent family P(t); constant or analytic callback."""
 
-    kind: str  # "constant" | "analytic"
     at: Callable[[float], np.ndarray]
-    rank: int
 
     @staticmethod
     def constant(matrix) -> "ProjectionFamily":
         p = np.asarray(matrix, dtype=float)
-        rank = int(np.linalg.matrix_rank(p, tol=1e-10))
-        return ProjectionFamily("constant", lambda t: p, rank)
+        return ProjectionFamily(lambda t: p)
 
     @staticmethod
-    def from_callable(fn, rank: int | None = None, probe: float = 0.0) -> "ProjectionFamily":
-        if rank is None:
-            rank = int(np.linalg.matrix_rank(np.asarray(fn(probe)), tol=1e-10))
-        return ProjectionFamily("analytic", fn, rank)
+    def from_callable(fn) -> "ProjectionFamily":
+        return ProjectionFamily(fn)
 
     def __call__(self, t: float) -> np.ndarray:
         return np.asarray(self.at(t), dtype=float)

@@ -11,7 +11,9 @@ true limsup).
 
 `spectrum` and `regularity` each make one solve (`evolution._integrate`) of
 the doubled system D(t) = diag(A(t), -A(t)^T), A = diag(W1, W2), evaluating
-W1 and W2 once per stage for every forward and adjoint column.  Per column,
+W1 and W2 once per stage for every forward and adjoint column.  D is one
+(2n, 2n) array per solve, refilled in place at each stage from the two
+shape-checked blocks and checked for finiteness once.  Per column,
 the state holds a unit direction q (only the entries of the column's own
 block of D) and a log-norm log r, measured against the column's rate (h, k,
 hbar or kbar):
@@ -76,7 +78,9 @@ def _exponent_traces(
     `matrix(t)` is the n x n coefficient matrix, n = X0.shape[0], and
     `rates` holds one GrowthRate per column.  The state holds only the
     entries in `mask` (default: all; X0 is zero outside it), so the matrix
-    must map each column's masked entries into themselves.  All nonzero
+    must map each column's masked entries into themselves.  `matrix(t)`
+    may return one reused array: the right-hand side is done with it
+    before its next call.  All nonzero
     columns are integrated in one `evolution._integrate` solve, so scipy's
     RMS error norm pools the entries of every column: a column's own local
     error may exceed rel_tol by up to sqrt(state size / its entries).  A
@@ -97,11 +101,12 @@ def _exponent_traces(
     m = live.size
     entries = np.flatnonzero(mask[:, live])  # into the row-major (n, m) directions
     split = entries.size
+    directions = np.zeros((n, m))  # written only at `entries`, so zero elsewhere
+    cells = directions.reshape(-1)  # a view
 
     def rhs(t, state):
-        q = np.zeros((n, m))
-        np.put(q, entries, state[:split])
-        q = q / np.sqrt(np.einsum("ij,ij->j", q, q))
+        cells[entries] = state[:split]
+        q = directions / np.sqrt(np.einsum("ij,ij->j", directions, directions))
         wq = matrix(t) @ q
         # q' is orthogonal to q, so |q| stays 1 up to round-off, which the
         # renormalization above keeps out of the direction and the growth
@@ -156,8 +161,10 @@ def _cluster(estimates: list[float], gap: float = GAP_THRESHOLD):
 def _doubled_traces(block: BlockSystem, starts, rates, horizon: float, window: float):
     """Traces of four start sets from one solve of D(t) = diag(A(t), -A(t)^T).
 
-    A = diag(W1, W2), evaluated block by block, so D may exceed the
-    coefficient-field size cap; the sets are columns of W1, W2, -W1^T and
+    A = diag(W1, W2), evaluated block by block (`BlockSystem.blocks`), so D
+    may exceed the coefficient-field size cap; D is one array whose
+    off-diagonal blocks are never written, and its entries are checked for
+    finiteness once per stage.  The sets are columns of W1, W2, -W1^T and
     -W2^T, in that order, each placed in and masked to its block of D and
     measured against the matching rate.  Returns the four trace lists and
     the field evaluations of the solve.
@@ -167,11 +174,13 @@ def _doubled_traces(block: BlockSystem, starts, rates, horizon: float, window: f
     if sizes != [l, n - l] * 2:
         raise ValueError(f"start sets have sizes {sizes}, blocks are {[l, n - l] * 2}")
 
+    d = np.zeros((2 * n, 2 * n))
+
     def doubled(t):
-        d = np.zeros((2 * n, 2 * n))
-        d[:l, :l] = block.W1(t)
-        d[l:n, l:n] = block.W2(t)
-        d[n:, n:] = -d[:n, :n].T
+        d[:l, :l], d[l:n, l:n] = block.blocks(t)
+        np.negative(d[:n, :n].T, out=d[n:, n:])
+        if not np.isfinite(d).all():
+            raise ValueError(f"field returned non-finite entries at t={t}")
         return d
 
     widths = [np.shape(s)[1] for s in starts]

@@ -100,13 +100,26 @@ class BlockSystem:
     def dim(self) -> int:
         return self.W1.dim + self.W2.dim
 
+    def blocks(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """W1(t) and W2(t) as float arrays, each checked for shape.
+
+        Finiteness is left to the caller, which checks the matrix it builds
+        from the two blocks once.
+        """
+        out = []
+        for w in (self.W1, self.W2):
+            a = np.asarray(w.eval(t), dtype=float)
+            if a.shape != (w.dim, w.dim):
+                raise ValueError(f"block returned shape {a.shape} at t={t}, expected {(w.dim, w.dim)}")
+            out.append(a)
+        return tuple(out)
+
     def combined(self) -> CoefficientField:
         l, n = self.split, self.dim
 
         def ev(t):
             a = np.zeros((n, n))
-            a[:l, :l] = self.W1.eval(t)
-            a[l:, l:] = self.W2.eval(t)
+            a[:l, :l], a[l:, l:] = self.blocks(t)
             return a
 
         domain = "full" if self.W1.domain == self.W2.domain == "full" else "half"

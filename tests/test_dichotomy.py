@@ -266,6 +266,6 @@ def test_check_projection_evolves_reversed_pairs_backward():
 def test_check_projection_measures_idempotency_at_both_ends():
     # P fails idempotency only before t = 0.5, which this grid meets as s alone
     _, op = tight_diag_setup()
-    P = ProjectionFamily.from_callable(lambda t: np.diag([2.0 if t < 0.5 else 1.0, 0.0]), rank=1)
+    P = ProjectionFamily.from_callable(lambda t: np.diag([2.0 if t < 0.5 else 1.0, 0.0]))
     assert check_projection(P, op, [(1.0, 0.0)]).max_idempotency_residual == pytest.approx(2.0)
     assert check_projection(P, op, [(0.0, 1.0)]).max_idempotency_residual == pytest.approx(2.0)

@@ -186,7 +186,7 @@ def test_construct_S_commutes_with_rotation():
     gen = np.array([[0.0, -1.0], [1.0, 0.0]])
     p = np.diag([1.0, 0.0])
     field_y = CoefficientField(2, lambda t: rot(t) @ a_x(t) @ rot(t).T + w * gen)
-    families = (ProjectionFamily.constant(p), ProjectionFamily.from_callable(lambda t: rot(t) @ p @ rot(t).T, rank=1))
+    families = (ProjectionFamily.constant(p), ProjectionFamily.from_callable(lambda t: rot(t) @ p @ rot(t).T))
     spec_x, spec_y = (DichotomySpec(P, EXPQUAD, K=math.exp(0.6), a=-1.0, b=1.0, eps=0.0) for P in families)
     times = np.linspace(-1.0, 1.0, 9)
     s_x = construct_S(spec_x, EvolutionOperator(CoefficientField(2, a_x)), 0.4, times).matrices

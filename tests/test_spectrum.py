@@ -395,3 +395,49 @@ def test_blocks_past_the_field_cap_together():
 def test_start_set_of_the_wrong_block_size_rejected():
     with pytest.raises(ValueError, match="start sets have sizes"):
         regularity(diagonal_block(2, 1), EXP, EXP, candidates_E=[DualBasisPair.from_basis(np.eye(3))], horizon=50.0)
+
+
+def test_spectrum_rejects_wrong_shaped_block():
+    # a 1x1 block would broadcast into W1's 2x2 slot of the doubled field
+    blk = BlockSystem(CoefficientField(2, lambda t: np.array([[1.0]])), constant_field([[3.0]]))
+    with pytest.raises(ValueError, match=r"shape \(1, 1\) at t=0\.0, expected \(2, 2\)"):
+        spectrum(blk, EXP, EXP, horizon=50.0)
+
+
+def nan_after(t_bad, w):
+    """W's field, but NaN from time t_bad on."""
+    return CoefficientField(w.dim, lambda t: np.full((w.dim, w.dim), math.nan) if t >= t_bad else w.eval(t))
+
+
+@pytest.mark.parametrize("call", [spectrum, regularity])
+def test_non_finite_block_raises_naming_the_time(call):
+    blk = standard_block()
+    blk = BlockSystem(blk.W1, nan_after(20.0, blk.W2))
+    with pytest.raises(ValueError, match=r"non-finite entries at t=") as err:
+        call(blk, EXP, EXP, horizon=50.0)
+    # the named time is the stage that first met the NaN, inside the solve's span
+    assert 20.0 <= float(str(err.value).rsplit("t=", 1)[1]) < 50.0
+
+
+def test_doubled_field_in_place_matches_fresh_build():
+    # the plain build of the doubled field, fresh zeros each call and
+    # CoefficientField-checked blocks, is the reference: same arithmetic,
+    # so the in-place build must agree with it bit for bit
+    w1, _ = rotated_block((-2.0, -1.0), 0.6, 0.75)
+    w2, _ = rotated_block((1.0, 2.0), 1.1, 0.7)
+    blk = BlockSystem(w1, w2)
+
+    def fresh(t):
+        d = np.zeros((8, 8))
+        d[:2, :2] = blk.W1(t)
+        d[2:4, 2:4] = blk.W2(t)
+        d[4:, 4:] = -d[:4, :4].T
+        return d
+
+    mask = np.kron(np.eye(4), np.ones((2, 2))) > 0
+    want, nfev = _exponent_traces(fresh, [EXP] * 8, np.eye(8), 50.0, mask=mask)
+    rep = spectrum(blk, EXP, EXP, horizon=50.0)
+    assert rep.nfev == nfev
+    got = [tr for key in ("E", "F", "E_adjoint", "F_adjoint") for tr in rep.traces[key]]
+    assert len(got) == len(want) == 8
+    assert all(np.array_equal(g.values, w.values) and np.array_equal(g.times, w.times) for g, w in zip(got, want))

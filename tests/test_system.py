@@ -8,6 +8,7 @@ from dichokit.evolution import EvolutionOperator, IntegratorConfig
 from dichokit.growth import RateQuadruple, builtin
 from dichokit.system import (
     BlockSystem,
+    CoefficientField,
     Example22Params,
     adjoint,
     constant_field,
@@ -119,6 +120,31 @@ def test_block_system_assembly():
     assert np.allclose(blk.projection(), np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         BlockSystem(constant_field(np.diag([-1.0])), constant_field([[3.0]]), split=2)
+
+
+def test_field_call_rejects_non_finite_entries_naming_t():
+    field = CoefficientField(2, lambda t: np.array([[1.0, math.nan], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"non-finite entries at t=1\.5"):
+        field(1.5)
+
+
+def test_field_call_rejects_wrong_shape():
+    with pytest.raises(ValueError, match=r"shape \(1, 1\), expected \(2, 2\)"):
+        CoefficientField(2, lambda t: np.array([[1.0]]))(0.0)
+
+
+def test_half_line_field_rejects_negative_time():
+    field = constant_field(np.eye(2), domain="half")
+    assert np.array_equal(field(0.0), np.eye(2))
+    with pytest.raises(DomainError, match="half-line"):
+        field(-0.5)
+
+
+def test_combined_rejects_wrong_shaped_block():
+    # a 1x1 block would broadcast into W1's 2x2 slot as [[1, 1], [1, 1]]
+    blk = BlockSystem(CoefficientField(2, lambda t: np.array([[1.0]])), constant_field([[3.0]]))
+    with pytest.raises(ValueError, match=r"shape \(1, 1\) at t=0\.0, expected \(2, 2\)"):
+        blk.combined()(0.0)
 
 
 def test_tabulated_field_roundtrip(tmp_path):
