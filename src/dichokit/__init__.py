@@ -9,7 +9,7 @@ they imply.
 
 __version__ = "0.1.0"
 
-from .growth import GrowthRate, RateQuadruple, builtin, product_rate, ratio_power, validate
+from .growth import GrowthRate, RateQuadruple, builtin, product_rate, validate
 from .system import (
     BlockSystem,
     CoefficientField,
@@ -28,13 +28,17 @@ from .dichotomy import (
     square_grid,
     verify,
 )
+from .lyapfun import QuadraticLyapunov, classify, construct_S, derivative_condition
+
+# the function spectrum stays dichokit.spectrum.spectrum: importing it here
+# would rebind the name of its module
+from .spectrum import dichotomy_from_spectrum, lyapunov_exponent, regularity
 
 __all__ = [
     "GrowthRate",
     "RateQuadruple",
     "builtin",
     "product_rate",
-    "ratio_power",
     "validate",
     "BlockSystem",
     "CoefficientField",
@@ -51,5 +55,12 @@ __all__ = [
     "estimate_constants",
     "square_grid",
     "verify",
+    "QuadraticLyapunov",
+    "classify",
+    "construct_S",
+    "derivative_condition",
+    "dichotomy_from_spectrum",
+    "lyapunov_exponent",
+    "regularity",
     "__version__",
 ]

@@ -49,10 +49,6 @@ class ProjectionFamily:
         p = np.asarray(matrix, dtype=float)
         return ProjectionFamily(lambda t: p)
 
-    @staticmethod
-    def from_callable(fn) -> "ProjectionFamily":
-        return ProjectionFamily(fn)
-
     def __call__(self, t: float) -> np.ndarray:
         return np.asarray(self.at(t), dtype=float)
 
@@ -310,7 +306,6 @@ def estimate_constants(
     P: ProjectionFamily,
     rates: RateQuadruple,
     grid,
-    eps_fixed: float | None = None,
     min_pairs: int = 20,
 ) -> tuple[DichotomySpec, EstimateDiagnostics]:
     """Fit (K, a, b, eps) by least squares in log space, then inflate K.
@@ -334,15 +329,10 @@ def estimate_constants(
     rows_u, yu = tab.x_unstable[keep_u], np.log(tab.unstable[keep_u])
 
     def fit(X, y, side):
-        if eps_fixed is not None:
-            y = y - eps_fixed * X[:, 2]
-            X = X[:, :2]
         rank = np.linalg.matrix_rank(X)
         if rank < X.shape[1]:
             raise EstimationError(f"{side} regression is rank-deficient on this grid")
         coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-        if eps_fixed is not None:
-            coef = np.append(coef, eps_fixed)
         return coef
 
     if len(rows_s) < min_pairs:

@@ -104,10 +104,9 @@ def piecewise_solution(pieces, y0, solve):
 class EvolutionOperator:
     """Cached evolution operator of a linear coefficient field."""
 
-    def __init__(self, field: CoefficientField, config: IntegratorConfig | None = None, anchor: float = 0.0):
+    def __init__(self, field: CoefficientField, config: IntegratorConfig | None = None):
         self.field = field
         self.config = config or IntegratorConfig()
-        self.anchor = float(anchor)
         self._cache: dict[tuple[float, float], np.ndarray] = {}
 
     # -- low-level integration ------------------------------------------------
@@ -140,7 +139,7 @@ class EvolutionOperator:
         return m
 
     def _checkpoint(self, i: int) -> float:
-        return self.anchor + i * self.config.checkpoint_spacing
+        return i * self.config.checkpoint_spacing
 
     def _bracket(self, v: float) -> tuple[int, int]:
         """Indices of the checkpoints at or below and at or above v.
@@ -148,7 +147,7 @@ class EvolutionOperator:
         Both are the index of a checkpoint within 1e-9 spacings of v, so a
         time that misses a checkpoint by round-off counts as on it.
         """
-        x = (v - self.anchor) / self.config.checkpoint_spacing
+        x = v / self.config.checkpoint_spacing
         return math.floor(x + 1e-9), math.ceil(x - 1e-9)
 
     # -- public surface --------------------------------------------------------

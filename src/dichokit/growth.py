@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class GrowthRate:
     domain: str  # "full" | "half"
     log_eval: Callable[[float], float]
     log_deriv: Callable[[float], float]
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.domain not in ("full", "half"):
@@ -91,30 +90,6 @@ class RateQuadruple:
 
     def compatible_with(self, system_domain: str) -> bool:
         return system_domain == "half" or self.common_domain() == "full"
-
-
-class RatioPower(NamedTuple):
-    """Result of (u(t)/u(s))^p with overflow saturation flagged."""
-
-    value: float
-    log_value: float
-    saturated: bool
-
-
-def ratio_power(rate: GrowthRate, t: float, s: float, p: float) -> RatioPower:
-    """(u(t)/u(s))^p evaluated as exp(p*(log u(t) - log u(s))).
-
-    Never returns 0, NaN or raises on overflow: beyond |log| > 700 the value
-    saturates (to inf on the high side, exp(-700) on the low side) and the
-    ``saturated`` flag is set.
-    """
-    lv = p * (rate.log_u(t) - rate.log_u(s))
-    saturated = abs(lv) > LOG_SATURATION
-    if lv > LOG_SATURATION:
-        value = math.inf
-    else:
-        value = math.exp(max(lv, -LOG_SATURATION))
-    return RatioPower(value, lv, saturated)
 
 
 @dataclass
@@ -261,12 +236,10 @@ def builtin(name: str, params: dict | None = None) -> GrowthRate:
     params = dict(params or {})
     if name == "exp":
         c = _positive(params, "rate", 1.0)
-        return GrowthRate("exp", "full", lambda t: c * t, lambda t: c, {"rate": c})
+        return GrowthRate("exp", "full", lambda t: c * t, lambda t: c)
     if name == "poly":
         p = _positive(params, "power", 1.0)
-        return GrowthRate(
-            "poly", "half", lambda t: p * math.log1p(t), lambda t: p / (1.0 + t), {"power": p}
-        )
+        return GrowthRate("poly", "half", lambda t: p * math.log1p(t), lambda t: p / (1.0 + t))
     if name == "polysq":
         return GrowthRate(
             "polysq", "half", lambda t: math.log1p(t * t), lambda t: 2 * t / (1.0 + t * t)
@@ -295,13 +268,7 @@ def rho_exp_from_samples(t, rho) -> GrowthRate:
     interp = PchipInterpolator(t, rho, extrapolate=True)
     dinterp = interp.derivative()
     domain = "full" if t[0] < 0 else "half"
-    return GrowthRate(
-        "rho_exp",
-        domain,
-        lambda x: float(interp(x)),
-        lambda x: float(dinterp(x)),
-        {"t_min": float(t[0]), "t_max": float(t[-1])},
-    )
+    return GrowthRate("rho_exp", domain, lambda x: float(interp(x)), lambda x: float(dinterp(x)))
 
 
 def read_csv(path: str) -> np.ndarray:

@@ -27,7 +27,7 @@ derivative inequalities it satisfies are checked numerically on grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad_vec
@@ -40,14 +40,17 @@ from .system import CoefficientField
 from .tails import time_backward_for_log_drop, time_for_log_decrease
 
 
+# longest stretch of a construct_S solve between reprojections
+REPROJECT_WINDOW = 2.0
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     tail_tol: float = 1e-8  # relative envelope mass allowed past the cutoff
     quad_tol: float = 1e-10
-    reproject_window: float = 2.0  # longest stretch of the solve between reprojections
 
     def __post_init__(self):
-        if self.tail_tol <= 0 or self.quad_tol <= 0 or self.reproject_window <= 0:
+        if self.tail_tol <= 0 or self.quad_tol <= 0:
             raise ValueError("quadrature tolerances must be positive")
 
 
@@ -58,7 +61,7 @@ def _congruence_sweep(op: EvolutionOperator, projector, coeff: float, rate, ts, 
     unstable side), G(v, t) = Phi(v, t) projector(t), and Phi evolves
     Y' = (A - coeff rate'/rate) Y.  The grid intervals and the tail [ts[-1], end]
     form two groups of pieces, cut at the checkpoint lattice (field jumps live
-    there) and at `reproject_window`.  A group's pieces start from I and run on
+    there) and at `REPROJECT_WINDOW`.  A group's pieces start from I and run on
     one clock sigma in [0, l], l its longest piece, piece k at lo_k + c_k sigma,
     c_k = (hi_k - lo_k) / l, in one `evolution._integrate` solve, so scipy's RMS
     error norm pools the entries of every piece: a piece's own local error may
@@ -77,7 +80,7 @@ def _congruence_sweep(op: EvolutionOperator, projector, coeff: float, rate, ts, 
         lo, hi, owner = [], [], []
         for i in group:
             for p, q in op._pieces(knots[i], knots[i + 1]):
-                m = math.ceil(abs(q - p) / quad.reproject_window)
+                m = math.ceil(abs(q - p) / REPROJECT_WINDOW)
                 cuts = [p + (q - p) * j / m for j in range(m)] + [q]
                 lo, hi, owner = lo + cuts[:-1], hi + cuts[1:], owner + [i] * m
         ell = max(abs(q - p) for p, q in zip(lo, hi))
@@ -149,26 +152,6 @@ class QuadraticLyapunov:
     def H(self, t: float, x) -> float:
         x = np.asarray(x, dtype=float)
         return float(x @ self.S(t) @ x)
-
-
-@dataclass(frozen=True)
-class LyapunovHypotheses:
-    """Constants of the sufficiency conditions (decay rates eta, local
-    growth constants l, exponents kk, window d)."""
-
-    eta1: float
-    eta2: float
-    dhat: float
-    k1: float = 0.0
-    k2: float = 0.0
-    l1: float = 1.0
-    l2: float = 1.0
-
-    def __post_init__(self):
-        if self.eta1 <= 0 or self.eta2 <= 0 or self.dhat <= 0:
-            raise ValueError("eta1, eta2, dhat must be positive")
-        if min(self.k1, self.k2, self.l1, self.l2) < 0:
-            raise ValueError("k and l constants must be nonnegative")
 
 
 def construct_S(
@@ -269,7 +252,6 @@ class DerivativeReport:
 def derivative_condition(
     lyap: QuadraticLyapunov,
     a_field: CoefficientField,
-    grid=None,
     form: str = "sufficiency",
     tol: float = 1e-8,
     fd_tol: float = 1e-3,
@@ -284,8 +266,7 @@ def derivative_condition(
     """
     if form not in ("sufficiency", "necessity"):
         raise ValueError("form must be 'sufficiency' or 'necessity'")
-    times = lyap.times if grid is None else np.sort(np.asarray(grid, dtype=float))
-    spec = lyap.spec
+    times, spec = lyap.times, lyap.spec
     n = lyap.matrices.shape[1]
     dt = float(np.min(np.diff(lyap.times))) if lyap.times.size > 1 else 1.0
     # central differences need both neighbors: interior points only
@@ -354,106 +335,3 @@ def classify(
     if np.all(values < -margin):
         return "unstable"
     return "undetermined"
-
-
-@dataclass
-class DecayReport:
-    """Report-only check of the decay inequalities along classified orbits."""
-
-    differential_slack: dict = field(default_factory=dict)
-    gronwall_ratio: dict = field(default_factory=dict)
-    local_bound_ratio: dict = field(default_factory=dict)
-    lower_bound_ratio: dict = field(default_factory=dict)
-    rate_domination_ok: bool | None = None
-    nu_side_ratio: float | None = None
-
-    def differential_passes(self, side: str) -> bool:
-        return self.differential_slack[side] <= 1e-7
-
-
-def _restricted_norm(m: np.ndarray, basis: np.ndarray) -> float:
-    """Operator norm of m restricted to span(basis columns), unit vectors."""
-    qb, _ = np.linalg.qr(basis)
-    return spectral_norm(m @ qb)
-
-
-def decay_inequalities(
-    lyap: QuadraticLyapunov,
-    op: EvolutionOperator,
-    hyp: LyapunovHypotheses,
-    tau: float,
-    stable_vectors,
-    unstable_vectors,
-    horizon: float,
-    samples: int = 60,
-) -> DecayReport:
-    """Measure the decay inequalities and local growth bounds.
-
-    Checks, for orbits from classified vectors:
-      - dH/dt <= -eta (rate slope) |H| along the orbit (worst slack,
-        normalized by |H|);
-      - the integrated consequence H(t) <= (h(t)/h(tau))^{-eta1} H(tau) on
-        the stable side and |H(t)| >= (k(t)/k(tau))^{eta2} |H(tau)| on the
-        unstable side (worst ratio);
-      - two-sided local growth |T(t,tau)| restricted to each span against
-        l_i mu(t)^{k_i} for |t - tau| <= dhat;
-      - the rate-domination condition h(t)/h(tau) >= mu(t)/mu(tau) when
-        eta1 > 2 k1, with the nu-side ratio reported for inspection;
-      - the classification lower bound |H(tau,x)| >= (dhat/l^2) mu^{-2k} |x|^2.
-    """
-    spec = lyap.spec
-    h, k, mu, nu = spec.rates.rates()
-    report = DecayReport()
-    delta = min(horizon / (4 * samples), 1e-3)
-
-    for side, vectors, rate, eta in (
-        ("stable", stable_vectors, h, hyp.eta1),
-        ("unstable", unstable_vectors, k, hyp.eta2),
-    ):
-        worst_slack = -math.inf
-        worst_ratio = 0.0
-        for x in vectors:
-            orbit = op.vector_solution(tau, tau + horizon, np.asarray(x, dtype=float))
-            h_tau = lyap.H(tau, x)
-            for t in tau + horizon * np.arange(1, samples) / samples:
-                hv = lyap.H(t, orbit(t))
-                dh = (lyap.H(t + delta, orbit(t + delta)) - lyap.H(t - delta, orbit(t - delta))) / (2 * delta)
-                slack = (dh + eta * rate.dlog(t) * abs(hv)) / max(abs(hv), 1e-300)
-                worst_slack = max(worst_slack, slack)
-                power = math.exp(eta * (rate.log_u(t) - rate.log_u(tau)))
-                if side == "stable":
-                    worst_ratio = max(worst_ratio, hv * power / h_tau)
-                else:
-                    worst_ratio = max(worst_ratio, abs(h_tau) * power / abs(hv))
-        report.differential_slack[side] = worst_slack
-        report.gronwall_ratio[side] = worst_ratio
-
-    # (local) two-sided growth bounds on the restricted evolution
-    for side, vectors, nonuni, kk, ll in (
-        ("stable", stable_vectors, mu, hyp.k1, hyp.l1),
-        ("unstable", unstable_vectors, nu, hyp.k2, hyp.l2),
-    ):
-        basis = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-        worst = 0.0
-        lower = math.inf
-        for dt_ in np.linspace(-hyp.dhat, hyp.dhat, 9):
-            t = tau + dt_
-            bound = ll * math.exp(kk * nonuni.log_u(abs(t)))
-            worst = max(worst, _restricted_norm(op.evolve(t, tau), basis) / bound)
-        for x in vectors:
-            x = np.asarray(x, dtype=float)
-            floor = (hyp.dhat / ll**2) * math.exp(-2 * kk * nonuni.log_u(abs(tau))) * float(x @ x)
-            lower = min(lower, abs(lyap.H(tau, x)) / floor)
-        report.local_bound_ratio[side] = worst
-        report.lower_bound_ratio[side] = lower
-
-    if hyp.eta1 > 2 * hyp.k1:
-        ok = True
-        for t in tau + horizon * np.arange(1, samples) / samples:
-            if h.log_u(t) - h.log_u(tau) < mu.log_u(t) - mu.log_u(tau) - 1e-12:
-                ok = False
-        report.rate_domination_ok = ok
-    # nu-side analogue is not stated; reported for inspection only
-    t_end = tau + horizon
-    report.nu_side_ratio = math.exp((k.log_u(t_end) - k.log_u(tau)) - (nu.log_u(t_end) - nu.log_u(tau)))
-    return report

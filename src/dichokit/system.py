@@ -83,18 +83,17 @@ def tabulated_field_from_csv(path: str) -> CoefficientField:
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """A(t) = diag(W1(t), W2(t)) with the splitting R^n = E + F."""
+    """A(t) = diag(W1(t), W2(t)) with the splitting R^n = E + F.
+
+    ``split`` is dim E = W1.dim, the row where the second block starts.
+    """
 
     W1: CoefficientField
     W2: CoefficientField
-    split: int = 0  # filled from W1.dim when 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "split", self.split or self.W1.dim)
-        if self.split != self.W1.dim:
-            raise ValueError("split must equal dim W1")
-        if not 1 <= self.split < self.dim:
-            raise ValueError("need 1 <= split < n")
+    @property
+    def split(self) -> int:
+        return self.W1.dim
 
     @property
     def dim(self) -> int:

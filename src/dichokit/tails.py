@@ -30,9 +30,9 @@ def time_for_log_decrease(rate: GrowthRate, t0: float, coeff: float, log_drop: f
     lo, hi = t0, t0 + 1.0
     while rate.log_u(hi) < target:
         lo, hi = hi, t0 + 2 * (hi - t0)
-        if hi > cap:
+        if hi - t0 > cap:
             raise TailCertificationError(
-                f"rate {rate.name!r} does not grow enough before t={cap:g} to certify the tail"
+                f"rate {rate.name!r} does not grow enough within {cap:g} of t0={t0:g} to certify the tail"
             )
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -56,7 +56,7 @@ def time_backward_for_log_drop(rate: GrowthRate, t0: float, log_drop: float, cap
         lo, hi = t0 - 2 * (t0 - lo), lo
         if t0 - lo > cap:
             raise TailCertificationError(
-                f"rate {rate.name!r} does not decay enough before t0-{cap:g}"
+                f"rate {rate.name!r} does not decay enough within {cap:g} of t0={t0:g}"
             )
     for _ in range(80):
         mid = 0.5 * (lo + hi)

@@ -189,6 +189,18 @@ def test_certificate_counts_saturated_ratios_and_serializes():
     assert record["worst_stable_at"] == list(cert.worst_stable_at)
 
 
+def test_certificate_saturates_iff_log_ratio_exceeds_700():
+    # on the diagonal T = I and |P| = |Q| = 1, so each log-ratio is -log K
+    spec, op = tight_diag_setup()
+    below, above = (DichotomySpec(spec.P, spec.rates, math.exp(-x), spec.a, spec.b, spec.eps) for x in (699, 701))
+    cert = verify(below, op, [(0.0, 0.0)])
+    assert cert.saturated == 0
+    assert cert.worst_stable_ratio == pytest.approx(math.exp(699.0), rel=1e-12)
+    cert = verify(above, op, [(0.0, 0.0)])
+    assert cert.saturated == 2
+    assert cert.worst_stable_ratio == math.exp(700.0)
+
+
 def test_estimate_recovers_diagonal_constants():
     spec, op = tight_diag_setup()
     grid = square_grid(0.0, 5.0, 0.5)
@@ -266,6 +278,6 @@ def test_check_projection_evolves_reversed_pairs_backward():
 def test_check_projection_measures_idempotency_at_both_ends():
     # P fails idempotency only before t = 0.5, which this grid meets as s alone
     _, op = tight_diag_setup()
-    P = ProjectionFamily.from_callable(lambda t: np.diag([2.0 if t < 0.5 else 1.0, 0.0]))
+    P = ProjectionFamily(lambda t: np.diag([2.0 if t < 0.5 else 1.0, 0.0]))
     assert check_projection(P, op, [(1.0, 0.0)]).max_idempotency_residual == pytest.approx(2.0)
     assert check_projection(P, op, [(0.0, 1.0)]).max_idempotency_residual == pytest.approx(2.0)

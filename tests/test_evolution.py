@@ -198,7 +198,7 @@ def test_jump_at_checkpoint_sees_one_sided_limits(c):
     # A = -1 before the jump at c and +1 from it on, so T(c + 1/2, c - 1/2) = 1
     # exactly; a relative endpoint nudge rounds back onto c once |c| is large
     field = CoefficientField(1, lambda t: np.array([[-1.0 if t < c else 1.0]]))
-    op = EvolutionOperator(field, anchor=c)
+    op = EvolutionOperator(field, IntegratorConfig(checkpoint_spacing=c))
     got = op.evolve(c + 0.5, c - 0.5)[0, 0]
     assert abs(got - 1.0) <= 1e-9
 

@@ -8,7 +8,6 @@ from dichokit.growth import (
     RateQuadruple,
     builtin,
     product_rate,
-    ratio_power,
     rho_exp_from_samples,
     validate,
 )
@@ -27,49 +26,6 @@ def test_poly_matches_printed_value():
 def test_expsq_direct_evaluation():
     # e^{t^2} at t = 2
     assert builtin("expsq").eval(2.0) == pytest.approx(math.exp(4.0), rel=1e-12)
-
-
-def test_ratio_power_exponential():
-    r = ratio_power(builtin("exp"), 2.0, 1.0, -1.0)
-    assert r.value == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert not r.saturated
-
-
-def test_ratio_power_poly_square():
-    r = ratio_power(builtin("poly"), 3.0, 1.0, 2.0)
-    assert r.value == pytest.approx(4.0, rel=1e-12)
-
-
-def test_ratio_power_saturates_instead_of_overflowing():
-    r = ratio_power(builtin("expsq"), 30.0, 0.0, 1.0)  # e^900 exceeds the cap
-    assert r.saturated and r.value == math.inf
-    down = ratio_power(builtin("expsq"), 0.0, 30.0, 1.0)
-    assert down.saturated and down.value > 0.0 and math.isfinite(down.value)
-    inside = ratio_power(builtin("expsq"), 10.0, 0.0, 1.0)  # e^100 is representable
-    assert not inside.saturated and inside.value == pytest.approx(math.exp(100.0))
-
-
-def test_saturation_flag_iff_log_exceeds_700():
-    just_under = ratio_power(builtin("exp"), 699.0, 0.0, 1.0)
-    just_over = ratio_power(builtin("exp"), 701.0, 0.0, 1.0)
-    assert not just_under.saturated
-    assert just_over.saturated
-
-
-@pytest.mark.parametrize("name", ["exp", "poly", "polysq", "expsq"])
-def test_ratio_power_inverse_pairs(name):
-    rate = builtin(name)
-    lo = 0.0 if rate.domain == "half" else -8.0
-    pts = np.linspace(lo, 8.0, 9)
-    for t in pts:
-        for s in pts:
-            if t < s:
-                continue
-            fwd = ratio_power(rate, t, s, 1.7)
-            bwd = ratio_power(rate, s, t, 1.7)
-            if fwd.saturated or bwd.saturated:
-                continue
-            assert fwd.value * bwd.value == pytest.approx(1.0, rel=1e-10)
 
 
 def test_validate_exp_passes_everywhere():

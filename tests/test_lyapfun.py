@@ -9,19 +9,12 @@ from scipy.integrate import quad
 
 from dichokit import evolution, lyapfun
 from dichokit.dichotomy import DichotomySpec, ProjectionFamily, square_grid, verify
-from dichokit.errors import DichokitError
+from dichokit.errors import DichokitError, TailCertificationError
 from dichokit.evolution import EvolutionOperator, IntegratorConfig
 from dichokit.growth import RateQuadruple, builtin
-from dichokit.lyapfun import (
-    LyapunovHypotheses,
-    QuadraticLyapunov,
-    QuadratureConfig,
-    classify,
-    construct_S,
-    decay_inequalities,
-    derivative_condition,
-)
+from dichokit.lyapfun import QuadraticLyapunov, QuadratureConfig, classify, construct_S, derivative_condition
 from dichokit.system import CoefficientField, Example22Params, constant_field, make_example22
+from dichokit.tails import time_backward_for_log_drop, time_for_log_decrease
 
 EXPQUAD = RateQuadruple(*(builtin("exp") for _ in range(4)))
 
@@ -186,7 +179,7 @@ def test_construct_S_commutes_with_rotation():
     gen = np.array([[0.0, -1.0], [1.0, 0.0]])
     p = np.diag([1.0, 0.0])
     field_y = CoefficientField(2, lambda t: rot(t) @ a_x(t) @ rot(t).T + w * gen)
-    families = (ProjectionFamily.constant(p), ProjectionFamily.from_callable(lambda t: rot(t) @ p @ rot(t).T))
+    families = (ProjectionFamily.constant(p), ProjectionFamily(lambda t: rot(t) @ p @ rot(t).T))
     spec_x, spec_y = (DichotomySpec(P, EXPQUAD, K=math.exp(0.6), a=-1.0, b=1.0, eps=0.0) for P in families)
     times = np.linspace(-1.0, 1.0, 9)
     s_x = construct_S(spec_x, EvolutionOperator(CoefficientField(2, a_x)), 0.4, times).matrices
@@ -222,6 +215,24 @@ def test_construct_S_reports_cutoffs_and_quadrature_error():
     assert all(math.isfinite(x) for x in (v_cut, w_cut, lyap.quad_error))
     assert v_cut > times[-1] > times[0] > w_cut
     assert 0.0 <= lyap.quad_error < 1e-6
+
+
+def test_tail_searches_cap_the_distance_from_t0_not_the_time():
+    # the cap of 1e6 bounds how far a search may move, so a grid past t = 1e6 still certifies
+    spec, op = diag_setup()
+    times = [2e6, 2e6 + 1.0]
+    lyap = construct_S(spec, op, 0.5, times)
+    assert np.allclose(lyap.matrices, np.diag([1.0, -1.0]), rtol=0.0, atol=1e-6)
+    assert lyap.stable_cutoff == pytest.approx(times[-1] + math.log(1e8), rel=1e-12)
+    assert lyap.unstable_cutoff == pytest.approx(times[0] - math.log(1e8), rel=1e-12)
+
+
+def test_tail_searches_refuse_a_rate_that_moves_too_little_within_the_cap():
+    # log drop 100 needs t = e^1e5 - 1 for (t+1)^0.001 and a distance of 1e8 for e^{1e-6 t}
+    with pytest.raises(TailCertificationError, match="within 1e"):
+        time_for_log_decrease(builtin("poly", {"power": 1e-3}), 0.0, -1.0, 100.0)
+    with pytest.raises(TailCertificationError, match="within 1e"):
+        time_backward_for_log_drop(builtin("exp", {"rate": 1e-6}), -5e6, 100.0)
 
 
 def test_construct_S_truncates_every_point_within_tail_tol():
@@ -339,60 +350,6 @@ def test_subspace_split_dimension():
     stable = [e for e, s in zip(np.eye(3), sides) if s == "stable"]
     unstable = [e for e, s in zip(np.eye(3), sides) if s == "unstable"]
     assert len(stable) + len(unstable) == 3
-
-
-def make_decay_report(eta1, eta2, l1=math.e, l2=math.e):
-    spec, op = diag_setup()
-    lyap = construct_S(spec, op, 0.5, np.linspace(-1.5, 6.0, 16))
-    hyp = LyapunovHypotheses(eta1=eta1, eta2=eta2, dhat=1.0, k1=0.0, k2=0.0, l1=l1, l2=l2)
-    return decay_inequalities(
-        lyap, op, hyp, tau=0.0, stable_vectors=[[1.0, 0.0]], unstable_vectors=[[0.0, 1.0]], horizon=4.0
-    )
-
-
-def test_decay_differential_rate_two_passes():
-    # dH/dt = -2H along the stable orbit, so eta = 2 is exactly admissible
-    rep = make_decay_report(2.0, 2.0)
-    assert rep.differential_slack["stable"] <= 1e-6
-    assert rep.differential_slack["unstable"] <= 1e-6
-
-
-def test_decay_differential_rate_too_greedy_fails():
-    rep = make_decay_report(2.5, 2.0)
-    assert rep.differential_slack["stable"] == pytest.approx(0.5, abs=1e-3)
-
-
-def test_gronwall_consequence_equality_case():
-    rep = make_decay_report(2.0, 2.0)
-    assert rep.gronwall_ratio["stable"] == pytest.approx(1.0, abs=1e-6)
-    assert rep.gronwall_ratio["unstable"] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_local_bound_needs_euler_constant_two_sided():
-    # |U(t,0)| = e^{-t} reaches e at t = -dhat; l1 = 1 fails, l1 = e passes
-    tight = make_decay_report(2.0, 2.0, l1=1.0)
-    assert tight.local_bound_ratio["stable"] == pytest.approx(math.e, rel=1e-6)
-    ok = make_decay_report(2.0, 2.0, l1=math.e)
-    assert ok.local_bound_ratio["stable"] <= 1.0 + 1e-9
-
-
-def test_classification_lower_bound_holds():
-    rep = make_decay_report(2.0, 2.0)
-    assert rep.lower_bound_ratio["stable"] >= 1.0
-    assert rep.lower_bound_ratio["unstable"] >= 1.0
-
-
-def test_rate_domination_reported():
-    rep = make_decay_report(2.0, 2.0)
-    assert rep.rate_domination_ok is True  # h = mu = exp: equality
-    assert rep.nu_side_ratio == pytest.approx(1.0, rel=1e-9)
-
-
-def test_hypotheses_validation():
-    with pytest.raises(ValueError):
-        LyapunovHypotheses(eta1=0.0, eta2=1.0, dhat=1.0)
-    with pytest.raises(ValueError):
-        LyapunovHypotheses(eta1=1.0, eta2=1.0, dhat=1.0, l1=-1.0)
 
 
 def test_quadrature_config_validation():

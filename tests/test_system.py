@@ -118,8 +118,6 @@ def test_block_system_assembly():
     assert blk.dim == 3 and blk.split == 2
     assert np.allclose(blk.combined()(0.0), np.diag([-1.0, -2.0, 3.0]))
     assert np.allclose(blk.projection(), np.diag([1.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        BlockSystem(constant_field(np.diag([-1.0])), constant_field([[3.0]]), split=2)
 
 
 def test_field_call_rejects_non_finite_entries_naming_t():
