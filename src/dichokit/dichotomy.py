@@ -315,7 +315,8 @@ def estimate_constants(
     sides (the definition has a single eps), reconciled by max; raising eps
     only weakens the bound since mu(|s|) >= 1.  log K is inflated by the
     worst positive residual so the returned spec verifies on its own
-    training grid by construction.
+    training grid by construction.  When the unstable side has fewer than
+    ``min_pairs`` pairs, b is 0 and that side's log K counts as 0, so K >= 1.
 
     The norms come from the same pair table as ``verify`` (one forward and
     one backward row sweep, batched norms) and are taken once, for both the
@@ -343,7 +344,7 @@ def estimate_constants(
 
     if len(rows_u) < min_pairs:
         warnings.append(f"unstable side has {len(rows_u)} pairs (Q nearly trivial); b set to 0")
-        b_fit, eps_u, logK_u = 0.0, 0.0, -math.inf
+        b_fit, eps_u, logK_u = 0.0, 0.0, 0.0
     else:
         logK_u, b_fit, eps_u = fit(rows_u, yu, "unstable")
         if b_fit < 0:
@@ -353,7 +354,7 @@ def estimate_constants(
     eps = max(eps_s, eps_u, 0.0)
     if eps_s < 0 or eps_u < 0:
         warnings.append("a fitted eps was negative; clamped to 0")
-    logK = max(logK_s, logK_u, 0.0 if not math.isfinite(logK_u) else logK_u)
+    logK = max(logK_s, logK_u)
 
     candidate = DichotomySpec(P, rates, math.exp(logK), float(a_fit), float(b_fit), float(eps))
 

@@ -8,7 +8,9 @@ obtained by matrix inversion: inverting is ill-conditioned whenever an
 unstable direction is present.
 
 Coefficient fields may have jump discontinuities on the checkpoint lattice
-(the e^{|t|} hats of the worked example jump at t = 0); segment endpoints
+(the e^{|t|} hats of the worked example jump at t = 0), so every span is cut
+by one rule (`EvolutionOperator._pieces`): each checkpoint i * spacing
+strictly between its ends, compared exactly, is a knot.  Segment endpoints
 are evaluated one floating-point step inside the segment so each integration
 sees the correct one-sided limit, at any |t|.
 """
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -74,33 +75,6 @@ def _integrate(solve, rhs, span, y0, rtol, atol, max_step=math.inf, dense_output
     return sol
 
 
-def piecewise_solution(pieces, y0, solve):
-    """Dense solution over consecutive pieces, each started where the last ended.
-
-    `solve(lo, hi, y)` integrates one piece from y and returns its dense
-    lookup (1-d array of times to values stacked along axis 0) and the next
-    start value.  Returns the lookup v -> y(v) over the whole span, for a
-    time or an array of times, one lookup call per piece hit.
-    """
-    dense, y = [], y0
-    for lo, hi in pieces:
-        lookup, y = solve(lo, hi, y)
-        dense.append((min(lo, hi), max(lo, hi), lookup))
-
-    def at(v):
-        vs = np.atleast_1d(np.asarray(v, dtype=float))
-        out, todo = np.empty(vs.shape + np.shape(y0)), np.ones(vs.shape, dtype=bool)
-        for lo, hi, lookup in dense:
-            hit = todo & (lo <= vs) & (vs <= hi)
-            if hit.any():
-                out[hit], todo = lookup(vs[hit]), todo & ~hit
-        if todo.any():
-            raise ValueError(f"time {vs[todo][0]} outside the solved span [{pieces[0][0]}, {pieces[-1][1]}]")
-        return out if np.ndim(v) else out[0]
-
-    return at
-
-
 class EvolutionOperator:
     """Cached evolution operator of a linear coefficient field."""
 
@@ -128,8 +102,6 @@ class EvolutionOperator:
 
     def _segment(self, a: float, b: float) -> np.ndarray:
         """Transition matrix T(b, a), cached."""
-        if a == b:
-            return np.eye(self.field.dim)
         key = (a, b)
         hit = self._cache.get(key)
         if hit is not None:
@@ -138,38 +110,33 @@ class EvolutionOperator:
         self._cache[key] = m
         return m
 
-    def _checkpoint(self, i: int) -> float:
-        return i * self.config.checkpoint_spacing
+    def _pieces(self, a: float, b: float):
+        """[a, b] as consecutive (start, end) pieces, in the direction from a to b.
 
-    def _bracket(self, v: float) -> tuple[int, int]:
-        """Indices of the checkpoints at or below and at or above v.
-
-        Both are the index of a checkpoint within 1e-9 spacings of v, so a
-        time that misses a checkpoint by round-off counts as on it.
+        The knots are the checkpoints i * spacing strictly between a and b,
+        compared exactly (field jumps live there); a checkpoint that misses
+        an end by round-off is a knot, and gives a piece a few ulps long.
         """
-        x = v / self.config.checkpoint_spacing
-        return math.floor(x + 1e-9), math.ceil(x - 1e-9)
+        c = self.config.checkpoint_spacing
+        lo, hi = min(a, b), max(a, b)
+        inner = [i * c for i in range(math.floor(lo / c), math.ceil(hi / c) + 1) if lo < i * c < hi]
+        knots = [a] + (inner if b > a else inner[::-1]) + [b]
+        return list(zip(knots[:-1], knots[1:]))
 
     # -- public surface --------------------------------------------------------
 
     def evolve(self, t: float, s: float) -> np.ndarray:
-        """T(t, s), composed from per-interval operators; T(s, s) = I."""
+        """T(t, s), the product of the cached segments of `_pieces(s, t)`; T(s, s) = I.
+
+        The result is a new array, never a cached segment itself.
+        """
         if t == s:
             return np.eye(self.field.dim)
-        (s_below, s_above), (t_below, t_above) = self._bracket(s), self._bracket(t)
-        # the checkpoints i0, i0 + step, ..., i1 lie between s and t
-        i0, i1, step = (s_above, t_below, 1) if t > s else (s_below, t_above, -1)
-        if (i1 - i0) * step < 0:
-            return self._segment(s, t)
-        m = np.eye(self.field.dim)
-        c0, c1 = self._checkpoint(i0), self._checkpoint(i1)
-        if c0 != s:
-            m = self._segment(s, c0)
-        for i in range(i0, i1, step):
-            m = self._segment(self._checkpoint(i), self._checkpoint(i + step)) @ m
-        if c1 != t:
-            m = self._segment(c1, t) @ m
-        return m
+        (p, q), *rest = self._pieces(s, t)
+        m = self._segment(p, q)
+        for p, q in rest:
+            m = self._segment(p, q) @ m
+        return m if rest else m.copy()
 
     def evolve_pairs(self, t, s) -> np.ndarray:
         """Stack of T(t_k, s_k) for arrays of pairs in either orientation.
@@ -216,25 +183,35 @@ class EvolutionOperator:
         Meant for decaying initial data (e.g. m0 = P(a) in the stable bundle
         going forward); the dense interpolant shares the integrator accuracy.
         m0 may be rectangular (n x m) to evolve a set of columns at once.
-        The span is integrated piecewise between checkpoints, like `evolve`;
-        the lookup takes a time or an array of times (stacked along axis 0).
+        The span is integrated over `_pieces(a, b)`, like `evolve`, each piece
+        started where the last ended; the lookup takes a time or an array of
+        times (stacked along axis 0), one interpolant call per piece hit.
         """
         m0 = np.asarray(m0, dtype=float)
         if a == b:
             return lambda v: np.broadcast_to(m0, np.shape(v) + m0.shape).copy()
-        return piecewise_solution(self._pieces(a, b), m0, partial(self._integrate_matrix, dense=True))
+        dense, y = [], m0
+        for p, q in self._pieces(a, b):
+            lookup, y = self._integrate_matrix(p, q, y, dense=True)
+            dense.append((min(p, q), max(p, q), lookup))
+
+        def at(v):
+            vs = np.atleast_1d(np.asarray(v, dtype=float))
+            out, todo = np.empty(vs.shape + m0.shape), np.ones(vs.shape, dtype=bool)
+            for lo, hi, lookup in dense:
+                hit = todo & (lo <= vs) & (vs <= hi)
+                if hit.any():
+                    out[hit], todo = lookup(vs[hit]), todo & ~hit
+            if todo.any():
+                raise ValueError(f"time {vs[todo][0]} outside the solved span [{a}, {b}]")
+            return out if np.ndim(v) else out[0]
+
+        return at
 
     def vector_solution(self, a: float, b: float, x0):
         """Dense vector solution of the linear system through (a, x0)."""
         col = self.matrix_solution(a, b, np.asarray(x0, dtype=float).reshape(-1, 1))
         return lambda v: col(v)[..., 0]
-
-    def _pieces(self, a: float, b: float):
-        """Split [a, b] at internal checkpoints (field jumps live there)."""
-        (a_below, a_above), (b_below, b_above) = self._bracket(a), self._bracket(b)
-        inner = range(a_below + 1, b_above) if b > a else range(a_above - 1, b_below, -1)
-        knots = [a] + [c for c in map(self._checkpoint, inner) if c != a and c != b] + [b]
-        return list(zip(knots[:-1], knots[1:]))
 
     def cache_report(self) -> dict:
         """Cached segment count and the worst condition number among them."""

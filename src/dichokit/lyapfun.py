@@ -190,7 +190,7 @@ def construct_S(
     h, k = spec.rates.h, spec.rates.k
     n = op.field.dim
     projs = np.array([spec.P(t) for t in times])
-    log_drop = math.log(1.0 / quad.tail_tol)
+    log_drop = math.log(1.0 / quad.tail_tol) / (2.0 * dbar)  # in units of log h and log k
 
     # The rate-power weights are folded into shifted linear systems:
     # G(v) = T(v,t)P(t) (h(v)/h(t))^{-(a+dbar)} solves G' = (A - (a+dbar) h'/h) G,
@@ -200,14 +200,14 @@ def construct_S(
     v_cut = w_cut = None
     quad_err = 0.0
     if np.any(projs):
-        v_cut = time_for_log_decrease(h, times[-1], -2.0 * dbar, log_drop)
+        v_cut = time_for_log_decrease(h, times[-1], log_drop)
         part, err = _congruence_sweep(op, spec.P, spec.a + dbar, h, times, v_cut, quad)
         s_mats += part
         quad_err += err
     if np.any(np.eye(n) - projs):
         if op.field.domain == "half":
             raise DomainError("the unstable integral needs a full-line system")
-        w_cut = time_backward_for_log_drop(k, times[0], log_drop / (2.0 * dbar))
+        w_cut = time_backward_for_log_drop(k, times[0], log_drop)
         part, err = _congruence_sweep(op, spec.P.complement, spec.b - dbar, k, times[::-1], w_cut, quad)
         s_mats -= part[::-1]
         quad_err += err

@@ -15,32 +15,38 @@ from .errors import TailCertificationError
 from .growth import GrowthRate
 
 
-def time_for_log_decrease(rate: GrowthRate, t0: float, coeff: float, log_drop: float, cap: float = 1e6) -> float:
-    """Smallest grid-friendly V >= t0 with coeff*(log u(V) - log u(t0)) <= -log_drop.
+def _crossing(rate: GrowthRate, t0: float, log_drop: float, way: float, cap: float) -> float:
+    """First time from t0 in direction `way` (+1 or -1) where log u has moved log_drop.
 
-    Used to place truncation points where a dichotomy envelope proportional
-    to (u(V)/u(t0))^coeff (coeff < 0) has certifiably fallen by the given
-    log amount.  March-and-bisect on the monotone log.
+    The step from t0 doubles until the target is passed, then 80 bisections
+    on the monotone log close in; the returned time lies past the crossing.
     """
-    if coeff >= 0:
-        raise ValueError("need a negative envelope exponent")
     if log_drop <= 0:
         return t0
-    target = rate.log_u(t0) + log_drop / (-coeff)
-    lo, hi = t0, t0 + 1.0
-    while rate.log_u(hi) < target:
-        lo, hi = hi, t0 + 2 * (hi - t0)
-        if hi - t0 > cap:
+    target = way * rate.log_u(t0) + log_drop  # way * log u must reach this
+    near, far = t0, t0 + way
+    while way * rate.log_u(far) < target:
+        near, far = far, t0 + 2 * (far - t0)
+        if abs(far - t0) > cap:
             raise TailCertificationError(
-                f"rate {rate.name!r} does not grow enough within {cap:g} of t0={t0:g} to certify the tail"
+                f"rate {rate.name!r} does not {'grow' if way > 0 else 'decay'} enough within {cap:g} of t0={t0:g}"
             )
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if rate.log_u(mid) < target:
-            lo = mid
+        mid = 0.5 * (near + far)
+        if way * rate.log_u(mid) < target:
+            near = mid
         else:
-            hi = mid
-    return hi
+            far = mid
+    return far
+
+
+def time_for_log_decrease(rate: GrowthRate, t0: float, log_drop: float, cap: float = 1e6) -> float:
+    """Smallest grid-friendly V >= t0 with log u(V) >= log u(t0) + log_drop.
+
+    An envelope (u(V)/u(t0))^-c on the tail [V, inf) has then fallen by
+    c * log_drop: the caller divides its log drop by c.
+    """
+    return _crossing(rate, t0, log_drop, 1.0, cap)
 
 
 def time_backward_for_log_drop(rate: GrowthRate, t0: float, log_drop: float, cap: float = 1e6) -> float:
@@ -48,20 +54,4 @@ def time_backward_for_log_drop(rate: GrowthRate, t0: float, log_drop: float, cap
 
     Only meaningful for full-line rates (log u -> -inf backward).
     """
-    if log_drop <= 0:
-        return t0
-    target = rate.log_u(t0) - log_drop
-    lo, hi = t0 - 1.0, t0
-    while rate.log_u(lo) > target:
-        lo, hi = t0 - 2 * (t0 - lo), lo
-        if t0 - lo > cap:
-            raise TailCertificationError(
-                f"rate {rate.name!r} does not decay enough within {cap:g} of t0={t0:g}"
-            )
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if rate.log_u(mid) > target:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    return _crossing(rate, t0, log_drop, -1.0, cap)

@@ -128,10 +128,11 @@ def test_dense_lookup_of_an_array_matches_one_time_at_a_time(a, b):
 
 def test_dense_stage_times_stay_on_their_side_of_the_jump():
     # an end a hair below the jump at 0: RK stage times that round onto or
-    # past it must still see the field of t < 0
+    # past it must still see the field of t < 0; an end a hair above it
+    # makes 0 a knot, so no piece integrates across the jump
     op, analytic = example22_pair()
     x = np.array([1.0, 1.0])
-    for end in (-1.6549270241938287e-36, -1e-20, 0.0):
+    for end in (-1.6549270241938287e-36, -1e-20, 0.0, 1e-300):
         want = analytic(end, -1.0) @ x
         got = op.vector_solution(-1.0, end, x)(end)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
@@ -203,12 +204,31 @@ def test_jump_at_checkpoint_sees_one_sided_limits(c):
     assert abs(got - 1.0) <= 1e-9
 
 
-def test_times_within_round_off_of_a_checkpoint_count_as_on_it():
-    # 0.3 / 0.1 is 2.9999999999999996: taken literally, the span would start
-    # with a piece 5.6e-17 long, up to the checkpoint 3 * 0.1
+def test_every_checkpoint_strictly_inside_a_span_is_a_knot():
+    # 3 * 0.1 is 0.30000000000000004 and 7 * 0.1 is 0.7000000000000001:
+    # the first lies inside (0.3, 0.7) and is a knot, the second does not
     op = EvolutionOperator(constant_field([[1.0]]), IntegratorConfig(checkpoint_spacing=0.1))
-    assert [round(lo, 12) for lo, _ in op._pieces(0.3, 0.7)] == [0.3, 0.4, 0.5, 0.6]
-    assert [round(lo, 12) for lo, _ in op._pieces(0.7, 0.3)] == [0.7, 0.6, 0.5, 0.4]
+    checkpoints = [i * 0.1 for i in range(10)]
+    for a, b in ((0.3, 0.7), (0.7, 0.3)):
+        pieces = op._pieces(a, b)
+        assert pieces[0][0] == a and pieces[-1][1] == b
+        assert all(q == p for (_, q), (p, _) in zip(pieces, pieces[1:]))
+        assert all((q - p) * (b - a) > 0 for p, q in pieces)
+        assert not any(min(p, q) < c < max(p, q) for p, q in pieces for c in checkpoints)
+        assert {c for p, q in pieces for c in (p, q)} == {a, b} | {c for c in checkpoints if 0.3 < c < 0.7}
+    op.evolve(0.7, 0.3)
+    assert list(op._cache) == op._pieces(0.3, 0.7)
+    # an end a hair past a checkpoint costs no backward sliver
+    op = EvolutionOperator(constant_field([[1.0]]))
+    op.evolve(3.0, 1e-10)
+    assert list(op._cache) == [(1e-10, 1.0), (1.0, 2.0), (2.0, 3.0)]
+
+
+@pytest.mark.parametrize("t, s", [(0.5, 0.25), (1.0, 0.0), (2.5, 0.5)])
+def test_writing_into_an_evolve_result_leaves_the_cache_intact(t, s):
+    op = EvolutionOperator(constant_field([[-1.0]]))
+    op.evolve(t, s)[0, 0] = 7.0
+    assert op.evolve(t, s)[0, 0] == pytest.approx(math.exp(s - t), rel=1e-9)
 
 
 def test_evolve_pairs_memory_is_linear_in_times():
