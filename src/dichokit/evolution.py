@@ -13,6 +13,17 @@ by one rule (`EvolutionOperator._pieces`): each checkpoint i * spacing
 strictly between its ends, compared exactly, is a knot.  Segment endpoints
 are evaluated one floating-point step inside the segment so each integration
 sees the correct one-sided limit, at any |t|.
+
+A span inside one cell is one cached solve.  A span across knots is served
+from step tables, one cached solve per lattice cell and orientation that
+keeps every step the solver accepted (`EvolutionOperator._table`): a whole
+cell is its forward table's last row, and each off-lattice end is a table
+row times one short uncached solve that lies inside an accepted step, so it
+takes one step.  The end piece from s up to the first knot c uses the
+adjoint form: Z' = -Z A with Z(c) = I, solved from c back across the cell,
+has the rows Z(v) = T(c, v), so still nothing is inverted.  Every cell that
+holds an end of a multi-cell span is integrated end to end once, so the
+spacing must keep one cell's transition in floating-point range.
 """
 
 from __future__ import annotations
@@ -29,7 +40,13 @@ from .system import CoefficientField
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances, step cap and checkpoint lattice of every solve (see `_integrate`)."""
+    """Tolerances, step cap and checkpoint lattice of every solve (see `_integrate`).
+
+    The checkpoint spacing must keep one cell's transition in floating-point
+    range: a cell holding an end of a multi-cell `evolve` span is integrated
+    end to end, so with A = +1 a spacing of 2e4 overflows (e^{2e4}) and
+    raises IntegrationError naming the cell.
+    """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -56,18 +73,22 @@ def _inward(a: float, b: float):
     return lambda t: first if t <= lo else last if t >= hi else t
 
 
-def _integrate(solve, rhs, span, y0, rtol, atol, max_step=math.inf, dense_output=False, t_eval=None):
+def _integrate(
+    solve, rhs, span, y0, rtol, atol, max_step=math.inf, dense_output=False, t_eval=None, first_step=None
+):
     """One adaptive solve of y' = rhs(t, y) over `span` by the 8(5,3) Dormand-Prince pair.
 
     Every solve in the package goes through here.  `solve` is the caller's
     module-level `solve_ivp`, passed at each call so that a rebinding of
-    that global sees every solve.  Raises IntegrationError at the last time
-    reached (the last output time when `t_eval` is given) if the solve
-    fails.
+    that global sees every solve.  `first_step` is the first trial step
+    (None lets the solver choose one); a solve inside a step that a solve at
+    the same tolerance already accepted passes its own length, so it takes
+    one step.  Raises IntegrationError at the last time reached (the last
+    output time when `t_eval` is given) if the solve fails.
     """
     sol = solve(
         rhs, span, y0, method="DOP853", rtol=rtol, atol=atol, max_step=max_step,
-        dense_output=dense_output, t_eval=t_eval,
+        dense_output=dense_output, t_eval=t_eval, first_step=first_step,
     )
     if not sol.success:
         reached = sol.t[-1] if sol.t.size else span[0]
@@ -81,34 +102,71 @@ class EvolutionOperator:
     def __init__(self, field: CoefficientField, config: IntegratorConfig | None = None):
         self.field = field
         self.config = config or IntegratorConfig()
-        self._cache: dict[tuple[float, float], np.ndarray] = {}
+        # (a, b, inverse) -> step table (times, matrices); see `_table`
+        self._cache: dict[tuple[float, float, bool], tuple[np.ndarray, np.ndarray]] = {}
 
     # -- low-level integration ------------------------------------------------
 
-    def _integrate_matrix(self, a: float, b: float, m0: np.ndarray, dense: bool = False):
-        """(dense lookup or None, Y(b)) for Y' = A(v) Y, Y(a) = m0."""
-        n = self.field.dim
-        cols = np.asarray(m0).shape[1]
+    def _integrate_matrix(self, a: float, b: float, m0: np.ndarray, dense=False, adjoint=False, first_step=None):
+        """The solve of Y' = A(v) Y, or Y' = -Y A(v) if `adjoint`, from Y(a) = m0 to b."""
+        field, shape = self.field, np.shape(m0)
         inward = _inward(a, b)
 
         def rhs(t, y):
-            return (self.field(inward(t)) @ y.reshape(n, cols)).ravel()
+            return (field(inward(t)) @ y.reshape(shape)).ravel()
+
+        def adjoint_rhs(t, y):
+            return -(y.reshape(shape) @ field(inward(t))).ravel()
 
         cfg = self.config
         y0 = np.asarray(m0, dtype=float).ravel()
-        sol = _integrate(solve_ivp, rhs, (a, b), y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, dense_output=dense)
-        lookup = (lambda v, interp=sol.sol: interp(v).T.reshape(-1, n, cols)) if dense else None
-        return lookup, sol.y[:, -1].reshape(n, cols)
+        return _integrate(
+            solve_ivp, adjoint_rhs if adjoint else rhs, (a, b), y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
+            dense_output=dense, first_step=first_step,
+        )
+
+    def _table(self, a: float, b: float, inverse: bool):
+        """Step table (times, matrices) of one solve over [a, b], cached.
+
+        Forward, Y' = A Y from Y(a) = I to b: times run from a to b and
+        matrices[j] = T(times[j], a).  Inverse, Z' = -Z A from Z(b) = I back
+        to a: times run from b to a and matrices[j] = T(b, times[j]).  The
+        times are the steps the solver accepted, both ends included.
+        """
+        key = (a, b, inverse)
+        hit = self._cache.get(key)
+        if hit is None:
+            eye = np.eye(self.field.dim)
+            sol = self._integrate_matrix(b, a, eye, adjoint=True) if inverse else self._integrate_matrix(a, b, eye)
+            hit = self._cache[key] = (sol.t, sol.y.T.reshape(-1, *eye.shape))
+        return hit
 
     def _segment(self, a: float, b: float) -> np.ndarray:
-        """Transition matrix T(b, a), cached."""
-        key = (a, b)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        _, m = self._integrate_matrix(a, b, np.eye(self.field.dim))
-        self._cache[key] = m
-        return m
+        """Transition matrix T(b, a), the last row of the forward table of [a, b]."""
+        return self._table(a, b, False)[1][-1]
+
+    def _end(self, a: float, b: float, x: float, inverse: bool) -> np.ndarray:
+        """T(b, x) from the inverse table of the cell [a, b], or T(x, a) from its forward table.
+
+        The table row at the step time nearest x between the table's start
+        and x is joined to x by one short solve, uncached, that lies inside
+        an accepted step, so its first trial step is its own length.
+        """
+        times, mats = self._table(a, b, inverse)
+        j = np.count_nonzero(times <= x if (b > a) != inverse else times >= x) - 1
+        if times[j] == x:
+            return mats[j]
+        n = self.field.dim
+        p, q = (x, times[j]) if inverse else (times[j], x)
+        short = self._integrate_matrix(p, q, np.eye(n), first_step=abs(q - p)).y[:, -1].reshape(n, n)
+        return mats[j] @ short if inverse else short @ mats[j]
+
+    def _knots(self, a: float, b: float) -> list[int]:
+        """The i of every checkpoint i * spacing strictly between a and b, compared exactly, from a to b."""
+        c = self.config.checkpoint_spacing
+        lo, hi = min(a, b), max(a, b)
+        inner = [i for i in range(math.floor(lo / c), math.ceil(hi / c) + 1) if lo < i * c < hi]
+        return inner if b > a else inner[::-1]
 
     def _pieces(self, a: float, b: float):
         """[a, b] as consecutive (start, end) pieces, in the direction from a to b.
@@ -118,25 +176,34 @@ class EvolutionOperator:
         an end by round-off is a knot, and gives a piece a few ulps long.
         """
         c = self.config.checkpoint_spacing
-        lo, hi = min(a, b), max(a, b)
-        inner = [i * c for i in range(math.floor(lo / c), math.ceil(hi / c) + 1) if lo < i * c < hi]
-        knots = [a] + (inner if b > a else inner[::-1]) + [b]
+        knots = [a] + [i * c for i in self._knots(a, b)] + [b]
         return list(zip(knots[:-1], knots[1:]))
 
     # -- public surface --------------------------------------------------------
 
     def evolve(self, t: float, s: float) -> np.ndarray:
-        """T(t, s), the product of the cached segments of `_pieces(s, t)`; T(s, s) = I.
+        """T(t, s), the product over the pieces of `_pieces(s, t)`; T(s, s) = I.
 
-        The result is a new array, never a cached segment itself.
+        A span inside one cell is one cached solve.  Across knots
+        c_1, ..., c_k, T(t, s) = T(t, c_k) T(c_k, c_{k-1}) ... T(c_1, s): the
+        whole cells are forward-table last rows, T(c_1, s) comes from the
+        inverse table of the cell holding s (its forward table if s is a
+        checkpoint) and T(t, c_k) from the forward table of the cell holding
+        t, each end by one short solve (see `_end`).  The result is a new
+        array, never a cached table row.
         """
         if t == s:
             return np.eye(self.field.dim)
-        (p, q), *rest = self._pieces(s, t)
-        m = self._segment(p, q)
-        for p, q in rest:
+        knots = self._knots(s, t)
+        if not knots:
+            return self._segment(s, t).copy()
+        step = 1 if t > s else -1
+        c = self.config.checkpoint_spacing
+        cells = [i * c for i in [knots[0] - step, *knots, knots[-1] + step]]
+        m = self._segment(cells[0], cells[1]) if s == cells[0] else self._end(cells[0], cells[1], s, True)
+        for p, q in zip(cells[1:-2], cells[2:-1]):
             m = self._segment(p, q) @ m
-        return m if rest else m.copy()
+        return self._end(cells[-2], cells[-1], t, False) @ m
 
     def evolve_pairs(self, t, s) -> np.ndarray:
         """Stack of T(t_k, s_k) for arrays of pairs in either orientation.
@@ -192,8 +259,9 @@ class EvolutionOperator:
             return lambda v: np.broadcast_to(m0, np.shape(v) + m0.shape).copy()
         dense, y = [], m0
         for p, q in self._pieces(a, b):
-            lookup, y = self._integrate_matrix(p, q, y, dense=True)
-            dense.append((min(p, q), max(p, q), lookup))
+            sol = self._integrate_matrix(p, q, y, dense=True)
+            y = sol.y[:, -1].reshape(m0.shape)
+            dense.append((min(p, q), max(p, q), lambda v, interp=sol.sol: interp(v).T.reshape(-1, *m0.shape)))
 
         def at(v):
             vs = np.atleast_1d(np.asarray(v, dtype=float))
@@ -214,9 +282,13 @@ class EvolutionOperator:
         return lambda v: col(v)[..., 0]
 
     def cache_report(self) -> dict:
-        """Cached segment count and the worst condition number among them."""
-        mats = list(self._cache.values())
-        if not mats:
+        """Cached solve count and the worst condition number among them.
+
+        `segments` counts every cached solve: the step tables of the cells
+        and the single-piece spans.  `worst_condition` is taken over each
+        table's last row, its transition across its whole span.
+        """
+        if not self._cache:
             return {"segments": 0, "worst_condition": 1.0}
-        conds = [float(np.linalg.cond(m)) for m in mats]
-        return {"segments": len(mats), "worst_condition": max(conds)}
+        conds = [float(np.linalg.cond(mats[-1])) for _, mats in self._cache.values()]
+        return {"segments": len(conds), "worst_condition": max(conds)}

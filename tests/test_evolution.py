@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from dichokit import evolution, spectrum
 from dichokit.dichotomy import DichotomySpec, ProjectionFamily
@@ -199,9 +202,20 @@ def test_jump_at_checkpoint_sees_one_sided_limits(c):
     # A = -1 before the jump at c and +1 from it on, so T(c + 1/2, c - 1/2) = 1
     # exactly; a relative endpoint nudge rounds back onto c once |c| is large
     field = CoefficientField(1, lambda t: np.array([[-1.0 if t < c else 1.0]]))
-    op = EvolutionOperator(field, IntegratorConfig(checkpoint_spacing=c))
+    op = EvolutionOperator(field)
+    assert op._pieces(c - 0.5, c + 0.5) == [(c - 0.5, c), (c, c + 0.5)]
     got = op.evolve(c + 0.5, c - 0.5)[0, 0]
     assert abs(got - 1.0) <= 1e-9
+
+
+def test_a_cell_whose_transition_overflows_raises_naming_it():
+    # the end c + 1/2 lies in the cell [c, 2c], which is integrated end to
+    # end; with A = +1 there its transition is e^{2e4}, past the largest double
+    c = 2e4
+    field = CoefficientField(1, lambda t: np.array([[-1.0 if t < c else 1.0]]))
+    op = EvolutionOperator(field, IntegratorConfig(checkpoint_spacing=c))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError, match=r"\[20000.0, 40000.0\]"):
+        op.evolve(c + 0.5, c - 0.5)
 
 
 def test_every_checkpoint_strictly_inside_a_span_is_a_knot():
@@ -216,12 +230,14 @@ def test_every_checkpoint_strictly_inside_a_span_is_a_knot():
         assert all((q - p) * (b - a) > 0 for p, q in pieces)
         assert not any(min(p, q) < c < max(p, q) for p, q in pieces for c in checkpoints)
         assert {c for p, q in pieces for c in (p, q)} == {a, b} | {c for c in checkpoints if 0.3 < c < 0.7}
+    # the tables are keyed by whole cells, every end a checkpoint i * 0.1
     op.evolve(0.7, 0.3)
-    assert list(op._cache) == op._pieces(0.3, 0.7)
-    # an end a hair past a checkpoint costs no backward sliver
+    assert list(op._cache) == [(2 * 0.1, 3 * 0.1, True)] + [(i * 0.1, (i + 1) * 0.1, False) for i in range(3, 7)]
+    # an end a hair past a checkpoint costs no backward sliver, and no solve
+    # that ends at it is cached
     op = EvolutionOperator(constant_field([[1.0]]))
     op.evolve(3.0, 1e-10)
-    assert list(op._cache) == [(1e-10, 1.0), (1.0, 2.0), (2.0, 3.0)]
+    assert list(op._cache) == [(0.0, 1.0, True), (1.0, 2.0, False), (2.0, 3.0, False)]
 
 
 @pytest.mark.parametrize("t, s", [(0.5, 0.25), (1.0, 0.0), (2.5, 0.5)])
@@ -250,3 +266,121 @@ def test_evolve_pairs_memory_is_linear_in_times():
         tracemalloc.stop()
     full_table = n_times**2 * 2 * 2 * 8
     assert peak < full_table / 10
+
+
+def test_the_cache_is_bounded_by_the_cells_touched():
+    # at most four step tables per cell of [-4, 4], plus one cached solve per
+    # query inside one cell
+    op, _ = example22_pair()
+    rng = np.random.default_rng(14)
+    queries = rng.uniform(-4.0, 4.0, size=(2000, 2)).tolist()
+    single = {(s, t) for t, s in queries if not op._knots(s, t)}
+    for t, s in queries:
+        op.evolve(t, s)
+    assert op.cache_report()["segments"] <= 4 * 8 + len(single)
+
+
+NONNORMAL = np.array([[-1.0, 3.0], [0.5, 1.0]])
+
+
+def nonnormal_setup():
+    def rel(got, want):
+        return np.linalg.norm(got - want, 2) / np.linalg.norm(want, 2)
+
+    return constant_field(NONNORMAL), lambda t, s: expm(NONNORMAL * (t - s)), rel
+
+
+def example22_setup():
+    field, analytic, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
+
+    def rel(got, want):
+        assert got[0, 1] == got[1, 0] == 0.0
+        return np.max(np.abs(np.diag(got) - np.diag(want)) / np.diag(want))
+
+    return field, analytic, rel
+
+
+def assert_matches_fresh_pieces(op, t, s, exact, rel):
+    """evolve(t, s) against the product of fresh solves over _pieces(s, t), and the exact value."""
+    n = op.field.dim
+    got = op.evolve(t, s)
+    if t == s:
+        assert np.array_equal(got, np.eye(n))
+        return
+    fresh = EvolutionOperator(op.field, op.config)
+    want = np.eye(n)
+    for p, q in fresh._pieces(s, t):
+        want = fresh._integrate_matrix(p, q, np.eye(n)).y[:, -1].reshape(n, n) @ want
+    assert rel(got, want) <= 1e-9
+    assert rel(got, exact(t, s)) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=st.sampled_from([nonnormal_setup, example22_setup]), spacing=st.sampled_from([1.0, 0.1]), data=st.data())
+def test_tables_match_fresh_piece_solves(setup, spacing, data):
+    # ends anywhere, on checkpoints, one ulp off one, or on a step time of
+    # the table that serves them; both orientations
+    field, exact, rel = setup()
+    op = EvolutionOperator(field, IntegratorConfig(checkpoint_spacing=spacing))
+    index = st.integers(round(-3 / spacing), round(3 / spacing))
+    end = st.one_of(
+        st.floats(-3.0, 3.0),
+        index.map(lambda i: i * spacing),
+        st.tuples(index, st.sampled_from([-math.inf, math.inf])).map(lambda x: math.nextafter(x[0] * spacing, x[1])),
+    )
+    t, s = data.draw(end), data.draw(end)
+    knots = op._knots(s, t)
+    if knots and data.draw(st.booleans(), label="ends on step times"):
+        op.evolve(t, s)
+        step = 1 if t > s else -1
+        near = op._cache.get(((knots[0] - step) * spacing, knots[0] * spacing, True))
+        far = op._cache[(knots[-1] * spacing, (knots[-1] + step) * spacing, False)]
+        # a step time strictly inside the cell keeps the knots of the span
+        if near is not None and near[0].size > 2:
+            s = data.draw(st.sampled_from(near[0][1:-1].tolist()))
+        if far[0].size > 2:
+            t = data.draw(st.sampled_from(far[0][1:-1].tolist()))
+    assert_matches_fresh_pieces(op, t, s, exact, rel)
+
+
+@pytest.mark.parametrize("setup", [nonnormal_setup, example22_setup])
+@pytest.mark.parametrize("t, s", [(0.7, 0.3), (0.3, 0.7)])
+def test_tables_match_fresh_piece_solves_one_ulp_off_a_checkpoint(setup, t, s):
+    # 3 * 0.1 and 7 * 0.1 miss 0.3 and 0.7 by one ulp, so the span has an
+    # end piece one ulp long at one end and one ulp short of a cell at the other
+    field, exact, rel = setup()
+    op = EvolutionOperator(field, IntegratorConfig(checkpoint_spacing=0.1))
+    assert_matches_fresh_pieces(op, t, s, exact, rel)
+
+
+def test_a_multi_cell_evolve_over_built_tables_makes_two_one_step_solves(monkeypatch):
+    # once the tables of the touched cells exist, each end costs one short
+    # solve whose first trial step is its whole length: one DOP853 step is 13
+    # field evaluations, so about 26 per query
+    field, _, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
+    op = EvolutionOperator(field)
+    rng = np.random.default_rng(1414)
+    queries = [q for q in rng.uniform(-10.0, 10.0, size=(240, 2)).tolist() if op._knots(q[1], q[0])][:200]
+    assert len(queries) == 200
+    for t, s in queries:
+        op.evolve(t, s)
+    seen = []
+
+    def recording(rhs, span, *args, real=evolution.solve_ivp, **kwargs):
+        sol = real(rhs, span, *args, **kwargs)
+        seen.append((abs(span[1] - span[0]), kwargs["first_step"], sol.nfev))
+        return sol
+
+    monkeypatch.setattr(evolution, "solve_ivp", recording)
+    nfev = 0
+    for t, s in queries:
+        seen.clear()
+        op.evolve(t, s)
+        assert len(seen) == 2 and all(length == first for length, first, _ in seen)
+        nfev += sum(n for _, _, n in seen)
+    assert nfev <= 30 * len(queries)
+    # ends on step times of their tables need no short solve at all
+    seen.clear()
+    near, far = op._cache[(-1.0, 0.0, True)][0], op._cache[(2.0, 3.0, False)][0]
+    op.evolve(far[1], near[1])
+    assert seen == []
