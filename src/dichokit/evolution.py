@@ -18,17 +18,20 @@ A span inside one cell is one cached solve.  A span across knots is served
 from step tables, one cached solve per lattice cell and orientation that
 keeps every step the solver accepted (`EvolutionOperator._table`): a whole
 cell is its forward table's last row, and each off-lattice end is a table
-row times one short uncached solve that lies inside an accepted step, so it
-takes one step.  The end piece from s up to the first knot c uses the
-adjoint form: Z' = -Z A with Z(c) = I, solved from c back across the cell,
-has the rows Z(v) = T(c, v), so still nothing is inverted.  Every cell that
-holds an end of a multi-cell span is integrated end to end once, so the
-spacing must keep one cell's transition in floating-point range.
+row times a short piece that lies inside an accepted step.  Both short
+pieces of a span are solved together, uncached, in one paired solve on one
+clock (`EvolutionOperator._paired`), which nearly always takes one step.  The end piece
+from s up to the first knot c uses the adjoint form: Z' = -Z A with
+Z(c) = I, solved from c back across the cell, has the rows Z(v) = T(c, v),
+so still nothing is inverted.  Every cell that holds an end of a
+multi-cell span is integrated end to end once, so the spacing must keep one
+cell's transition in floating-point range.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +85,8 @@ def _integrate(
     module-level `solve_ivp`, passed at each call so that a rebinding of
     that global sees every solve.  `first_step` is the first trial step
     (None lets the solver choose one); a solve inside a step that a solve at
-    the same tolerance already accepted passes its own length, so it takes
-    one step.  Raises IntegrationError at the last time reached (the last
+    the same tolerance already accepted passes its own length, so it mostly
+    takes one step, and so does a span of subnormal length.  Raises IntegrationError at the last time reached (the last
     output time when `t_eval` is given) if the solve fails.
     """
     sol = solve(
@@ -107,8 +110,13 @@ class EvolutionOperator:
 
     # -- low-level integration ------------------------------------------------
 
-    def _integrate_matrix(self, a: float, b: float, m0: np.ndarray, dense=False, adjoint=False, first_step=None):
-        """The solve of Y' = A(v) Y, or Y' = -Y A(v) if `adjoint`, from Y(a) = m0 to b."""
+    def _integrate_matrix(self, a: float, b: float, m0: np.ndarray, dense=False, adjoint=False):
+        """The solve of Y' = A(v) Y, or Y' = -Y A(v) if `adjoint`, from Y(a) = m0 to b.
+
+        A span shorter than the smallest normal double passes its own length
+        as the first trial step, since the solver's own first-step guess
+        divides by it and overflows.
+        """
         field, shape = self.field, np.shape(m0)
         inward = _inward(a, b)
 
@@ -120,6 +128,7 @@ class EvolutionOperator:
 
         cfg = self.config
         y0 = np.asarray(m0, dtype=float).ravel()
+        first_step = abs(b - a) if abs(b - a) < sys.float_info.min else None
         return _integrate(
             solve_ivp, adjoint_rhs if adjoint else rhs, (a, b), y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
             dense_output=dense, first_step=first_step,
@@ -145,21 +154,53 @@ class EvolutionOperator:
         """Transition matrix T(b, a), the last row of the forward table of [a, b]."""
         return self._table(a, b, False)[1][-1]
 
-    def _end(self, a: float, b: float, x: float, inverse: bool) -> np.ndarray:
-        """T(b, x) from the inverse table of the cell [a, b], or T(x, a) from its forward table.
+    def _end(self, a: float, b: float, x: float, inverse: bool):
+        """(row, piece) for the end x of a multi-cell span in the cell [a, b].
 
-        The table row at the step time nearest x between the table's start
-        and x is joined to x by one short solve, uncached, that lies inside
-        an accepted step, so its first trial step is its own length.
+        Inverse: row = T(b, w) from the cell's inverse table and piece =
+        (x, w), so T(b, x) = row T(w, x).  Forward: row = T(v, a) from its
+        forward table and piece = (v, x), so T(x, a) = T(x, v) row.  w or v
+        is the table's step time nearest x between the table's start and x,
+        so the piece lies inside a step the solver accepted.  piece is None
+        when x is that step time or the checkpoint a; the near end on a
+        checkpoint reads the forward table, so no inverse table is built.
         """
+        if x == a:
+            return self._segment(a, b), None
         times, mats = self._table(a, b, inverse)
         j = np.count_nonzero(times <= x if (b > a) != inverse else times >= x) - 1
         if times[j] == x:
-            return mats[j]
-        n = self.field.dim
-        p, q = (x, times[j]) if inverse else (times[j], x)
-        short = self._integrate_matrix(p, q, np.eye(n), first_step=abs(q - p)).y[:, -1].reshape(n, n)
-        return mats[j] @ short if inverse else short @ mats[j]
+            return mats[j], None
+        return mats[j], (x, times[j]) if inverse else (times[j], x)
+
+    def _paired(self, pieces) -> np.ndarray:
+        """Stack of T(q_k, p_k) for the short end pieces (p_k, q_k), by one solve on one clock.
+
+        sigma runs over [0, l], l the longest piece; piece k is evaluated at
+        p_k + c_k sigma, c_k = (q_k - p_k) / l, clamped into it by
+        `_inward`, and its block of the stacked state starts from I.  Each
+        stage evaluates the field at every piece's time through
+        `CoefficientField.stack`, one check per stage.  Each piece lies
+        inside a step that a solve at the same tolerance accepted, so the
+        first trial step is l and the solve nearly always takes one step
+        (one of 200 random Example 2.2 queries takes two).  scipy's RMS
+        error norm pools the entries of the pieces, so one piece's local
+        error may exceed rel_tol by up to sqrt(2), as in
+        `lyapfun._congruence_sweep`.  Uncached.
+        """
+        n, field, cfg = self.field.dim, self.field, self.config
+        ell = max(abs(q - p) for p, q in pieces)
+        c = np.array([(q - p) / ell for p, q in pieces])
+        clamps = [(_inward(p, q), p, ck) for (p, q), ck in zip(pieces, c.tolist())]
+        scale = c[:, None, None]
+
+        def rhs(sigma, y):
+            a = field.stack([inward(p + ck * sigma) for inward, p, ck in clamps])
+            return (scale * (a @ y.reshape(-1, n, n))).ravel()
+
+        y0 = np.tile(np.eye(n).ravel(), len(pieces))
+        sol = _integrate(solve_ivp, rhs, (0.0, ell), y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, first_step=ell)
+        return sol.y[:, -1].reshape(-1, n, n)
 
     def _knots(self, a: float, b: float) -> list[int]:
         """The i of every checkpoint i * spacing strictly between a and b, compared exactly, from a to b."""
@@ -189,8 +230,10 @@ class EvolutionOperator:
         whole cells are forward-table last rows, T(c_1, s) comes from the
         inverse table of the cell holding s (its forward table if s is a
         checkpoint) and T(t, c_k) from the forward table of the cell holding
-        t, each end by one short solve (see `_end`).  The result is a new
-        array, never a cached table row.
+        t (see `_end`).  The short pieces that join the ends to their table
+        rows are solved together by one paired solve (`_paired`); an end on
+        a step time or a checkpoint has no piece, and with no piece there is
+        no solve.  The result is a new array, never a cached table row.
         """
         if t == s:
             return np.eye(self.field.dim)
@@ -200,10 +243,18 @@ class EvolutionOperator:
         step = 1 if t > s else -1
         c = self.config.checkpoint_spacing
         cells = [i * c for i in [knots[0] - step, *knots, knots[-1] + step]]
-        m = self._segment(cells[0], cells[1]) if s == cells[0] else self._end(cells[0], cells[1], s, True)
-        for p, q in zip(cells[1:-2], cells[2:-1]):
-            m = self._segment(p, q) @ m
-        return self._end(cells[-2], cells[-1], t, False) @ m
+        near, near_piece = self._end(cells[0], cells[1], s, True)
+        whole = [self._segment(p, q) for p, q in zip(cells[1:-2], cells[2:-1])]
+        far, far_piece = self._end(cells[-2], cells[-1], t, False)
+        pieces = [p for p in (near_piece, far_piece) if p]
+        shorts = self._paired(pieces) if pieces else ()
+        if near_piece:
+            near = near @ shorts[0]
+        if far_piece:
+            far = shorts[-1] @ far
+        for seg in whole:
+            near = seg @ near
+        return far @ near
 
     def evolve_pairs(self, t, s) -> np.ndarray:
         """Stack of T(t_k, s_k) for arrays of pairs in either orientation.

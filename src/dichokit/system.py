@@ -43,6 +43,34 @@ class CoefficientField:
             raise ValueError(f"field returned non-finite entries at t={t}")
         return a
 
+    def stack(self, ts) -> np.ndarray:
+        """The (m, n, n) stack of A(t) for the m times `ts`, checked once for the whole stack.
+
+        It equals ``np.array([self(t) for t in ts])``: the domain, the shape
+        and finiteness are checked as by `__call__`, but once for the stack
+        rather than once per time, and an error names the first bad t.
+        """
+        ts = list(ts)
+        if not ts:
+            return np.empty((0, self.dim, self.dim))
+        if self.domain == "half":
+            bad = next((t for t in ts if t < 0), None)
+            if bad is not None:
+                raise DomainError(f"field is half-line only, got t={bad}")
+        mats = [self.eval(t) for t in ts]
+        want = (self.dim, self.dim)
+        try:
+            a = np.array(mats, dtype=float)
+        except ValueError:  # rows of differing shapes
+            a = None
+        if a is None or a.shape != (len(ts), *want):
+            t, shape = next((t, np.shape(m)) for t, m in zip(ts, mats) if np.shape(m) != want)
+            raise ValueError(f"field returned shape {shape} at t={t}, expected {want}")
+        if not np.isfinite(a).all():
+            k = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))[0]
+            raise ValueError(f"field returned non-finite entries at t={ts[k]}")
+        return a
+
 
 def constant_field(matrix, domain: str = "full") -> CoefficientField:
     a = np.array(matrix, dtype=float)

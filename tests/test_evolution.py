@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -353,12 +354,19 @@ def test_tables_match_fresh_piece_solves_one_ulp_off_a_checkpoint(setup, t, s):
     assert_matches_fresh_pieces(op, t, s, exact, rel)
 
 
-def test_a_multi_cell_evolve_over_built_tables_makes_two_one_step_solves(monkeypatch):
-    # once the tables of the touched cells exist, each end costs one short
-    # solve whose first trial step is its whole length: one DOP853 step is 13
-    # field evaluations, so about 26 per query
+def test_a_multi_cell_evolve_over_built_tables_makes_one_paired_one_step_solve(monkeypatch):
+    # once the tables of the touched cells exist, both end pieces of a query
+    # share one solve on one clock whose first trial step is the clock's whole
+    # length: one DOP853 step is 13 right-hand sides, each evaluating the
+    # field at both pieces, so about 26 field evaluations per query
     field, _, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
-    op = EvolutionOperator(field)
+    evals = [0]
+
+    def counting(t, ev=field.eval):
+        evals[0] += 1
+        return ev(t)
+
+    op = EvolutionOperator(CoefficientField(field.dim, counting, field.domain))
     rng = np.random.default_rng(1414)
     queries = [q for q in rng.uniform(-10.0, 10.0, size=(240, 2)).tolist() if op._knots(q[1], q[0])][:200]
     assert len(queries) == 200
@@ -366,21 +374,59 @@ def test_a_multi_cell_evolve_over_built_tables_makes_two_one_step_solves(monkeyp
         op.evolve(t, s)
     seen = []
 
-    def recording(rhs, span, *args, real=evolution.solve_ivp, **kwargs):
-        sol = real(rhs, span, *args, **kwargs)
-        seen.append((abs(span[1] - span[0]), kwargs["first_step"], sol.nfev))
+    def recording(rhs, span, y0, *args, real=evolution.solve_ivp, **kwargs):
+        sol = real(rhs, span, y0, *args, **kwargs)
+        seen.append((span, kwargs["first_step"], len(y0) // 4))
         return sol
 
     monkeypatch.setattr(evolution, "solve_ivp", recording)
-    nfev = 0
+    evals[0] = 0
     for t, s in queries:
         seen.clear()
         op.evolve(t, s)
-        assert len(seen) == 2 and all(length == first for length, first, _ in seen)
-        nfev += sum(n for _, _, n in seen)
-    assert nfev <= 30 * len(queries)
-    # ends on step times of their tables need no short solve at all
-    seen.clear()
+        [(span, first, pieces)] = seen
+        assert span == (0.0, first) and pieces == 2
+    assert evals[0] <= 30 * len(queries)
     near, far = op._cache[(-1.0, 0.0, True)][0], op._cache[(2.0, 3.0, False)][0]
+    # an end on a step time of its table, or on a checkpoint, needs no piece
+    for t, s in ((far[1], -0.37), (2.5, -1.0), (2.5, near[1])):
+        op.evolve(t, s)  # builds any table the end reads
+        seen.clear()
+        op.evolve(t, s)
+        [(span, first, pieces)] = seen
+        assert span == (0.0, first) and pieces == 1
+    # both ends on step times need no solve at all
+    seen.clear()
     op.evolve(far[1], near[1])
     assert seen == []
+
+
+def test_a_nan_inside_an_end_piece_raises_naming_its_time():
+    # the tables of the span are built clean; then the field turns NaN on the
+    # far end piece (v, t) alone, which only the paired solve evaluates
+    poisoned = []
+
+    def ev(t):
+        return np.array([[math.nan if poisoned and poisoned[0] < t < poisoned[1] else -1.0]])
+
+    op = EvolutionOperator(CoefficientField(1, ev))
+    t, s = 2.5, 0.5
+    op.evolve(t, s)
+    times = op._cache[(2.0, 3.0, False)][0]
+    v = times[np.count_nonzero(times <= t) - 1]
+    assert v < t
+    poisoned[:] = [v, t]
+    with pytest.raises(ValueError, match="non-finite entries") as err:
+        op.evolve(t, s)
+    assert v < float(str(err.value).rpartition("t=")[2]) < t
+
+
+@pytest.mark.parametrize("t, s", [(0.0, -5e-324), (5e-324, 0.0), (-5e-324, 0.0), (0.0, 5e-324)])
+def test_a_subnormal_span_takes_one_step_without_a_warning(t, s):
+    # the solver's own first-step guess divides by the span and overflows
+    op, _ = example22_pair()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = op.evolve(t, s)
+    assert np.array_equal(got, np.eye(2))
+    assert op._cache[(s, t, False)][0].size == 2

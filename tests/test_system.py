@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dichokit.errors import DomainError
 from dichokit.evolution import EvolutionOperator, IntegratorConfig
@@ -13,6 +15,7 @@ from dichokit.system import (
     adjoint,
     constant_field,
     make_example22,
+    tabulated_field,
     tabulated_field_from_csv,
 )
 
@@ -173,3 +176,33 @@ def test_csv_readers_skip_comments_and_headers_and_reject_empty_files(tmp_path):
         tabulated_field_from_csv(str(empty))
     with pytest.raises(ValueError, match="no data rows"):
         builtin("rho_exp", {"samples": str(empty)})
+
+
+def stack_fields():
+    rotation = constant_field([[-1.0, 3.0], [0.5, 1.0]])
+    table = tabulated_field([-4.0, -1.0, 0.5, 4.0], np.random.default_rng(3).normal(size=(4, 3, 3)))
+    block = BlockSystem(CoefficientField(1, lambda t: np.array([[math.sin(t)]])), rotation).combined()
+    example, _, _ = make_example22(Example22Params(1.0, 0.1, 1.0, exp_hats()))
+    return [rotation, table, adjoint(table), block, example]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 4), ts=st.lists(st.floats(-5.0, 5.0), max_size=8))
+def test_stack_equals_the_per_time_calls(k, ts):
+    field = stack_fields()[k]
+    got = field.stack(ts)
+    assert got.shape == (len(ts), field.dim, field.dim)
+    assert np.array_equal(got, np.reshape([field(t) for t in ts], got.shape))
+
+
+def test_stack_names_the_first_bad_time():
+    nan_row = CoefficientField(2, lambda t: np.full((2, 2), math.nan) if t == 1.5 else np.eye(2))
+    with pytest.raises(ValueError, match=r"non-finite entries at t=1\.5"):
+        nan_row.stack([0.0, 1.5, 2.0])
+    ragged = CoefficientField(2, lambda t: np.eye(3) if t > 1 else np.eye(2))
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) at t=1\.5"):
+        ragged.stack([0.0, 1.5, 2.0])
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) at t=0\.0"):
+        CoefficientField(2, lambda t: np.eye(3)).stack([0.0, 1.5])
+    with pytest.raises(DomainError, match=r"t=-0\.5"):
+        constant_field(np.eye(2), domain="half").stack([0.0, -0.5, -1.0])
