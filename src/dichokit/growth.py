@@ -35,12 +35,16 @@ class GrowthRate:
     ``log_eval`` and ``log_deriv`` (= u'/u) are the primitives; ``eval`` and
     ``deriv`` are derived and may overflow to inf for extreme arguments,
     which is acceptable because bound checking never leaves log space.
+    With ``vectorized`` set, both primitives also take a 1-d array of times
+    and return values that broadcast against it (a constant may stay a
+    scalar); they do not check the domain, which `log_u` and `dlog` do.
     """
 
     name: str
     domain: str  # "full" | "half"
     log_eval: Callable[[float], float]
     log_deriv: Callable[[float], float]
+    vectorized: bool = False
 
     def __post_init__(self):
         if self.domain not in ("full", "half"):
@@ -225,20 +229,26 @@ def builtin(name: str, params: dict | None = None) -> GrowthRate:
     rho_exp e^{rho(t)}        (rho tabulated; see :func:`rho_exp_from_samples`)
     """
     params = dict(params or {})
+    # every builtin but rho_exp is vectorized; a single time keeps its math
+    # code, and the exact type test costs solvers' numpy scalars less than isinstance
     if name == "exp":
         c = _positive(params, "rate", 1.0)
-        return GrowthRate("exp", "full", lambda t: c * t, lambda t: c)
+        return GrowthRate("exp", "full", lambda t: c * t, lambda t: c, True)
     if name == "poly":
         p = _positive(params, "power", 1.0)
-        return GrowthRate("poly", "half", lambda t: p * math.log1p(t), lambda t: p / (1.0 + t))
+        return GrowthRate("poly", "half", lambda t: p * _log1p(t), lambda t: p / (1.0 + t), True)
     if name == "polysq":
-        return GrowthRate(
-            "polysq", "half", lambda t: math.log1p(t * t), lambda t: 2 * t / (1.0 + t * t)
-        )
+        return GrowthRate("polysq", "half", lambda t: _log1p(t * t), lambda t: 2 * t / (1.0 + t * t), True)
     if name == "expabs":
-        return GrowthRate("expabs", "full", lambda t: abs(t), lambda t: math.copysign(1.0, t) if t != 0 else 0.0)
+        return GrowthRate(
+            "expabs",
+            "full",
+            lambda t: abs(t),
+            lambda t: np.sign(t) if type(t) is np.ndarray else math.copysign(1.0, t) if t else 0.0,
+            True,
+        )
     if name == "expsq":
-        return GrowthRate("expsq", "half", lambda t: t * t, lambda t: 2 * t)
+        return GrowthRate("expsq", "half", lambda t: t * t, lambda t: 2 * t, True)
     if name == "rho_exp":
         samples = params.get("samples")
         if samples is None:
@@ -246,6 +256,10 @@ def builtin(name: str, params: dict | None = None) -> GrowthRate:
         arr = read_csv(samples) if isinstance(samples, str) else np.asarray(samples, dtype=float)
         return rho_exp_from_samples(arr[:, 0], arr[:, 1])
     raise ValueError(f"unknown rate name {name!r}; expected one of {BUILTIN_NAMES}")
+
+
+def _log1p(t):
+    return np.log1p(t) if type(t) is np.ndarray else math.log1p(t)
 
 
 def rho_exp_from_samples(t, rho) -> GrowthRate:
@@ -291,4 +305,5 @@ def product_rate(a: GrowthRate, b: GrowthRate, name: str | None = None) -> Growt
         domain,
         lambda t: a.log_eval(t) + b.log_eval(t),
         lambda t: a.log_deriv(t) + b.log_deriv(t),
+        a.vectorized and b.vectorized,
     )

@@ -23,11 +23,17 @@ MAX_DIM = 16
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """The matrix family A(t) of x' = A(t) x."""
+    """The matrix family A(t) of x' = A(t) x.
+
+    ``eval`` takes one time and returns the (n, n) matrix.  With
+    ``vectorized`` set it also takes a 1-d array of m times and returns the
+    (m, n, n) stack, and `stack` reads the field in that one call.
+    """
 
     dim: int
     eval: Callable[[float], np.ndarray]
     domain: str = "full"  # "full" | "half"
+    vectorized: bool = False
 
     def __post_init__(self):
         if not 1 <= self.dim <= MAX_DIM:
@@ -38,7 +44,7 @@ class CoefficientField:
             raise DomainError(f"field is half-line only, got t={t}")
         a = np.asarray(self.eval(t), dtype=float)
         if a.shape != (self.dim, self.dim):
-            raise ValueError(f"field returned shape {a.shape}, expected {(self.dim, self.dim)}")
+            raise ValueError(f"field returned shape {a.shape} at t={t}, expected {(self.dim, self.dim)}")
         if not np.all(np.isfinite(a)):
             raise ValueError(f"field returned non-finite entries at t={t}")
         return a
@@ -48,24 +54,32 @@ class CoefficientField:
 
         It equals ``np.array([self(t) for t in ts])``: the domain, the shape
         and finiteness are checked as by `__call__`, but once for the stack
-        rather than once per time, and an error names the first bad t.
+        rather than once per time, and an error names the first bad t.  A
+        vectorized field is read in one ``eval`` call, a wrong shape of its
+        stack naming the first time; its array arithmetic may round
+        differently from its scalar one (`np.log1p` against `math.log1p`).
         """
-        ts = list(ts)
-        if not ts:
-            return np.empty((0, self.dim, self.dim))
-        if self.domain == "half":
-            bad = next((t for t in ts if t < 0), None)
-            if bad is not None:
-                raise DomainError(f"field is half-line only, got t={bad}")
-        mats = [self.eval(t) for t in ts]
+        ts = np.asarray(ts, dtype=float)
         want = (self.dim, self.dim)
-        try:
-            a = np.array(mats, dtype=float)
-        except ValueError:  # rows of differing shapes
-            a = None
-        if a is None or a.shape != (len(ts), *want):
-            t, shape = next((t, np.shape(m)) for t, m in zip(ts, mats) if np.shape(m) != want)
-            raise ValueError(f"field returned shape {shape} at t={t}, expected {want}")
+        if not ts.size:
+            return np.empty((0, *want))
+        if self.domain == "half" and (ts < 0).any():
+            raise DomainError(f"field is half-line only, got t={ts[np.argmax(ts < 0)]}")
+        if self.vectorized:
+            a = np.asarray(self.eval(ts), dtype=float)
+            if a.shape != (ts.size, *want):
+                raise ValueError(
+                    f"field returned shape {a.shape} for {ts.size} times from t={ts[0]}, expected {(ts.size, *want)}"
+                )
+        else:
+            mats = [self.eval(t) for t in ts.tolist()]
+            try:
+                a = np.array(mats, dtype=float)
+            except ValueError:  # rows of differing shapes
+                a = None
+            if a is None or a.shape != (ts.size, *want):
+                t, shape = next((t, np.shape(m)) for t, m in zip(ts, mats) if np.shape(m) != want)
+                raise ValueError(f"field returned shape {shape} at t={t}, expected {want}")
         if not np.isfinite(a).all():
             k = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))[0]
             raise ValueError(f"field returned non-finite entries at t={ts[k]}")
@@ -74,12 +88,14 @@ class CoefficientField:
 
 def constant_field(matrix, domain: str = "full") -> CoefficientField:
     a = np.array(matrix, dtype=float)
-    return CoefficientField(a.shape[0], lambda t: a, domain)
+    return CoefficientField(
+        a.shape[0], lambda t: np.tile(a, (t.size, 1, 1)) if type(t) is np.ndarray else a, domain, True
+    )
 
 
 def adjoint(field: CoefficientField) -> CoefficientField:
-    """The adjoint system y' = -A(t)^T y."""
-    return CoefficientField(field.dim, lambda t: -field.eval(t).T, field.domain)
+    """The adjoint system y' = -A(t)^T y, vectorized if `field` is."""
+    return CoefficientField(field.dim, lambda t: -field.eval(t).mT, field.domain, field.vectorized)
 
 
 def tabulated_field(times, matrices, domain: str | None = None) -> CoefficientField:
@@ -92,12 +108,12 @@ def tabulated_field(times, matrices, domain: str | None = None) -> CoefficientFi
     flat = matrices.reshape(times.size, n * n)
 
     def ev(t):
-        row = np.array([np.interp(t, times, flat[:, j]) for j in range(n * n)])
-        return row.reshape(n, n)
+        entries = np.array([np.interp(t, times, flat[:, j]) for j in range(n * n)])
+        return entries.T.reshape(np.shape(t) + (n, n))
 
     if domain is None:
         domain = "full" if times[0] < 0 else "half"
-    return CoefficientField(n, ev, domain)
+    return CoefficientField(n, ev, domain, True)
 
 
 def tabulated_field_from_csv(path: str) -> CoefficientField:
@@ -215,7 +231,20 @@ def make_example22(params: Example22Params, domain: str | None = None):
         w = rate.log_u(t)
         return rate.dlog(t) * (w * math.cos(w) - 1.0)
 
+    def zetas(rate: GrowthRate, ts: np.ndarray) -> np.ndarray:
+        w = rate.log_eval(ts)
+        return rate.log_deriv(ts) * (w * np.cos(w) - 1.0)
+
+    def a_stack(ts: np.ndarray) -> np.ndarray:
+        # the scalar arithmetic of a_eval, elementwise; `stack` has checked the domain
+        a = np.zeros((ts.size, 2, 2))
+        a[:, 0, 0] = -e1 * hh.log_deriv(ts) + e2 * zetas(mu, ts)
+        a[:, 1, 1] = e3 * kk.log_deriv(ts) + e2 * zetas(nu, ts)
+        return a
+
     def a_eval(t):
+        if type(t) is np.ndarray:  # not isinstance, which costs numpy scalars more
+            return a_stack(t)
         return np.diag(
             [
                 -e1 * hh.dlog(t) + e2 * zeta(mu, t),
@@ -223,7 +252,7 @@ def make_example22(params: Example22Params, domain: str | None = None):
             ]
         )
 
-    field = CoefficientField(2, a_eval, domain)
+    field = CoefficientField(2, a_eval, domain, all(r.vectorized for r in params.hats.rates()))
 
     def log_t11(t, s):
         return -e1 * (hh.log_u(t) - hh.log_u(s)) + e2 * (

@@ -24,3 +24,15 @@ def test_pass_meets_its_references(name):
     assert failed == []
     missed = [label for label, caught in workloads.self_check(wl, values, ref) if not caught]
     assert missed == []
+
+
+def test_the_traced_example_field_stays_vectorized():
+    # traced passes wrap eval through dataclasses.replace, which must keep the
+    # flag, so they run the batched read of the paired end solve too
+    import spans
+
+    tracer = spans.Tracer()
+    field, _ = workloads._ex22(tracer.field)
+    assert field.vectorized
+    assert field.stack([0.5, -1.5]).shape == (2, 2, 2)
+    assert tracer.spans[("system.field_eval", "-")][0] == 1

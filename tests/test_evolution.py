@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -357,48 +358,76 @@ def test_tables_match_fresh_piece_solves_one_ulp_off_a_checkpoint(setup, t, s):
 def test_a_multi_cell_evolve_over_built_tables_makes_one_paired_one_step_solve(monkeypatch):
     # once the tables of the touched cells exist, both end pieces of a query
     # share one solve on one clock whose first trial step is the clock's whole
-    # length: one DOP853 step is 13 right-hand sides, each evaluating the
-    # field at both pieces, so about 26 field evaluations per query
+    # length; a step of that length reads the field at the 12 nodes of the
+    # DOP853 tableau for both pieces, all before the solve: 24 scalar
+    # evaluations, or one call of a vectorized eval
     field, _, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
-    evals = [0]
+    times_read = []
 
     def counting(t, ev=field.eval):
-        evals[0] += 1
+        times_read.append(np.size(t))
         return ev(t)
 
-    op = EvolutionOperator(CoefficientField(field.dim, counting, field.domain))
+    knots = EvolutionOperator(field)._knots
     rng = np.random.default_rng(1414)
-    queries = [q for q in rng.uniform(-10.0, 10.0, size=(240, 2)).tolist() if op._knots(q[1], q[0])][:200]
+    queries = [q for q in rng.uniform(-10.0, 10.0, size=(240, 2)).tolist() if knots(q[1], q[0])][:200]
     assert len(queries) == 200
-    for t, s in queries:
-        op.evolve(t, s)
     seen = []
 
     def recording(rhs, span, y0, *args, real=evolution.solve_ivp, **kwargs):
         sol = real(rhs, span, y0, *args, **kwargs)
-        seen.append((span, kwargs["first_step"], len(y0) // 4))
+        seen.append((span, kwargs["first_step"], len(y0) // 4, sol.t.size - 1))
         return sol
 
     monkeypatch.setattr(evolution, "solve_ivp", recording)
-    evals[0] = 0
-    for t, s in queries:
-        seen.clear()
-        op.evolve(t, s)
-        [(span, first, pieces)] = seen
-        assert span == (0.0, first) and pieces == 2
-    assert evals[0] <= 30 * len(queries)
+    for vectorized in (False, True):
+        op = EvolutionOperator(replace(field, eval=counting, vectorized=vectorized))
+        for t, s in queries:
+            op.evolve(t, s)
+        one_step = 0
+        for t, s in queries:
+            seen.clear()
+            times_read.clear()
+            op.evolve(t, s)
+            [(span, first, pieces, steps)] = seen
+            assert span == (0.0, first) and pieces == 2
+            if steps == 1:
+                one_step += 1
+                assert times_read == ([24] if vectorized else [1] * 24)
+        assert one_step >= 195
     near, far = op._cache[(-1.0, 0.0, True)][0], op._cache[(2.0, 3.0, False)][0]
     # an end on a step time of its table, or on a checkpoint, needs no piece
     for t, s in ((far[1], -0.37), (2.5, -1.0), (2.5, near[1])):
         op.evolve(t, s)  # builds any table the end reads
         seen.clear()
         op.evolve(t, s)
-        [(span, first, pieces)] = seen
+        [(span, first, pieces, _)] = seen
         assert span == (0.0, first) and pieces == 1
     # both ends on step times need no solve at all
     seen.clear()
     op.evolve(far[1], near[1])
     assert seen == []
+
+
+@pytest.mark.parametrize("max_step", [math.inf, 0.01])
+def test_the_paired_solve_reads_a_vectorized_field_as_its_per_time_calls(max_step):
+    # under a max_step below the pieces every stage but sigma = 0 misses the
+    # prefetched nodes and reads the field afresh
+    field, _, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
+    assert field.vectorized
+    calls = []
+
+    def counting(t, ev=field.eval):
+        calls.append(np.size(t))
+        return ev(t)
+
+    cfg = IntegratorConfig(max_step=max_step)
+    pieces = [(-0.3, 0.0), (0.0, 0.2)]
+    got = EvolutionOperator(replace(field, eval=counting), cfg)._paired(pieces)
+    want = EvolutionOperator(replace(field, vectorized=False), cfg)._paired(pieces)
+    assert np.array_equal(got, want)
+    assert calls[0] == 24  # the prefetch
+    assert max_step == math.inf or len(calls) > 0.3 / max_step
 
 
 def test_a_nan_inside_an_end_piece_raises_naming_its_time():

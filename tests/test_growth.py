@@ -111,3 +111,22 @@ def test_quadruple_domain_flags():
 def test_validate_empty_grid_rejected():
     with pytest.raises(ValueError):
         validate(builtin("exp"), [])
+
+
+def test_vectorized_builtins_read_an_array_of_times_as_their_scalar_calls():
+    ts = np.random.default_rng(7).uniform(0.0, 6.0, 2000)
+    for rate in (builtin("exp", {"rate": 0.5}), builtin("expabs"), builtin("expsq"), builtin("poly"), builtin("polysq")):
+        assert rate.vectorized
+        xs = ts if rate.domain == "half" else np.concatenate([-ts, [-0.0, 0.0], ts])
+        log_u = np.broadcast_to(rate.log_eval(xs), xs.shape)
+        dlog = np.broadcast_to(rate.log_deriv(xs), xs.shape)
+        assert np.array_equal(dlog, [rate.dlog(t) for t in xs.tolist()])
+        want = [rate.log_u(t) for t in xs.tolist()]
+        if rate.name.startswith("poly"):
+            np.testing.assert_array_max_ulp(log_u, want, maxulp=1)  # np.log1p against math.log1p
+        else:
+            assert np.array_equal(log_u, want)
+    rho = builtin("rho_exp", {"samples": [[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0]]})
+    assert not rho.vectorized
+    assert product_rate(builtin("exp"), builtin("expabs")).vectorized
+    assert not product_rate(builtin("exp"), rho).vectorized
