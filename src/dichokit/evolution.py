@@ -69,8 +69,14 @@ def _inward(a: float, b: float):
     A stage time can round onto or past an end, where a field jump on the
     lattice would be seen from the wrong side; such a time moves to the
     adjacent double inside the segment.  A relative nudge such as
-    a + 1e-12 |b - a| would round back to a once |a| is large.
+    a + 1e-12 |b - a| would round back to a once |a| is large.  Given
+    arrays a and b, the clamp takes times that broadcast against them and
+    moves each into its own segment by the same comparisons.
     """
+    if type(a) is np.ndarray:
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        first, last = np.nextafter(lo, hi), np.nextafter(hi, lo)
+        return lambda t: np.where(t <= lo, first, np.where(t >= hi, last, t))
     lo, hi = min(a, b), max(a, b)
     first, last = math.nextafter(lo, hi), math.nextafter(hi, lo)
     return lambda t: first if t <= lo else last if t >= hi else t
@@ -198,13 +204,10 @@ class EvolutionOperator:
         ell = max(abs(q - p) for p, q in pieces)
         p, q = np.array(pieces, dtype=float).T
         c = (q - p) / ell
-        lo, hi = np.minimum(p, q), np.maximum(p, q)
-        first, last = np.nextafter(lo, hi), np.nextafter(hi, lo)
+        inward = _inward(p, q)
 
         def read(sigma):
-            # `_inward` of every piece at once
-            t = p + c * sigma
-            return field.stack(np.where(t <= lo, first, np.where(t >= hi, last, t)).ravel())
+            return field.stack(inward(p + c * sigma).ravel())
 
         nodes = DOP853.C * ell
         prefetched = dict(zip(nodes.tolist(), read(nodes[:, None]).reshape(nodes.size, -1, n, n)))

@@ -229,8 +229,8 @@ def builtin(name: str, params: dict | None = None) -> GrowthRate:
     rho_exp e^{rho(t)}        (rho tabulated; see :func:`rho_exp_from_samples`)
     """
     params = dict(params or {})
-    # every builtin but rho_exp is vectorized; a single time keeps its math
-    # code, and the exact type test costs solvers' numpy scalars less than isinstance
+    # every builtin is vectorized; a single time keeps its math code, and the
+    # exact type test costs solvers' numpy scalars less than isinstance
     if name == "exp":
         c = _positive(params, "rate", 1.0)
         return GrowthRate("exp", "full", lambda t: c * t, lambda t: c, True)
@@ -273,7 +273,7 @@ def rho_exp_from_samples(t, rho) -> GrowthRate:
     interp = PchipInterpolator(t, rho, extrapolate=True)
     dinterp = interp.derivative()
     domain = "full" if t[0] < 0 else "half"
-    return GrowthRate("rho_exp", domain, lambda x: float(interp(x)), lambda x: float(dinterp(x)))
+    return GrowthRate("rho_exp", domain, interp, dinterp, True)
 
 
 def read_csv(path: str) -> np.ndarray:

@@ -95,7 +95,7 @@ def constant_field(matrix, domain: str = "full") -> CoefficientField:
 
 def adjoint(field: CoefficientField) -> CoefficientField:
     """The adjoint system y' = -A(t)^T y, vectorized if `field` is."""
-    return CoefficientField(field.dim, lambda t: -field.eval(t).mT, field.domain, field.vectorized)
+    return CoefficientField(field.dim, lambda t: -np.swapaxes(field.eval(t), -1, -2), field.domain, field.vectorized)
 
 
 def tabulated_field(times, matrices, domain: str | None = None) -> CoefficientField:

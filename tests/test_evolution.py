@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from dichokit import evolution, spectrum
 from dichokit.dichotomy import DichotomySpec, ProjectionFamily
 from dichokit.errors import IntegrationError
-from dichokit.evolution import EvolutionOperator, IntegratorConfig
+from dichokit.evolution import EvolutionOperator, IntegratorConfig, _inward
 from dichokit.growth import RateQuadruple, builtin
 from dichokit.lyapfun import construct_S
 from dichokit.system import (
@@ -384,17 +384,20 @@ def test_a_multi_cell_evolve_over_built_tables_makes_one_paired_one_step_solve(m
         op = EvolutionOperator(replace(field, eval=counting, vectorized=vectorized))
         for t, s in queries:
             op.evolve(t, s)
-        one_step = 0
+        one_step, total = 0, 0
         for t, s in queries:
             seen.clear()
             times_read.clear()
             op.evolve(t, s)
             [(span, first, pieces, steps)] = seen
             assert span == (0.0, first) and pieces == 2
+            total += sum(times_read)
             if steps == 1:
                 one_step += 1
                 assert times_read == ([24] if vectorized else [1] * 24)
         assert one_step >= 195
+        # a query that takes more steps stays bounded too, counted in times read
+        assert total <= 30 * len(queries)
     near, far = op._cache[(-1.0, 0.0, True)][0], op._cache[(2.0, 3.0, False)][0]
     # an end on a step time of its table, or on a checkpoint, needs no piece
     for t, s in ((far[1], -0.37), (2.5, -1.0), (2.5, near[1])):
@@ -407,6 +410,16 @@ def test_a_multi_cell_evolve_over_built_tables_makes_one_paired_one_step_solve(m
     seen.clear()
     op.evolve(far[1], near[1])
     assert seen == []
+
+
+def test_the_array_clamp_moves_each_time_as_its_scalar_clamp():
+    # segments of one ulp, with no double inside, and of none included
+    a = np.array([-0.3, 0.2, 1.0, 1e8, 2.5, 0.0])
+    b = np.array([0.0, -0.1, np.nextafter(1.0, 2.0), 1e8 - 1.0, 2.5, 5e-324])
+    ts = np.array([-0.4, -0.3, -0.0, 0.0, 0.1, 0.2, 1.0, np.nextafter(1.0, 2.0), 1e8, 2.5, 5e-324, 3.0])
+    got = _inward(a, b)(ts[:, None])
+    want = [[_inward(p, q)(t) for p, q in zip(a.tolist(), b.tolist())] for t in ts.tolist()]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("max_step", [math.inf, 0.01])

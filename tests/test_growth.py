@@ -5,6 +5,8 @@ import pytest
 
 from dichokit.errors import DomainError
 from dichokit.growth import (
+    BUILTIN_NAMES,
+    GrowthRate,
     RateQuadruple,
     builtin,
     product_rate,
@@ -115,7 +117,9 @@ def test_validate_empty_grid_rejected():
 
 def test_vectorized_builtins_read_an_array_of_times_as_their_scalar_calls():
     ts = np.random.default_rng(7).uniform(0.0, 6.0, 2000)
-    for rate in (builtin("exp", {"rate": 0.5}), builtin("expabs"), builtin("expsq"), builtin("poly"), builtin("polysq")):
+    rho = builtin("rho_exp", {"samples": [[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0], [4.0, 2.0]]})
+    builtins = [builtin(name) for name in BUILTIN_NAMES if name != "rho_exp"]
+    for rate in [*builtins, builtin("exp", {"rate": 0.5}), rho]:
         assert rate.vectorized
         xs = ts if rate.domain == "half" else np.concatenate([-ts, [-0.0, 0.0], ts])
         log_u = np.broadcast_to(rate.log_eval(xs), xs.shape)
@@ -126,7 +130,7 @@ def test_vectorized_builtins_read_an_array_of_times_as_their_scalar_calls():
             np.testing.assert_array_max_ulp(log_u, want, maxulp=1)  # np.log1p against math.log1p
         else:
             assert np.array_equal(log_u, want)
-    rho = builtin("rho_exp", {"samples": [[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0]]})
-    assert not rho.vectorized
-    assert product_rate(builtin("exp"), builtin("expabs")).vectorized
-    assert not product_rate(builtin("exp"), rho).vectorized
+    # only a user's rate whose primitives take one time is not vectorized
+    scalar_exp = GrowthRate("exp", "full", lambda t: float(t), lambda t: 1.0)
+    assert product_rate(builtin("exp"), rho).vectorized
+    assert not product_rate(builtin("exp"), scalar_exp).vectorized
