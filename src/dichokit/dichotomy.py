@@ -29,7 +29,8 @@ from .errors import DomainError, EstimationError
 from .evolution import EvolutionOperator
 from .growth import LOG_SATURATION, RateQuadruple
 
-_LOG_FLOOR = -745.0  # log of the smallest positive double
+VERIFY_TOL = 1e-6  # verify's slack on every ratio (1 + VERIFY_TOL) and commutation residual
+MIN_PAIRS = 20  # estimate_constants fits a side only from at least this many pairs
 
 logger = logging.getLogger(__name__)
 
@@ -224,20 +225,15 @@ def _worst(values: np.ndarray, t: np.ndarray, s: np.ndarray):
     return float(values[k]), (float(t[k]), float(s[k]))
 
 
-def verify(
-    spec: DichotomySpec,
-    op: EvolutionOperator,
-    grid,
-    tol: float = 1e-6,
-) -> Certificate:
+def verify(spec: DichotomySpec, op: EvolutionOperator, grid) -> Certificate:
     """Check both bound regimes and the commutation identity on a pair grid.
 
     Each grid pair is normalized to t >= s; the stable bound is checked on
     (t, s), the unstable bound on the reversed pair (s plays the role of the
     later time), and the commutation residual |P(t)T(t,s) - T(t,s)P(s)| is
-    taken over both orderings.  Pass iff every ratio <= 1 + tol and every
-    commutation residual <= tol.  An empty grid passes with zero worst
-    values.
+    taken over both orderings.  Pass iff every ratio <= 1 + `VERIFY_TOL` and
+    every commutation residual <= `VERIFY_TOL`, which the certificate's
+    ``tol`` reports.  An empty grid passes with zero worst values.
 
     All pairs are evaluated together: T(t, s) and T(s, t) come from one
     forward and one backward row sweep over the grid's unique times (one
@@ -260,8 +256,8 @@ def verify(
     ws, ws_at = _worst(stable, hi, lo)
     wu, wu_at = _worst(unstable, lo, hi)
     wc, wc_at = _worst(commute, hi, lo)
-    passed = ws <= 1.0 + tol and wu <= 1.0 + tol and wc <= tol
-    return Certificate(rows, ws, wu, wc, tol, passed, ws_at, wu_at, wc_at, sat_s + sat_u)
+    passed = ws <= 1.0 + VERIFY_TOL and wu <= 1.0 + VERIFY_TOL and wc <= VERIFY_TOL
+    return Certificate(rows, ws, wu, wc, VERIFY_TOL, passed, ws_at, wu_at, wc_at, sat_s + sat_u)
 
 
 @dataclass
@@ -306,7 +302,6 @@ def estimate_constants(
     P: ProjectionFamily,
     rates: RateQuadruple,
     grid,
-    min_pairs: int = 20,
 ) -> tuple[DichotomySpec, EstimateDiagnostics]:
     """Fit (K, a, b, eps) by least squares in log space, then inflate K.
 
@@ -316,7 +311,7 @@ def estimate_constants(
     only weakens the bound since mu(|s|) >= 1.  log K is inflated by the
     worst positive residual so the returned spec verifies on its own
     training grid by construction.  When the unstable side has fewer than
-    ``min_pairs`` pairs, b is 0 and that side's log K counts as 0, so K >= 1.
+    `MIN_PAIRS` pairs, b is 0 and that side's log K counts as 0, so K >= 1.
 
     The norms come from the same pair table as ``verify`` (one forward and
     one backward row sweep, batched norms) and are taken once, for both the
@@ -336,13 +331,13 @@ def estimate_constants(
         coef, *_ = np.linalg.lstsq(X, y, rcond=None)
         return coef
 
-    if len(rows_s) < min_pairs:
-        raise EstimationError(f"need >= {min_pairs} stable pairs, got {len(rows_s)}")
+    if len(rows_s) < MIN_PAIRS:
+        raise EstimationError(f"need >= {MIN_PAIRS} stable pairs, got {len(rows_s)}")
     logK_s, a_fit, eps_s = fit(rows_s, ys, "stable")
     if a_fit >= 0:
         raise EstimationError(f"fitted stable exponent a={a_fit:.4g} is not negative")
 
-    if len(rows_u) < min_pairs:
+    if len(rows_u) < MIN_PAIRS:
         warnings.append(f"unstable side has {len(rows_u)} pairs (Q nearly trivial); b set to 0")
         b_fit, eps_u, logK_u = 0.0, 0.0, 0.0
     else:
@@ -372,7 +367,7 @@ def estimate_constants(
     resid_s = float(np.max(np.abs(rows_s @ np.array([logK_s, a_fit, eps_s]) - ys)))
     resid_u = (
         float(np.max(np.abs(rows_u @ np.array([logK_u, b_fit, eps_u]) - yu)))
-        if len(rows_u) >= min_pairs
+        if len(rows_u) >= MIN_PAIRS
         else 0.0
     )
     for w in warnings:

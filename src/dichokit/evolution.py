@@ -43,7 +43,11 @@ from .system import CoefficientField
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances, step cap and checkpoint lattice of every solve (see `_integrate`).
+    """Tolerances, step cap and checkpoint lattice of an operator's solves (see `_integrate`).
+
+    Every solve of an `EvolutionOperator` reads them, `classify`'s orbits and
+    the sweeps of `construct_S` included; the renormalized solve of `spectrum`
+    takes no operator and reads `spectrum.RTOL` and `spectrum.ATOL` instead.
 
     The checkpoint spacing must keep one cell's transition in floating-point
     range: a cell holding an end of a multi-cell `evolve` span is integrated

@@ -26,6 +26,7 @@ from .errors import DomainError
 
 # exp/log saturate beyond this; exp(+-700) is still inside double range
 LOG_SATURATION = 700.0
+LIMIT_TOL = 1e-3  # validate's full-line limits: u > 1/LIMIT_TOL at the right end, < LIMIT_TOL at the left
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,12 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def validate(rate: GrowthRate, probes, limit_tol: float = 1e-3) -> ValidationReport:
+def validate(rate: GrowthRate, probes) -> ValidationReport:
     """Check the growth-rate axioms on a probe grid.
 
     Reported checks: origin (u(0)=1), evaluation (finite positive values),
     monotone (nondecreasing along the grid), limits (full-line rates must
-    exceed 1/limit_tol at the right end and fall below limit_tol at the
+    exceed 1/`LIMIT_TOL` at the right end and fall below `LIMIT_TOL` at the
     left end), derivative (consistency with a central difference).
     """
     probes = np.sort(np.asarray(probes, dtype=float))
@@ -170,12 +171,12 @@ def validate(rate: GrowthRate, probes, limit_tol: float = 1e-3) -> ValidationRep
     # limits at the extreme probes (full-line rates only)
     if rate.domain == "full" and valid.any():
         hi, lo = lv[-1], lv[0]
-        ok = hi > -math.log(limit_tol) and lo < math.log(limit_tol)
+        ok = hi > -math.log(LIMIT_TOL) and lo < math.log(LIMIT_TOL)
         checks.append(
             CheckResult(
                 "limits",
                 bool(ok),
-                float(min(hi + math.log(limit_tol), -lo + math.log(limit_tol))),
+                float(min(hi + math.log(LIMIT_TOL), -lo + math.log(LIMIT_TOL))),
                 f"u({tv[-1]})={math.exp(min(hi, LOG_SATURATION)):.3g}, "
                 f"u({tv[0]})={math.exp(max(lo, -LOG_SATURATION)):.3g}",
             )

@@ -42,19 +42,14 @@ from .tails import time_backward_for_log_drop, time_for_log_decrease
 
 # longest stretch of a construct_S solve between reprojections
 REPROJECT_WINDOW = 2.0
+QUAD_TOL = 1e-10  # epsabs and epsrel of every quad_vec of construct_S
+DERIVATIVE_TOL = 1e-8  # derivative_condition passes when its top eigenvalue is at most this
+FD_TOL = 1e-3  # floor of the finite-difference error derivative_condition refuses
+CLASSIFY_SAMPLES = 120  # orbit samples of classify
+CLASSIFY_MARGIN = 1e-8  # classify's margin, relative to |x_k|^2 |S(t_k)|_F
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    tail_tol: float = 1e-8  # relative envelope mass allowed past the cutoff
-    quad_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.tail_tol <= 0 or self.quad_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
-
-
-def _congruence_sweep(op: EvolutionOperator, projector, coeff: float, rate, ts, end: float, quad: QuadratureConfig):
+def _congruence_sweep(op: EvolutionOperator, projector, coeff: float, rate, ts, end: float):
     """int from ts[i] to `end` of G^T G rate'/rate, for every i, by one sweep.
 
     `ts` runs toward `end` (increasing for the stable side, decreasing for the
@@ -109,7 +104,7 @@ def _congruence_sweep(op: EvolutionOperator, projector, coeff: float, rate, ts, 
             w = np.abs(c) * np.array([rate.dlog(v) for v in at(sigma)])
             return w[:, None, None] * (g.transpose(0, 2, 1) @ g)
 
-        vals, e = quad_vec(integrand, 0.0, ell, epsabs=quad.quad_tol, epsrel=quad.quad_tol)
+        vals, e = quad_vec(integrand, 0.0, ell, epsabs=QUAD_TOL, epsrel=QUAD_TOL)
         np.add.at(parts, owner, vals)
         err += float(e)
     for i in range(last - 1, -1, -1):
@@ -155,11 +150,7 @@ class QuadraticLyapunov:
 
 
 def construct_S(
-    spec: DichotomySpec,
-    op: EvolutionOperator,
-    dbar: float,
-    times,
-    quad: QuadratureConfig | None = None,
+    spec: DichotomySpec, op: EvolutionOperator, dbar: float, times, tail_tol: float = 1e-8
 ) -> QuadraticLyapunov:
     """Evaluate the two-integral construction on a time grid.
 
@@ -178,9 +169,13 @@ def construct_S(
     below tail_tol.  log h is nondecreasing, so (h(V)/h(t_i))^{-2 dbar} <=
     (h(V)/h(t_{N-1}))^{-2 dbar} <= tail_tol at every grid time: each point is
     truncated at or beyond its own certified cutoff.  Mirrored backward for
-    the unstable part, with W placed from the first grid time t_0.
+    the unstable part, with W placed from the first grid time t_0.  A
+    tail_tol that is not positive raises ValueError.  Where mu(|t|)^{2 eps}
+    or nu(|t|)^{2 eps} passes the double range, the envelope cap is inf, so
+    the cap check holds and `norm_margin` is inf.
     """
-    quad = quad or QuadratureConfig()
+    if not tail_tol > 0:
+        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
     if not (0.0 < dbar < min(-spec.a, spec.b) or (spec.b == 0.0 and 0.0 < dbar < -spec.a)):
         raise ValueError(f"dbar must lie in (0, min(-a, b)) = (0, {min(-spec.a, spec.b)})")
     times = np.asarray(times, dtype=float).ravel()
@@ -190,7 +185,7 @@ def construct_S(
     h, k = spec.rates.h, spec.rates.k
     n = op.field.dim
     projs = np.array([spec.P(t) for t in times])
-    log_drop = math.log(1.0 / quad.tail_tol) / (2.0 * dbar)  # in units of log h and log k
+    log_drop = math.log(1.0 / tail_tol) / (2.0 * dbar)  # in units of log h and log k
 
     # The rate-power weights are folded into shifted linear systems:
     # G(v) = T(v,t)P(t) (h(v)/h(t))^{-(a+dbar)} solves G' = (A - (a+dbar) h'/h) G,
@@ -201,24 +196,24 @@ def construct_S(
     quad_err = 0.0
     if np.any(projs):
         v_cut = time_for_log_decrease(h, times[-1], log_drop)
-        part, err = _congruence_sweep(op, spec.P, spec.a + dbar, h, times, v_cut, quad)
+        part, err = _congruence_sweep(op, spec.P, spec.a + dbar, h, times, v_cut)
         s_mats += part
         quad_err += err
     if np.any(np.eye(n) - projs):
         if op.field.domain == "half":
             raise DomainError("the unstable integral needs a full-line system")
         w_cut = time_backward_for_log_drop(k, times[0], log_drop)
-        part, err = _congruence_sweep(op, spec.P.complement, spec.b - dbar, k, times[::-1], w_cut, quad)
+        part, err = _congruence_sweep(op, spec.P.complement, spec.b - dbar, k, times[::-1], w_cut)
         s_mats -= part[::-1]
         quad_err += err
 
     s_mats = 0.5 * (s_mats + s_mats.transpose(0, 2, 1))
     eigs = np.abs(np.linalg.eigvalsh(s_mats))
-    mu_pow, nu_pow = (
-        np.array([math.exp(2 * spec.eps * r.log_u(abs(t))) for t in times])
-        for r in (spec.rates.mu, spec.rates.nu)
-    )
-    cap = (spec.K**2 / (2 * dbar)) * (mu_pow + nu_pow)
+    with np.errstate(over="ignore"):
+        mu_pow, nu_pow = (
+            np.exp(2 * spec.eps * np.array([r.log_u(abs(t)) for t in times])) for r in (spec.rates.mu, spec.rates.nu)
+        )
+        cap = (spec.K**2 / (2 * dbar)) * (mu_pow + nu_pow)
     gap = cap - eigs.max(axis=1)  # |S| is the largest |eigenvalue| of symmetric S
     bad = np.flatnonzero(gap < -1e-6 * cap)
     if bad.size:
@@ -250,19 +245,16 @@ class DerivativeReport:
 
 
 def derivative_condition(
-    lyap: QuadraticLyapunov,
-    a_field: CoefficientField,
-    form: str = "sufficiency",
-    tol: float = 1e-8,
-    fd_tol: float = 1e-3,
+    lyap: QuadraticLyapunov, a_field: CoefficientField, form: str = "sufficiency"
 ) -> DerivativeReport:
     """Check S' + S A + A^T S <= -RHS on the grid.
 
     RHS is the identity (sufficiency form) or P^T P h'/h + Q^T Q k'/k
     (necessity form).  S' uses central differences at the grid spacing with
     a step-doubling error estimate; the check is refused when that estimate
-    exceeds both the absolute floor fd_tol and half the computed margin,
-    i.e. when the differencing error could flip the verdict.
+    exceeds both the absolute floor `FD_TOL` and half the computed margin,
+    i.e. when the differencing error could flip the verdict.  It passes when
+    the largest eigenvalue is at most `DERIVATIVE_TOL`.
     """
     if form not in ("sufficiency", "necessity"):
         raise ValueError("form must be 'sufficiency' or 'necessity'")
@@ -298,38 +290,34 @@ def derivative_condition(
         rows.append((float(t), top))
         worst = max(worst, top)
 
-    margin = -(worst - tol)
-    if fd_err > fd_tol and fd_err > 0.5 * abs(margin):
+    margin = -(worst - DERIVATIVE_TOL)
+    if fd_err > FD_TOL and fd_err > 0.5 * abs(margin):
         raise DichokitError(
             f"grid too coarse: finite-difference error {fd_err:.3g} is comparable "
             f"to the margin {margin:.3g}; refine the S grid"
         )
-    return DerivativeReport(form, worst, -worst, rows, fd_err, worst <= tol)
+    return DerivativeReport(form, worst, -worst, rows, fd_err, worst <= DERIVATIVE_TOL)
 
 
-def classify(
-    lyap: QuadraticLyapunov,
-    op: EvolutionOperator,
-    tau: float,
-    x,
-    horizon: float,
-    samples: int = 120,
-    margin: float | None = None,
-) -> str:
+def classify(lyap: QuadraticLyapunov, op: EvolutionOperator, tau: float, x, horizon: float) -> str:
     """Sign of H along the orbit of x: 'stable', 'unstable' or 'undetermined'.
 
-    Samples start strictly after tau, so vectors with H(tau, x) = 0 but a
-    definite eventual sign still classify.
+    H is sampled at `CLASSIFY_SAMPLES` times t_k evenly spread over
+    (tau, tau + horizon], strictly after tau, so vectors with H(tau, x) = 0
+    but a definite eventual sign still classify.  Sample k counts only when
+    |H(t_k, x_k)| > `CLASSIFY_MARGIN` |x_k|^2 |S(t_k)|_F (Frobenius norm), a
+    margin relative to the orbit and the form at that time, since H decays
+    with a stable orbit.  The label is 'stable' when every sample counts
+    positive and 'unstable' when every sample counts negative.
     """
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) == 0:
         raise ValueError("cannot classify the zero vector")
-    if margin is None:
-        margin = 1e-8 * float(x @ x)
     orbit = op.vector_solution(tau, tau + horizon, x)
-    ts = tau + horizon * np.arange(1, samples + 1) / samples
-    xs = orbit(ts)
-    values = np.einsum("ki,kij,kj->k", xs, lyap.S(ts), xs)
+    ts = tau + horizon * np.arange(1, CLASSIFY_SAMPLES + 1) / CLASSIFY_SAMPLES
+    xs, s = orbit(ts), lyap.S(ts)
+    values = np.einsum("ki,kij,kj->k", xs, s, xs)
+    margin = CLASSIFY_MARGIN * np.einsum("ki,ki->k", xs, xs) * np.sqrt(np.einsum("kij,kij->k", s, s))
     if np.all(values > margin):
         return "stable"
     if np.all(values < -margin):

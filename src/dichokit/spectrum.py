@@ -47,6 +47,10 @@ from .system import BlockSystem, CoefficientField
 
 GAP_THRESHOLD = 0.05
 SPREAD_LIMIT = 0.2
+WINDOW = 0.2  # the tail window is this last fraction of the horizon
+SAMPLES = 200  # times sampled in the tail window
+RTOL, ATOL = 1e-9, 1e-12  # of the renormalized solve; evolution solves read `IntegratorConfig`
+CLAIM_K = 1.0  # the K that dichotomy_from_spectrum claims
 
 
 @dataclass
@@ -63,16 +67,7 @@ class ExponentTrace:
         return math.isfinite(self.estimate) and self.spread <= SPREAD_LIMIT
 
 
-def _exponent_traces(
-    matrix,
-    rates: list,
-    X0,
-    horizon: float,
-    window: float = 0.2,
-    samples: int = 200,
-    rel_tol: float = 1e-9,
-    mask=None,
-) -> tuple[list[ExponentTrace], int]:
+def _exponent_traces(matrix, rates: list, X0, horizon: float, mask=None) -> tuple[list[ExponentTrace], int]:
     """Tail-window exponents of the solutions through the columns of X0.
 
     `matrix(t)` is the n x n coefficient matrix, n = X0.shape[0], and
@@ -83,7 +78,7 @@ def _exponent_traces(
     before its next call.  All nonzero
     columns are integrated in one `evolution._integrate` solve, so scipy's
     RMS error norm pools the entries of every column: a column's own local
-    error may exceed rel_tol by up to sqrt(state size / its entries).  A
+    error may exceed `RTOL` by up to sqrt(state size / its entries).  A
     zero column gets -inf and is left out.  Returns one trace per column
     and the run's field evaluations (0 when every column is zero).
     """
@@ -114,8 +109,8 @@ def _exponent_traces(
         return np.concatenate([(wq - growth * q).ravel()[entries], growth])
 
     y0 = np.concatenate([(X0[:, live] / norms[live]).ravel()[entries], np.log(norms[live])])
-    times = np.linspace((1.0 - window) * horizon, horizon, samples)
-    sol = _integrate(solve_ivp, rhs, (0.0, horizon), y0, rel_tol, 1e-12, t_eval=times)
+    times = np.linspace((1.0 - WINDOW) * horizon, horizon, SAMPLES)
+    sol = _integrate(solve_ivp, rhs, (0.0, horizon), y0, RTOL, ATOL, t_eval=times)
     denoms = {key: np.array([r.log_u(t) for t in times]) for key, r in distinct.items()}
     for j, log_norms in zip(live, sol.y[split:]):
         values = log_norms / denoms[id(rates[j])]
@@ -123,15 +118,7 @@ def _exponent_traces(
     return traces, int(sol.nfev)
 
 
-def lyapunov_exponent(
-    field_w: CoefficientField,
-    rate: GrowthRate,
-    x0,
-    horizon: float,
-    window: float = 0.2,
-    samples: int = 200,
-    rel_tol: float = 1e-9,
-) -> ExponentTrace:
+def lyapunov_exponent(field_w: CoefficientField, rate: GrowthRate, x0, horizon: float) -> ExponentTrace:
     """Tail-window exponent of the solution through x0 at time 0.
 
     The one-column case of the batched renormalized solve (see the module
@@ -142,23 +129,23 @@ def lyapunov_exponent(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.size != field_w.dim:
         raise ValueError(f"start vector has size {x0.size}, field dimension is {field_w.dim}")
-    traces, _ = _exponent_traces(field_w, [rate], x0.reshape(-1, 1), horizon, window, samples, rel_tol)
+    traces, _ = _exponent_traces(field_w, [rate], x0.reshape(-1, 1), horizon)
     return traces[0]
 
 
-def _cluster(estimates: list[float], gap: float = GAP_THRESHOLD):
-    """Sorted distinct values with multiplicities, grouped within gap."""
+def _cluster(estimates: list[float]):
+    """Sorted distinct values with multiplicities, grouped within `GAP_THRESHOLD`."""
     order = sorted(estimates)
     clusters: list[list[float]] = []
     for v in order:
-        if clusters and v - clusters[-1][-1] <= gap:
+        if clusters and v - clusters[-1][-1] <= GAP_THRESHOLD:
             clusters[-1].append(v)
         else:
             clusters.append([v])
     return [(float(np.mean(c)), len(c)) for c in clusters]
 
 
-def _doubled_traces(block: BlockSystem, starts, rates, horizon: float, window: float):
+def _doubled_traces(block: BlockSystem, starts, rates, horizon: float):
     """Traces of four start sets from one solve of D(t) = diag(A(t), -A(t)^T).
 
     A = diag(W1, W2), evaluated block by block (`BlockSystem.blocks`), so D
@@ -186,7 +173,7 @@ def _doubled_traces(block: BlockSystem, starts, rates, horizon: float, window: f
     widths = [np.shape(s)[1] for s in starts]
     mask = block_diag(*(np.ones(np.shape(s)) for s in starts)) > 0
     per_column = [r for r, w in zip(rates, widths) for _ in range(w)]
-    flat, nfev = _exponent_traces(doubled, per_column, block_diag(*starts), horizon, window, mask=mask)
+    flat, nfev = _exponent_traces(doubled, per_column, block_diag(*starts), horizon, mask=mask)
     ends = np.cumsum(widths)
     return [flat[e - w : e] for w, e in zip(widths, ends)], nfev
 
@@ -222,7 +209,6 @@ def spectrum(
     hbar: GrowthRate | None = None,
     kbar: GrowthRate | None = None,
     horizon: float = 50.0,
-    window: float = 0.2,
 ) -> SpectrumReport:
     """Exponents of the fundamental-matrix columns of both blocks.
 
@@ -233,7 +219,7 @@ def spectrum(
     0.2; ``nfev`` is the field evaluations of the solve.
     """
     eyes = [np.eye(block.split), np.eye(block.dim - block.split)] * 2
-    flat, nfev = _doubled_traces(block, eyes, (h, k, hbar or h, kbar or k), horizon, window)
+    flat, nfev = _doubled_traces(block, eyes, (h, k, hbar or h, kbar or k), horizon)
     values_E, values_F, adjoint_E, adjoint_F = (_cluster([t.estimate for t in trs]) for trs in flat)
     return SpectrumReport(
         values_E=values_E,
@@ -290,7 +276,6 @@ def regularity(
     candidates_E: list | None = None,
     candidates_F: list | None = None,
     horizon: float = 50.0,
-    window: float = 0.2,
 ) -> RegularityReport:
     """Upper-bound the regularity coefficients over candidate dual bases.
 
@@ -306,7 +291,7 @@ def regularity(
         candidates_F or [DualBasisPair.from_basis(np.eye(block.W2.dim))],
     ]
     starts = [np.hstack([c.basis for c in cs]) for cs in cands] + [np.hstack([c.dual for c in cs]) for cs in cands]
-    traces, nfev = _doubled_traces(block, starts, (h, k, hbar or h, kbar or k), horizon, window)
+    traces, nfev = _doubled_traces(block, starts, (h, k, hbar or h, kbar or k), horizon)
     scores = []
     for cs, fwd, bwd in zip(cands, traces[:2], traces[2:]):
         sums = [f.estimate + b.estimate for f, b in zip(fwd, bwd)]
@@ -333,15 +318,15 @@ def dichotomy_from_spectrum(
     kbar: GrowthRate,
     eps_tilde: float,
     block: BlockSystem,
-    K: float = 1.0,
 ) -> DichotomySpec:
     """Assemble the dichotomy claim promised by negative/positive exponents.
 
     Needs lambda_top < 0 < chi_bottom.  Constants: a = lambda_top + et,
     b = chi_bottom + et, eps = max(gamma, gamma_bar) + et (clamped at 0),
     mu = h*hbar, nu = k*kbar, P = the block projection.  The theorem only
-    asserts existence of a constant; K is a caller-tunable default whose
-    claim is then tested by dichotomy.verify.
+    asserts existence of a constant; K is `CLAIM_K`, and the claim is then
+    tested by dichotomy.verify.  DichotomySpec is a frozen dataclass that
+    re-checks K, so ``dataclasses.replace(spec, K=...)`` claims another K.
     """
     if eps_tilde <= 0:
         raise ValueError("eps_tilde must be positive")
@@ -354,7 +339,7 @@ def dichotomy_from_spectrum(
     return DichotomySpec(
         P=ProjectionFamily.constant(block.projection()),
         rates=RateQuadruple(h, k, product_rate(h, hbar), product_rate(k, kbar)),
-        K=K,
+        K=CLAIM_K,
         a=a,
         b=chi + eps_tilde,
         eps=max(0.0, max(reg.gamma, reg.gamma_bar) + eps_tilde),

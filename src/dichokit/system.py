@@ -50,36 +50,29 @@ class CoefficientField:
         return a
 
     def stack(self, ts) -> np.ndarray:
-        """The (m, n, n) stack of A(t) for the m times `ts`, checked once for the whole stack.
+        """The (m, n, n) stack of A(t) for the m times `ts`.
 
-        It equals ``np.array([self(t) for t in ts])``: the domain, the shape
-        and finiteness are checked as by `__call__`, but once for the stack
-        rather than once per time, and an error names the first bad t.  A
-        vectorized field is read in one ``eval`` call, a wrong shape of its
-        stack naming the first time; its array arithmetic may round
-        differently from its scalar one (`np.log1p` against `math.log1p`).
+        It equals ``np.array([self(t) for t in ts])``, and a field that is
+        not vectorized is read just so, one checked call per time.  A
+        vectorized field is read in one ``eval`` call and checked once for
+        the whole stack: the domain, the shape (a wrong one naming the first
+        time) and finiteness, an error naming the first bad t.  Its array
+        arithmetic may round differently from its scalar one (`np.log1p`
+        against `math.log1p`).
         """
         ts = np.asarray(ts, dtype=float)
         want = (self.dim, self.dim)
         if not ts.size:
             return np.empty((0, *want))
+        if not self.vectorized:
+            return np.array([self(t) for t in ts.tolist()])
         if self.domain == "half" and (ts < 0).any():
             raise DomainError(f"field is half-line only, got t={ts[np.argmax(ts < 0)]}")
-        if self.vectorized:
-            a = np.asarray(self.eval(ts), dtype=float)
-            if a.shape != (ts.size, *want):
-                raise ValueError(
-                    f"field returned shape {a.shape} for {ts.size} times from t={ts[0]}, expected {(ts.size, *want)}"
-                )
-        else:
-            mats = [self.eval(t) for t in ts.tolist()]
-            try:
-                a = np.array(mats, dtype=float)
-            except ValueError:  # rows of differing shapes
-                a = None
-            if a is None or a.shape != (ts.size, *want):
-                t, shape = next((t, np.shape(m)) for t, m in zip(ts, mats) if np.shape(m) != want)
-                raise ValueError(f"field returned shape {shape} at t={t}, expected {want}")
+        a = np.asarray(self.eval(ts), dtype=float)
+        if a.shape != (ts.size, *want):
+            raise ValueError(
+                f"field returned shape {a.shape} for {ts.size} times from t={ts[0]}, expected {(ts.size, *want)}"
+            )
         if not np.isfinite(a).all():
             k = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))[0]
             raise ValueError(f"field returned non-finite entries at t={ts[k]}")

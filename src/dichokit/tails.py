@@ -14,12 +14,15 @@ from __future__ import annotations
 from .errors import TailCertificationError
 from .growth import GrowthRate
 
+SEARCH_CAP = 1e6  # farthest distance from t0 that either search may move
 
-def _crossing(rate: GrowthRate, t0: float, log_drop: float, way: float, cap: float) -> float:
+
+def _crossing(rate: GrowthRate, t0: float, log_drop: float, way: float) -> float:
     """First time from t0 in direction `way` (+1 or -1) where log u has moved log_drop.
 
     The step from t0 doubles until the target is passed, then 80 bisections
     on the monotone log close in; the returned time lies past the crossing.
+    A step past `SEARCH_CAP` raises TailCertificationError.
     """
     if log_drop <= 0:
         return t0
@@ -27,9 +30,10 @@ def _crossing(rate: GrowthRate, t0: float, log_drop: float, way: float, cap: flo
     near, far = t0, t0 + way
     while way * rate.log_u(far) < target:
         near, far = far, t0 + 2 * (far - t0)
-        if abs(far - t0) > cap:
+        if abs(far - t0) > SEARCH_CAP:
+            way_name = "grow" if way > 0 else "decay"
             raise TailCertificationError(
-                f"rate {rate.name!r} does not {'grow' if way > 0 else 'decay'} enough within {cap:g} of t0={t0:g}"
+                f"rate {rate.name!r} does not {way_name} enough within {SEARCH_CAP:g} of t0={t0:g}"
             )
     for _ in range(80):
         mid = 0.5 * (near + far)
@@ -40,18 +44,18 @@ def _crossing(rate: GrowthRate, t0: float, log_drop: float, way: float, cap: flo
     return far
 
 
-def time_for_log_decrease(rate: GrowthRate, t0: float, log_drop: float, cap: float = 1e6) -> float:
+def time_for_log_decrease(rate: GrowthRate, t0: float, log_drop: float) -> float:
     """Smallest grid-friendly V >= t0 with log u(V) >= log u(t0) + log_drop.
 
     An envelope (u(V)/u(t0))^-c on the tail [V, inf) has then fallen by
     c * log_drop: the caller divides its log drop by c.
     """
-    return _crossing(rate, t0, log_drop, 1.0, cap)
+    return _crossing(rate, t0, log_drop, 1.0)
 
 
-def time_backward_for_log_drop(rate: GrowthRate, t0: float, log_drop: float, cap: float = 1e6) -> float:
+def time_backward_for_log_drop(rate: GrowthRate, t0: float, log_drop: float) -> float:
     """Largest W <= t0 with log u(W) <= log u(t0) - log_drop.
 
     Only meaningful for full-line rates (log u -> -inf backward).
     """
-    return _crossing(rate, t0, log_drop, -1.0, cap)
+    return _crossing(rate, t0, log_drop, -1.0)

@@ -12,7 +12,7 @@ from dichokit.dichotomy import DichotomySpec, ProjectionFamily, square_grid, ver
 from dichokit.errors import DichokitError, TailCertificationError
 from dichokit.evolution import EvolutionOperator, IntegratorConfig
 from dichokit.growth import RateQuadruple, builtin
-from dichokit.lyapfun import QuadraticLyapunov, QuadratureConfig, classify, construct_S, derivative_condition
+from dichokit.lyapfun import QuadraticLyapunov, classify, construct_S, derivative_condition
 from dichokit.system import CoefficientField, Example22Params, constant_field, make_example22
 from dichokit.tails import time_backward_for_log_drop, time_for_log_decrease
 
@@ -176,14 +176,13 @@ def test_construct_S_subgrid_matches_full_grid():
     # the full grid truncates every point further out than a sub-grid does
     field, _, spec = example22_setup()
     grid = np.linspace(-2.0, 2.0, 17)
-    cfg = QuadratureConfig(tail_tol=1e-12)
-    full = construct_S(spec, EvolutionOperator(field), 0.5, grid, cfg)
+    full = construct_S(spec, EvolutionOperator(field), 0.5, grid, tail_tol=1e-12)
 
     @settings(max_examples=12, deadline=None)
     @given(st.lists(st.integers(0, grid.size - 1), min_size=1, max_size=6, unique=True))
     def check(idx):
         idx = sorted(idx)
-        sub = construct_S(spec, EvolutionOperator(field), 0.5, grid[idx], cfg)
+        sub = construct_S(spec, EvolutionOperator(field), 0.5, grid[idx], tail_tol=1e-12)
         want = full.matrices[idx]
         err = np.linalg.norm(sub.matrices - want, 2, axis=(1, 2)) / np.linalg.norm(want, 2, axis=(1, 2))
         assert err.max() <= 1e-8
@@ -267,7 +266,7 @@ def test_construct_S_truncates_every_point_within_tail_tol():
     # the envelope is the integrand itself, so the truncated mass is exactly the tail
     spec, op = diag_setup()
     tol = 1e-4
-    lyap = construct_S(spec, op, 0.5, np.linspace(-2.0, 2.0, 9), QuadratureConfig(tail_tol=tol))
+    lyap = construct_S(spec, op, 0.5, np.linspace(-2.0, 2.0, 9), tail_tol=tol)
     lost = np.concatenate([1.0 - lyap.matrices[:, 0, 0], 1.0 + lyap.matrices[:, 1, 1]])
     assert lost.max() <= tol * (1 + 1e-3)
     assert lost[8] >= 0.99 * tol and lost[9] >= 0.99 * tol  # the end points sit at their own cutoffs
@@ -379,6 +378,35 @@ def test_subspace_split_dimension():
     assert len(stable) + len(unstable) == 3
 
 
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(tail_tol=0.0)
+def test_construct_S_rejects_a_tail_tol_that_is_not_positive():
+    spec, op = diag_setup()
+    for bad in (0.0, -1e-8, math.nan):
+        with pytest.raises(ValueError, match="tail_tol"):
+            construct_S(spec, op, 0.5, [0.0, 1.0], tail_tol=bad)
+
+
+@pytest.mark.parametrize("start", [800.0, 2000.0])
+def test_construct_S_reads_an_envelope_cap_past_the_double_range_as_inf(start):
+    # mu(|t|)^{2 eps} = e^{|t|} passes the double range past t = 709.78: the cap is inf,
+    # the check holds, and S is the same diag(1, -1) as near the origin
+    rates = RateQuadruple(builtin("exp"), builtin("exp"), builtin("expabs"), builtin("expabs"))
+    spec = DichotomySpec(ProjectionFamily.constant(np.diag([1.0, 0.0])), rates, K=1.0, a=-1.0, b=1.0, eps=0.5)
+    op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0])))
+    lyap = construct_S(spec, op, 0.5, [start, start + 1.0])
+    assert lyap.norm_margin == math.inf
+    assert np.allclose(lyap.matrices, np.diag([1.0, -1.0]), rtol=0.0, atol=1e-6)
+    near = construct_S(spec, op, 0.5, [100.0, 101.0])
+    assert math.isfinite(near.norm_margin)
+    assert np.allclose(near.matrices, np.diag([1.0, -1.0]), rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("horizon", [4, 12, 24])
+def test_classify_keeps_a_decaying_stable_orbit_stable_over_long_horizons(horizon):
+    # H decays with the stable orbit of (1, 0); the margin scales with |x_k|^2 |S(t_k)|_F,
+    # so the label does not fall to 'undetermined' as the orbit decays
+    field, _, spec = example22_setup()
+    op = EvolutionOperator(field)
+    lyap = construct_S(spec, op, 0.5, np.linspace(0.0, horizon, 4 * horizon + 1))
+    assert classify(lyap, op, 0.0, [1.0, 0.0], horizon) == "stable"
+    assert classify(lyap, op, 0.0, [0.0, 1.0], horizon) == "unstable"
+    assert classify(lyap, op, 0.0, [1.0, 1.0], horizon) == "unstable"

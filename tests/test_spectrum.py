@@ -13,6 +13,7 @@ from dichokit.errors import DichokitError
 from dichokit.evolution import EvolutionOperator
 from dichokit.growth import builtin
 from dichokit.spectrum import (
+    ATOL,
     DualBasisPair,
     _exponent_traces,
     dichotomy_from_spectrum,
@@ -234,9 +235,6 @@ def test_batched_traces_match_rotated_block_closed_form(diag, angle, omega):
     x0 = np.column_stack([np.eye(2), [0.3, -1.2]])
     traces, _ = _exponent_traces(field, [EXP] * x0.shape[1], x0, 50.0)
     assert_traces_match_closed_form(traces, x0, exact)
-
-
-ATOL = 1e-12  # the absolute tolerance of `_exponent_traces`
 
 
 def exact_log_norms(a, x0, times):
