@@ -19,13 +19,13 @@ from step tables, one cached solve per lattice cell and orientation that
 keeps every step the solver accepted (`EvolutionOperator._table`): a whole
 cell is its forward table's last row, and each off-lattice end is a table
 row times a short piece that lies inside an accepted step.  Both short
-pieces of a span are solved together, uncached, in one paired solve on one
-clock (`EvolutionOperator._paired`), which nearly always takes one step.  The end piece
-from s up to the first knot c uses the adjoint form: Z' = -Z A with
-Z(c) = I, solved from c back across the cell, has the rows Z(v) = T(c, v),
-so still nothing is inverted.  Every cell that holds an end of a
-multi-cell span is integrated end to end once, so the spacing must keep one
-cell's transition in floating-point range.
+pieces of a span are solved together, uncached, on one clock
+(`EvolutionOperator._clocked`, which also runs the sweeps of `construct_S`),
+nearly always in one step.  The end piece from s up to the first knot c
+uses the adjoint form: Z' = -Z A with Z(c) = I, solved from c back across
+the cell, has the rows Z(v) = T(c, v), so still nothing is inverted.
+Every cell that holds an end of a multi-cell span is integrated end to end
+once, so the spacing must keep one cell's transition in floating-point range.
 """
 
 from __future__ import annotations
@@ -183,52 +183,58 @@ class EvolutionOperator:
             return mats[j], None
         return mats[j], (x, times[j]) if inverse else (times[j], x)
 
-    def _paired(self, pieces) -> np.ndarray:
-        """Stack of T(q_k, p_k) for the short end pieces (p_k, q_k), by one solve on one clock.
+    def _clocked(self, lo, hi, shift=None, dense=False, first_step=None):
+        """(sol, times): one solve of the pieces (lo_k, hi_k) on one clock.
 
-        sigma runs over [0, l], l the longest piece; piece k is evaluated at
-        p_k + c_k sigma, c_k = (q_k - p_k) / l, clamped into it as by
-        `_inward`, and its block of the stacked state starts from I.  Each
-        piece lies inside a step that a solve at the same tolerance
-        accepted, so the first trial step is l, and one accepted step is
-        typical but not a bound: one of 200 random Example 2.2 queries has
-        its first trial rejected and takes two.  A step of l from 0 reads
-        the field at sigma = C_i l for the nodes C_i of the DOP853 tableau
-        (the last node, 1, also serves the step's closing evaluation), so
-        the field at every piece and node is read before the solve in one
-        `CoefficientField.stack` call, one ``eval`` call for a vectorized
-        field.  The right-hand side looks sigma up exactly among those
-        nodes; any other sigma (a rejected trial, a second step, a
-        max_step below l) reads the field afresh, so the result never
-        depends on the prediction.  scipy's RMS error norm pools the entries
-        of the pieces, so one piece's local error may exceed rel_tol by up
-        to sqrt(2), as in `lyapfun._congruence_sweep`.  Uncached.
+        sigma runs over [0, l], l the longest piece; piece k is read at
+        times(sigma)[k] = lo_k + c_k sigma, c_k = (hi_k - lo_k) / l, clamped
+        by `_inward`.  Its block of the state starts from I and solves
+        Y' = c_k (A Y - shift(times(sigma))[k] Y), with no shift term when
+        `shift` is None, so sol.y[:, -1] stacks the (shifted) transitions
+        from lo_k to hi_k.  scipy's RMS error norm pools the pieces: one
+        piece's local error may exceed rel_tol by up to sqrt(pieces).
+
+        Given `first_step`, the field at every piece and node sigma = C_i
+        first_step of the DOP853 tableau (the last node, 1, also serves the
+        step's closing evaluation) is read before the solve in one
+        `CoefficientField.stack` call, and the right-hand side looks sigma
+        up exactly among those nodes.  Any other sigma (a rejected trial, a
+        later step, a max_step below it) reads each piece through the
+        checked field call, so the result never depends on the prediction.
         """
         n, field, cfg = self.field.dim, self.field, self.config
-        ell = max(abs(q - p) for p, q in pieces)
-        p, q = np.array(pieces, dtype=float).T
-        c = (q - p) / ell
-        inward = _inward(p, q)
+        ell = max(abs(q - p) for p, q in zip(lo, hi))
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        c = (hi - lo) / ell
+        scale, inward = c[:, None, None], _inward(lo, hi)
 
-        def read(sigma):
-            return field.stack(inward(p + c * sigma).ravel())
+        def times(sigma):
+            return inward(lo + c * sigma)
 
-        nodes = DOP853.C * ell
-        prefetched = dict(zip(nodes.tolist(), read(nodes[:, None]).reshape(nodes.size, -1, n, n)))
-        scale = c[:, None, None]
+        prefetched = {}
+        if first_step is not None:
+            nodes = DOP853.C * first_step
+            stack = field.stack(times(nodes[:, None]).ravel()).reshape(nodes.size, -1, n, n)
+            prefetched = dict(zip(nodes.tolist(), stack))
 
         def rhs(sigma, y):
-            a = prefetched.get(sigma)
+            y, a = y.reshape(-1, n, n), prefetched.get(sigma)
+            vs = times(sigma).tolist() if a is None or shift is not None else ()
             if a is None:
-                a = read(sigma)
-            return (scale * (a @ y.reshape(-1, n, n))).ravel()
+                a = np.array([field(v) for v in vs])
+            return (scale * (a @ y if shift is None else a @ y - shift(vs)[:, None, None] * y)).ravel()
 
-        y0 = np.tile(np.eye(n).ravel(), len(pieces))
-        sol = _integrate(solve_ivp, rhs, (0.0, ell), y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, first_step=ell)
-        return sol.y[:, -1].reshape(-1, n, n)
+        y0 = np.tile(np.eye(n).ravel(), lo.size)
+        sol = _integrate(
+            solve_ivp, rhs, (0.0, ell), y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
+            dense_output=dense, first_step=first_step,
+        )
+        return sol, times
 
     def _knots(self, a: float, b: float) -> list[int]:
         """The i of every checkpoint i * spacing strictly between a and b, compared exactly, from a to b."""
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"span [{a}, {b}] has the non-finite end {b if math.isfinite(a) else a}")
         c = self.config.checkpoint_spacing
         lo, hi = min(a, b), max(a, b)
         inner = [i for i in range(math.floor(lo / c), math.ceil(hi / c) + 1) if lo < i * c < hi]
@@ -256,9 +262,10 @@ class EvolutionOperator:
         inverse table of the cell holding s (its forward table if s is a
         checkpoint) and T(t, c_k) from the forward table of the cell holding
         t (see `_end`).  The short pieces that join the ends to their table
-        rows are solved together by one paired solve (`_paired`); an end on
-        a step time or a checkpoint has no piece, and with no piece there is
-        no solve.  The result is a new array, never a cached table row.
+        rows are solved together by one `_clocked` solve; an end on a step
+        time or a checkpoint has no piece, and with no piece there is no
+        solve.  The result is a new array, never a cached table row.  A
+        non-finite t or s raises ValueError.
         """
         if t == s:
             return np.eye(self.field.dim)
@@ -272,7 +279,9 @@ class EvolutionOperator:
         whole = [self._segment(p, q) for p, q in zip(cells[1:-2], cells[2:-1])]
         far, far_piece = self._end(cells[-2], cells[-1], t, False)
         pieces = [p for p in (near_piece, far_piece) if p]
-        shorts = self._paired(pieces) if pieces else ()
+        if pieces:
+            sol, _ = self._clocked(*zip(*pieces), first_step=max(abs(q - p) for p, q in pieces))
+            shorts = sol.y[:, -1].reshape(-1, *near.shape)
         if near_piece:
             near = near @ shorts[0]
         if far_piece:

@@ -34,8 +34,7 @@ from scipy.integrate import quad_vec
 
 from .dichotomy import DichotomySpec, spectral_norm
 from .errors import DichokitError, DomainError
-from . import evolution
-from .evolution import EvolutionOperator, _integrate, _inward
+from .evolution import EvolutionOperator
 from .system import CoefficientField
 from .tails import time_backward_for_log_drop, time_for_log_decrease
 
@@ -56,11 +55,9 @@ def _congruence_sweep(op: EvolutionOperator, projector, coeff: float, rate, ts, 
     unstable side), G(v, t) = Phi(v, t) projector(t), and Phi evolves
     Y' = (A - coeff rate'/rate) Y.  The grid intervals and the tail [ts[-1], end]
     form two groups of pieces, cut at the checkpoint lattice (field jumps live
-    there) and at `REPROJECT_WINDOW`.  A group's pieces start from I and run on
-    one clock sigma in [0, l], l its longest piece, piece k at lo_k + c_k sigma,
-    c_k = (hi_k - lo_k) / l, in one `evolution._integrate` solve, so scipy's RMS
-    error norm pools the entries of every piece: a piece's own local error may
-    exceed rel_tol by up to sqrt(number of pieces).  An interval's pieces are
+    there) and at `REPROJECT_WINDOW`.  A group is one dense
+    `EvolutionOperator._clocked` solve, piece k at v_k = lo_k + c_k sigma on
+    its clock sigma in [0, l], c_k = (hi_k - lo_k) / l.  An interval's pieces are
     chained from projector(lo), reprojecting at piece ends to kill noise along
     the complement; one quad_vec over sigma of the stacked |c_k| rate'/rate(v_k)
     (Phi_k s_k)^T (Phi_k s_k), s_k the start of piece k, gives every piece's
@@ -68,8 +65,12 @@ def _congruence_sweep(op: EvolutionOperator, projector, coeff: float, rate, ts, 
     M = projector(ts[i+1]) G(ts[i+1], ts[i]).  Returns the stack in the order
     of `ts` and the summed quad_vec error estimates.
     """
-    n, last, cfg, knots = op.field.dim, len(ts) - 1, op.config, list(ts) + [end]
+    n, last, knots = op.field.dim, len(ts) - 1, list(ts) + [end]
     parts, maps, err = np.zeros((last + 1, n, n)), np.zeros((last + 1, n, n)), 0.0
+
+    def shift(vs):
+        return coeff * np.array([rate.dlog(v) for v in vs])
+
     # a one-point grid has no intervals, and tail_tol >= 1 puts `end` on ts[-1]
     for group in filter(len, (range(last), range(last, last + (end != ts[-1])))):
         lo, hi, owner = [], [], []
@@ -78,22 +79,8 @@ def _congruence_sweep(op: EvolutionOperator, projector, coeff: float, rate, ts, 
                 m = math.ceil(abs(q - p) / REPROJECT_WINDOW)
                 cuts = [p + (q - p) * j / m for j in range(m)] + [q]
                 lo, hi, owner = lo + cuts[:-1], hi + cuts[1:], owner + [i] * m
-        ell = max(abs(q - p) for p, q in zip(lo, hi))
-        c = np.subtract(hi, lo) / ell
-        clamps = [(_inward(p, q), p, ck) for p, q, ck in zip(lo, hi, c)]
-
-        def at(sigma):
-            return [inward(p + ck * sigma) for inward, p, ck in clamps]
-
-        def rhs(sigma, y):
-            vs, y = at(sigma), y.reshape(-1, n, n)
-            shift = coeff * np.array([rate.dlog(v) for v in vs])[:, None, None]
-            return (c[:, None, None] * (np.array([op.field(v) for v in vs]) @ y - shift * y)).ravel()
-
-        y0 = np.tile(np.eye(n).ravel(), len(lo))
-        sol = _integrate(
-            evolution.solve_ivp, rhs, (0.0, ell), y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, dense_output=True
-        )
+        sol, times = op._clocked(lo, hi, shift, dense=True)
+        weight = np.abs(np.subtract(hi, lo)) / sol.t[-1]
         ends, starts = sol.y[:, -1].reshape(-1, n, n), np.empty((len(lo), n, n))
         for k, i in enumerate(owner):
             starts[k] = maps[i] if k and owner[k - 1] == i else projector(lo[k])
@@ -101,10 +88,10 @@ def _congruence_sweep(op: EvolutionOperator, projector, coeff: float, rate, ts, 
 
         def integrand(sigma):
             g = sol.sol(sigma).reshape(-1, n, n) @ starts
-            w = np.abs(c) * np.array([rate.dlog(v) for v in at(sigma)])
+            w = weight * np.array([rate.dlog(v) for v in times(sigma).tolist()])
             return w[:, None, None] * (g.transpose(0, 2, 1) @ g)
 
-        vals, e = quad_vec(integrand, 0.0, ell, epsabs=QUAD_TOL, epsrel=QUAD_TOL)
+        vals, e = quad_vec(integrand, 0.0, sol.t[-1], epsabs=QUAD_TOL, epsrel=QUAD_TOL)
         np.add.at(parts, owner, vals)
         err += float(e)
     for i in range(last - 1, -1, -1):

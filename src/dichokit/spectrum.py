@@ -235,7 +235,7 @@ def spectrum(
 
 @dataclass(frozen=True)
 class DualBasisPair:
-    """Basis columns and dual columns with Kronecker pairing."""
+    """Square basis and dual with Kronecker pairing (a partial basis would under-report regularity)."""
 
     basis: np.ndarray
     dual: np.ndarray
@@ -245,6 +245,8 @@ class DualBasisPair:
         d = np.asarray(self.dual, dtype=float)
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "dual", d)
+        if b.ndim != 2 or b.shape[0] != b.shape[1] or d.shape != b.shape:
+            raise ValueError(f"need a square basis and dual of one shape, got {b.shape} and {d.shape}")
         if np.max(np.abs(b.T @ d - np.eye(b.shape[1]))) > 1e-10:
             raise ValueError("basis and dual do not pair to the identity")
 

@@ -36,3 +36,38 @@ def test_the_traced_example_field_stays_vectorized():
     assert field.vectorized
     assert field.stack([0.5, -1.5]).shape == (2, 2, 2)
     assert tracer.spans[("system.field_eval", "-")][0] == 1
+
+
+# the spans each workload's traced pass reaches; the tracer rebinds names
+# and counts nothing, without an error, once dichokit stops calling one
+REACHED = {
+    "certify-grid": {
+        "dichotomy.verify", "dichotomy.estimate_constants", "dichotomy.check_projection",
+        "evolution.evolve", "evolution.solve_ivp", "system.field_eval",
+    },
+    "lyapunov-S": {
+        "lyapfun.construct_S", "lyapfun.derivative_condition", "lyapfun.classify", "lyapfun.quad_vec",
+        "lyapfun.spectral_norm", "tails.time_for_log_decrease", "tails.time_backward_for_log_drop",
+        "evolution.solve_ivp", "system.field_eval",
+    },
+    "coupled-spectrum": {
+        "spectrum.spectrum", "spectrum.regularity", "spectrum.dichotomy_from_spectrum", "spectrum.solve_ivp",
+        "dichotomy.verify", "evolution.evolve", "evolution.solve_ivp", "system.field_eval",
+    },
+    "offgrid-session": {"evolution.evolve", "evolution.solve_ivp", "system.field_eval"},
+}
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_a_traced_pass_reaches_every_span_of_its_pipeline(name):
+    import spans
+
+    wl, tracer = workloads.WORKLOADS[name], spans.Tracer()
+    inputs = wl.build(11, wrap=tracer.field)
+    with tracer.installed():
+        out = wl.run(inputs, lambda fn, *args, **kwargs: fn(*args, **kwargs))
+    assert REACHED[name] <= {span for span, _ in tracer.spans}
+    if name == "lyapunov-S":
+        # the construct_S sweeps solve through evolution's solve_ivp, densely
+        assert ("evolution.solve_ivp", "lyapfun.construct_S") in tracer.spans
+        assert tracer.metrics(out.op)["lyapfun.dense_solves"] > 0

@@ -435,10 +435,10 @@ def test_the_paired_solve_reads_a_vectorized_field_as_its_per_time_calls(max_ste
         return ev(t)
 
     cfg = IntegratorConfig(max_step=max_step)
-    pieces = [(-0.3, 0.0), (0.0, 0.2)]
-    got = EvolutionOperator(replace(field, eval=counting), cfg)._paired(pieces)
-    want = EvolutionOperator(replace(field, vectorized=False), cfg)._paired(pieces)
-    assert np.array_equal(got, want)
+    lo, hi = [-0.3, 0.0], [0.0, 0.2]
+    got, _ = EvolutionOperator(replace(field, eval=counting), cfg)._clocked(lo, hi, first_step=0.3)
+    want, _ = EvolutionOperator(replace(field, vectorized=False), cfg)._clocked(lo, hi, first_step=0.3)
+    assert np.array_equal(got.y, want.y)
     assert calls[0] == 24  # the prefetch
     assert max_step == math.inf or len(calls) > 0.3 / max_step
 
@@ -472,3 +472,37 @@ def test_a_subnormal_span_takes_one_step_without_a_warning(t, s):
         got = op.evolve(t, s)
     assert np.array_equal(got, np.eye(2))
     assert op._cache[(s, t, False)][0].size == 2
+
+
+def test_the_clocked_solve_of_shifted_pieces_matches_the_matrix_exponential():
+    # forward and backward pieces of unequal length share one clock, each
+    # shifted by coeff times the exp rate's slope, with the dense interpolant
+    rate, coeff = builtin("exp"), 0.7
+    lo, hi = np.array([0.2, 1.5, -0.4]), np.array([1.1, 0.7, -2.0])
+    op = EvolutionOperator(constant_field(NONNORMAL))
+    sol, times = op._clocked(lo, hi, lambda vs: coeff * np.array([rate.dlog(v) for v in vs]), dense=True)
+    ell = sol.t[-1]
+    assert ell == 1.6
+    assert np.array_equal(times(0.0), np.nextafter(lo, hi)) and np.array_equal(times(ell), np.nextafter(hi, lo))
+    for sigma, got in ((ell, sol.y[:, -1]), (0.5 * ell, sol.sol(0.5 * ell))):
+        for k, end in enumerate(got.reshape(-1, 2, 2)):
+            v = lo[k] + (hi[k] - lo[k]) * sigma / ell
+            want = expm((NONNORMAL - coeff * rate.dlog(v) * np.eye(2)) * (v - lo[k]))
+            assert np.max(np.abs(end - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda op: op.evolve(math.nan, 0.0),
+        lambda op: op.evolve(0.5, math.nan),
+        lambda op: op.evolve(math.inf, 0.0),
+        lambda op: op.evolve_pairs([math.nan], [0.0]),
+        lambda op: op.matrix_solution(0.0, math.nan, np.eye(2)),
+    ],
+)
+def test_a_non_finite_end_raises_naming_it(call):
+    # a NaN end used to hang the solver, an infinite one overflowed in the lattice walk
+    op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0])))
+    with pytest.raises(ValueError, match="non-finite end (nan|inf)"):
+        call(op)

@@ -439,3 +439,14 @@ def test_doubled_field_in_place_matches_fresh_build():
     got = [tr for key in ("E", "F", "E_adjoint", "F_adjoint") for tr in rep.traces[key]]
     assert len(got) == len(want) == 8
     assert all(np.array_equal(g.values, w.values) and np.array_equal(g.times, w.times) for g, w in zip(got, want))
+
+
+def test_a_partial_candidate_basis_is_rejected():
+    # for W1 = diag(-1 + 0.1 (t cos t - 1), -2), W2 = [1], h = e^t, horizon
+    # 50, the identity basis gives gamma = 0.2002, while the one-column
+    # candidate (e2, e2) scored only e2 and gave 0.0, below every full basis
+    e2 = np.array([[0.0], [1.0]])
+    with pytest.raises(ValueError, match="square"):
+        DualBasisPair(e2, e2)
+    with pytest.raises(ValueError, match="square"):
+        DualBasisPair(np.eye(1), [[1.0, 1.0]])
