@@ -14,18 +14,19 @@ strictly between its ends, compared exactly, is a knot.  Segment endpoints
 are evaluated one floating-point step inside the segment so each integration
 sees the correct one-sided limit, at any |t|.
 
-A span inside one cell is one cached solve.  A span across knots is served
-from step tables, one cached solve per lattice cell and orientation that
-keeps every step the solver accepted (`EvolutionOperator._table`): a whole
-cell is its forward table's last row, and each off-lattice end is a table
-row times a short piece that lies inside an accepted step.  Both short
-pieces of a span are solved together, uncached, on one clock
-(`EvolutionOperator._clocked`, which also runs the sweeps of `construct_S`),
-nearly always in one step.  The end piece from s up to the first knot c
-uses the adjoint form: Z' = -Z A with Z(c) = I, solved from c back across
-the cell, has the rows Z(v) = T(c, v), so still nothing is inverted.
-Every cell that holds an end of a multi-cell span is integrated end to end
-once, so the spacing must keep one cell's transition in floating-point range.
+The operator has two solves, each from I over at most one lattice cell.
+`EvolutionOperator._table` solves one span, forward or adjoint, and caches
+every step the solver accepted: a span inside one cell is one such solve,
+and a span across knots reads one table per cell and orientation, a whole
+cell being its forward table's last row and each off-lattice end a table
+row times a short piece inside an accepted step.  `EvolutionOperator._clocked`
+solves many pieces, uncached, on one clock: both short pieces of a span
+(nearly always in one step), the pieces of a dense solution and the sweeps
+of `construct_S`.  The end piece from s up to the first knot c uses the
+adjoint form: Z' = -Z A with Z(c) = I, solved from c back across the cell,
+has the rows Z(v) = T(c, v), so still nothing is inverted.  Every cell that
+holds an end of a multi-cell span is integrated end to end once, so the
+spacing must keep one cell's transition in floating-point range.
 """
 
 from __future__ import annotations
@@ -43,11 +44,14 @@ from .system import CoefficientField
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances, step cap and checkpoint lattice of an operator's solves (see `_integrate`).
+    """Tolerances and checkpoint lattice of an operator's solves (see `_integrate`).
 
-    Every solve of an `EvolutionOperator` reads them, `classify`'s orbits and
-    the sweeps of `construct_S` included; the renormalized solve of `spectrum`
-    takes no operator and reads `spectrum.RTOL` and `spectrum.ATOL` instead.
+    Both solves of an `EvolutionOperator` read them (`_table` and `_clocked`,
+    so `classify`'s orbits and the sweeps of `construct_S` too); the
+    renormalized solve of `spectrum` takes no operator and reads
+    `spectrum.RTOL` and `spectrum.ATOL` instead.  Each solve starts from I
+    within one cell, so an entry keeps relative accuracy unless it decays
+    below about abs_tol there.
 
     The checkpoint spacing must keep one cell's transition in floating-point
     range: a cell holding an end of a multi-cell `evolve` span is integrated
@@ -57,7 +61,6 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     checkpoint_spacing: float = 1.0
 
     def __post_init__(self):
@@ -86,9 +89,7 @@ def _inward(a: float, b: float):
     return lambda t: first if t <= lo else last if t >= hi else t
 
 
-def _integrate(
-    solve, rhs, span, y0, rtol, atol, max_step=math.inf, dense_output=False, t_eval=None, first_step=None
-):
+def _integrate(solve, rhs, span, y0, rtol, atol, dense_output=False, t_eval=None, first_step=None):
     """One adaptive solve of y' = rhs(t, y) over `span` by the 8(5,3) Dormand-Prince pair.
 
     Every solve in the package goes through here.  `solve` is the caller's
@@ -96,11 +97,15 @@ def _integrate(
     that global sees every solve.  `first_step` is the first trial step
     (None lets the solver choose one); a solve inside a step that a solve at
     the same tolerance already accepted passes its own length, so it mostly
-    takes one step, and so does a span of subnormal length.  Raises IntegrationError at the last time reached (the last
-    output time when `t_eval` is given) if the solve fails.
+    takes one step.  A nonzero span shorter than the smallest normal double
+    passes its own length as the first step, since the solver's own guess
+    divides by it and overflows.  Raises IntegrationError at the last time
+    reached (the last output time when `t_eval` is given) if the solve fails.
     """
+    if first_step is None and 0 < abs(span[1] - span[0]) < sys.float_info.min:
+        first_step = abs(span[1] - span[0])
     sol = solve(
-        rhs, span, y0, method="DOP853", rtol=rtol, atol=atol, max_step=max_step,
+        rhs, span, y0, method="DOP853", rtol=rtol, atol=atol,
         dense_output=dense_output, t_eval=t_eval, first_step=first_step,
     )
     if not sol.success:
@@ -120,30 +125,6 @@ class EvolutionOperator:
 
     # -- low-level integration ------------------------------------------------
 
-    def _integrate_matrix(self, a: float, b: float, m0: np.ndarray, dense=False, adjoint=False):
-        """The solve of Y' = A(v) Y, or Y' = -Y A(v) if `adjoint`, from Y(a) = m0 to b.
-
-        A span shorter than the smallest normal double passes its own length
-        as the first trial step, since the solver's own first-step guess
-        divides by it and overflows.
-        """
-        field, shape = self.field, np.shape(m0)
-        inward = _inward(a, b)
-
-        def rhs(t, y):
-            return (field(inward(t)) @ y.reshape(shape)).ravel()
-
-        def adjoint_rhs(t, y):
-            return -(y.reshape(shape) @ field(inward(t))).ravel()
-
-        cfg = self.config
-        y0 = np.asarray(m0, dtype=float).ravel()
-        first_step = abs(b - a) if abs(b - a) < sys.float_info.min else None
-        return _integrate(
-            solve_ivp, adjoint_rhs if adjoint else rhs, (a, b), y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
-            dense_output=dense, first_step=first_step,
-        )
-
     def _table(self, a: float, b: float, inverse: bool):
         """Step table (times, matrices) of one solve over [a, b], cached.
 
@@ -155,9 +136,16 @@ class EvolutionOperator:
         key = (a, b, inverse)
         hit = self._cache.get(key)
         if hit is None:
-            eye = np.eye(self.field.dim)
-            sol = self._integrate_matrix(b, a, eye, adjoint=True) if inverse else self._integrate_matrix(a, b, eye)
-            hit = self._cache[key] = (sol.t, sol.y.T.reshape(-1, *eye.shape))
+            field, n, cfg = self.field, self.field.dim, self.config
+            inward = _inward(a, b)
+
+            def rhs(t, y):
+                y, m = y.reshape(n, n), field(inward(t))
+                return (-(y @ m) if inverse else m @ y).ravel()
+
+            span = (b, a) if inverse else (a, b)
+            sol = _integrate(solve_ivp, rhs, span, np.eye(n).ravel(), cfg.rel_tol, cfg.abs_tol)
+            hit = self._cache[key] = (sol.t, sol.y.T.reshape(-1, n, n))
         return hit
 
     def _segment(self, a: float, b: float) -> np.ndarray:
@@ -198,9 +186,9 @@ class EvolutionOperator:
         first_step of the DOP853 tableau (the last node, 1, also serves the
         step's closing evaluation) is read before the solve in one
         `CoefficientField.stack` call, and the right-hand side looks sigma
-        up exactly among those nodes.  Any other sigma (a rejected trial, a
-        later step, a max_step below it) reads each piece through the
-        checked field call, so the result never depends on the prediction.
+        up exactly among those nodes.  Any other sigma (a rejected trial or
+        a later step) reads each piece through the checked field call, so
+        the result never depends on the prediction.
         """
         n, field, cfg = self.field.dim, self.field, self.config
         ell = max(abs(q - p) for p, q in zip(lo, hi))
@@ -226,8 +214,7 @@ class EvolutionOperator:
 
         y0 = np.tile(np.eye(n).ravel(), lo.size)
         sol = _integrate(
-            solve_ivp, rhs, (0.0, ell), y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
-            dense_output=dense, first_step=first_step,
+            solve_ivp, rhs, (0.0, ell), y0, cfg.rel_tol, cfg.abs_tol, dense_output=dense, first_step=first_step
         )
         return sol, times
 
@@ -332,32 +319,39 @@ class EvolutionOperator:
     def matrix_solution(self, a: float, b: float, m0: np.ndarray):
         """Dense solution Y(v) of Y' = A(v) Y, Y(a) = m0, for v between a and b.
 
-        Meant for decaying initial data (e.g. m0 = P(a) in the stable bundle
-        going forward); the dense interpolant shares the integrator accuracy.
-        m0 may be rectangular (n x m) to evolve a set of columns at once.
-        The span is integrated over `_pieces(a, b)`, like `evolve`, each piece
-        started where the last ended; the lookup takes a time or an array of
-        times (stacked along axis 0), one interpolant call per piece hit.
+        m0 is finite with one row per dimension: a vector, or n x m to evolve m
+        columns at once; any other m0 raises ValueError naming its shape.  The
+        pieces (lo_k, hi_k) of `_pieces(a, b)` are one dense `_clocked` solve,
+        each from I, chained by start_0 = m0 and start_{k+1} = (end of piece
+        k) start_k; Y(v) on piece k is its interpolant at sigma = (v - lo_k) /
+        c_k times start_k, so a decaying solution keeps its relative accuracy
+        over any number of cells.  scipy's RMS error norm pools the pieces:
+        one piece's local error may exceed rel_tol by up to sqrt(pieces).  The
+        lookup takes a time or an array of times (stacked along axis 0) in one
+        interpolant call; a time on a knot reads the piece that ends there.
         """
-        m0 = np.asarray(m0, dtype=float)
+        m0, n = np.asarray(m0, dtype=float), self.field.dim
+        if m0.ndim not in (1, 2) or m0.shape[0] != n or not np.all(np.isfinite(m0)):
+            raise ValueError(f"m0 must be finite with leading dimension {n}, got shape {m0.shape}")
         if a == b:
             return lambda v: np.broadcast_to(m0, np.shape(v) + m0.shape).copy()
-        dense, y = [], m0
-        for p, q in self._pieces(a, b):
-            sol = self._integrate_matrix(p, q, y, dense=True)
-            y = sol.y[:, -1].reshape(m0.shape)
-            dense.append((min(p, q), max(p, q), lambda v, interp=sol.sol: interp(v).T.reshape(-1, *m0.shape)))
+        lo, hi = np.array(self._pieces(a, b)).T
+        sol, _ = self._clocked(lo, hi, dense=True)
+        ends, starts = sol.y[:, -1].reshape(-1, n, n), [m0.reshape(n, -1)]
+        for end in ends[:-1]:
+            starts.append(end @ starts[-1])
+        starts, sign, ell = np.array(starts), math.copysign(1.0, b - a), sol.t[-1]
 
         def at(v):
-            vs = np.atleast_1d(np.asarray(v, dtype=float))
-            out, todo = np.empty(vs.shape + m0.shape), np.ones(vs.shape, dtype=bool)
-            for lo, hi, lookup in dense:
-                hit = todo & (lo <= vs) & (vs <= hi)
-                if hit.any():
-                    out[hit], todo = lookup(vs[hit]), todo & ~hit
-            if todo.any():
-                raise ValueError(f"time {vs[todo][0]} outside the solved span [{a}, {b}]")
-            return out if np.ndim(v) else out[0]
+            vs = np.asarray(v, dtype=float).ravel()
+            inside = (min(a, b) <= vs) & (vs <= max(a, b))
+            if not inside.all():
+                raise ValueError(f"time {vs[~inside][0]} outside the solved span [{a}, {b}]")
+            if vs.size == 0:
+                return np.empty(np.shape(v) + m0.shape)
+            k = np.maximum(np.searchsorted(sign * lo, sign * vs) - 1, 0)
+            ys = sol.sol(ell * ((vs - lo[k]) / (hi[k] - lo[k]))).T.reshape(vs.size, -1, n, n)
+            return (ys[np.arange(vs.size), k] @ starts[k]).reshape(np.shape(v) + m0.shape)
 
         return at
 

@@ -76,7 +76,7 @@ def _congruence_sweep(op: EvolutionOperator, projector, coeff: float, rate, ts, 
         lo, hi, owner = [], [], []
         for i in group:
             for p, q in op._pieces(knots[i], knots[i + 1]):
-                m = math.ceil(abs(q - p) / REPROJECT_WINDOW)
+                m = max(1, math.ceil(abs(q - p) / REPROJECT_WINDOW))
                 cuts = [p + (q - p) * j / m for j in range(m)] + [q]
                 lo, hi, owner = lo + cuts[:-1], hi + cuts[1:], owner + [i] * m
         sol, times = op._clocked(lo, hi, shift, dense=True)
@@ -295,8 +295,11 @@ def classify(lyap: QuadraticLyapunov, op: EvolutionOperator, tau: float, x, hori
     |H(t_k, x_k)| > `CLASSIFY_MARGIN` |x_k|^2 |S(t_k)|_F (Frobenius norm), a
     margin relative to the orbit and the form at that time, since H decays
     with a stable orbit.  The label is 'stable' when every sample counts
-    positive and 'unstable' when every sample counts negative.
+    positive and 'unstable' when every sample counts negative.  A horizon
+    that is not positive raises ValueError.
     """
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) == 0:
         raise ValueError("cannot classify the zero vector")

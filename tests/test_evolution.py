@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -117,7 +118,7 @@ def test_dense_solutions_across_the_jump_match_closed_form(a, b):
 
 @pytest.mark.parametrize("a, b", [(-1.5, 1.5), (1.5, -1.5)])
 def test_dense_lookup_of_an_array_matches_one_time_at_a_time(a, b):
-    # the lookup of an array makes one interpolant call per piece; the
+    # the lookup of an array makes one interpolant call for all pieces; the
     # per-time loop is the reference, knots (-1, 0, 1) and both ends included
     op, _ = example22_pair()
     x = np.array([1.0, 1.0])
@@ -312,7 +313,7 @@ def assert_matches_fresh_pieces(op, t, s, exact, rel):
     fresh = EvolutionOperator(op.field, op.config)
     want = np.eye(n)
     for p, q in fresh._pieces(s, t):
-        want = fresh._integrate_matrix(p, q, np.eye(n)).y[:, -1].reshape(n, n) @ want
+        want = fresh._segment(p, q) @ want
     assert rel(got, want) <= 1e-9
     assert rel(got, exact(t, s)) <= 1e-9
 
@@ -422,10 +423,14 @@ def test_the_array_clamp_moves_each_time_as_its_scalar_clamp():
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("max_step", [math.inf, 0.01])
-def test_the_paired_solve_reads_a_vectorized_field_as_its_per_time_calls(max_step):
-    # under a max_step below the pieces every stage but sigma = 0 misses the
-    # prefetched nodes and reads the field afresh
+@pytest.mark.parametrize(
+    "lo, hi, first_step",
+    [([-0.3, 0.0], [0.0, 0.2], 0.3), ([-0.9, 0.0], [0.0, 0.9], 0.9)],
+    ids=["one-step", "three-step"],
+)
+def test_the_paired_solve_reads_a_vectorized_field_as_its_per_time_calls(lo, hi, first_step):
+    # a clock that its first step cannot cover takes later steps, whose
+    # stages miss the prefetched nodes and read each piece afresh
     field, _, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
     assert field.vectorized
     calls = []
@@ -434,13 +439,14 @@ def test_the_paired_solve_reads_a_vectorized_field_as_its_per_time_calls(max_ste
         calls.append(np.size(t))
         return ev(t)
 
-    cfg = IntegratorConfig(max_step=max_step)
-    lo, hi = [-0.3, 0.0], [0.0, 0.2]
-    got, _ = EvolutionOperator(replace(field, eval=counting), cfg)._clocked(lo, hi, first_step=0.3)
-    want, _ = EvolutionOperator(replace(field, vectorized=False), cfg)._clocked(lo, hi, first_step=0.3)
+    got, _ = EvolutionOperator(replace(field, eval=counting))._clocked(lo, hi, first_step=first_step)
+    want, _ = EvolutionOperator(replace(field, vectorized=False))._clocked(lo, hi, first_step=first_step)
     assert np.array_equal(got.y, want.y)
     assert calls[0] == 24  # the prefetch
-    assert max_step == math.inf or len(calls) > 0.3 / max_step
+    if got.t.size == 2:
+        assert len(calls) == 1
+    else:
+        assert len(calls) > 1 and set(calls[1:]) == {1}
 
 
 def test_a_nan_inside_an_end_piece_raises_naming_its_time():
@@ -464,14 +470,25 @@ def test_a_nan_inside_an_end_piece_raises_naming_its_time():
 
 
 @pytest.mark.parametrize("t, s", [(0.0, -5e-324), (5e-324, 0.0), (-5e-324, 0.0), (0.0, 5e-324)])
-def test_a_subnormal_span_takes_one_step_without_a_warning(t, s):
+def test_a_subnormal_span_takes_one_step_without_a_warning(t, s, monkeypatch):
     # the solver's own first-step guess divides by the span and overflows
     op, _ = example22_pair()
+    steps = []
+
+    def recording(*args, real=evolution.solve_ivp, **kwargs):
+        sol = real(*args, **kwargs)
+        steps.append(sol.t.size - 1)
+        return sol
+
+    monkeypatch.setattr(evolution, "solve_ivp", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = op.evolve(t, s)
+        dense = op.matrix_solution(s, t, np.eye(2))(np.array([s, t]))
     assert np.array_equal(got, np.eye(2))
     assert op._cache[(s, t, False)][0].size == 2
+    assert np.array_equal(dense, [np.eye(2)] * 2)
+    assert steps == [1, 1]
 
 
 def test_the_clocked_solve_of_shifted_pieces_matches_the_matrix_exponential():
@@ -506,3 +523,60 @@ def test_a_non_finite_end_raises_naming_it(call):
     op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0])))
     with pytest.raises(ValueError, match="non-finite end (nan|inf)"):
         call(op)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_evolve_evolve_pairs_and_dense_solutions_agree_on_shared_spans(data):
+    # Example 2.2's e1 decays forward and its e2 backward; every solve starts
+    # from I within one cell, so the decaying orbit keeps its relative
+    # accuracy over spans of up to 50 cells, ends on and off the lattice
+    field, _, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
+    op = EvolutionOperator(field)
+    end = st.one_of(st.floats(-25.0, 25.0), st.integers(-25, 25).map(float))
+    a, b = data.draw(end), data.draw(end)
+    if a == b:
+        b = a + 1.0
+    x = np.array([1.0, 0.0] if b > a else [0.0, 1.0]) * data.draw(st.floats(0.5, 2.0))
+    fractions = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)))
+    vs = np.concatenate([[b], np.clip(a + (b - a) * fractions, min(a, b), max(a, b))])
+    dense = op.vector_solution(a, b, x)(vs)
+    single = np.array([op.evolve(v, a) @ x for v in vs])
+    pairs = op.evolve_pairs(vs, np.full(vs.size, a)) @ x
+    live = np.argmax(np.abs(x))
+    assert np.all(single[:, 1 - live] == 0.0) and np.all(dense[:, 1 - live] == 0.0)
+    for got in (dense, pairs):
+        assert np.max(np.abs(got[:, live] / single[:, live] - 1.0)) <= 1e-8
+
+
+def test_a_long_decaying_orbit_matches_the_closed_form():
+    # the orbit falls to about 1e-23 by v = 50; a solve carried from cell to
+    # cell kept only abs_tol there
+    field, analytic, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
+    vs = np.linspace(0.0, 50.0, 101)
+    got = EvolutionOperator(field).vector_solution(0.0, 50.0, (1, 0))(vs)
+    want = np.array([analytic(v, 0.0)[:, 0] for v in vs])
+    assert np.all(got[:, 1] == 0.0)
+    assert np.max(np.abs(got[:, 0] / want[:, 0] - 1.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("a, b", [(-1.5, 2.5), (2.5, -1.5), (0.2, 0.7), (0.0, 50.0)])
+def test_a_dense_solution_is_one_solve(monkeypatch, a, b):
+    calls = []
+
+    def recording(*args, real=evolution.solve_ivp, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "solve_ivp", recording)
+    op, _ = example22_pair()
+    op.matrix_solution(a, b, np.eye(2))
+    assert len(calls) == 1 and op._cache == {}
+
+
+@pytest.mark.parametrize("m0", [[[math.nan, 0.0], [0.0, 1.0]], [[1.0], [0.0], [0.0]], np.zeros((2, 2, 2)), 1.0])
+def test_a_dense_solution_rejects_a_start_that_is_not_finite_or_of_the_wrong_shape(m0):
+    op, _ = example22_pair()
+    shape = re.escape(str(np.shape(m0)))
+    with pytest.raises(ValueError, match=f"leading dimension 2, got shape {shape}"):
+        op.matrix_solution(0.0, 1.0, m0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -142,15 +143,16 @@ def test_construct_S_at_a_grid_time_a_hair_off_the_jump_matches_the_jump(hair):
     assert err.max() <= 1e-12
 
 
-def test_construct_S_max_step_keeps_its_meaning():
-    # the batched clock runs in the real time of a group's longest piece,
-    # so a step cap changes the steps taken and not the form
+@pytest.mark.parametrize("times", [[0.0, 5e-324, 1.0], [0.0, 5e-324]])
+def test_construct_S_across_a_subnormal_grid_interval(times):
+    # 5e-324 / REPROJECT_WINDOW rounds to 0, so the interval [0, 5e-324] got
+    # no piece of the sweep; it is still cut into one
     field, _, spec = example22_setup()
-    times = np.linspace(-2.0, 2.0, 17)
-    default = construct_S(spec, EvolutionOperator(field), 0.5, times).matrices
-    capped = construct_S(spec, EvolutionOperator(field, IntegratorConfig(max_step=0.1)), 0.5, times).matrices
-    err = np.linalg.norm(capped - default, 2, axis=(1, 2)) / np.linalg.norm(default, 2, axis=(1, 2))
-    assert err.max() <= 1e-8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = construct_S(spec, EvolutionOperator(field), 0.5, times).matrices
+    assert np.linalg.norm(s[1] - s[0], 2) <= 1e-12 * np.linalg.norm(s[0], 2)
+    assert abs(s[0, 0, 0] - 0.852) < 1e-3 and abs(s[0, 1, 1] + 0.852) < 1e-3
 
 
 @pytest.mark.parametrize("times", [np.linspace(-2.0, 2.0, 17), np.array([0.3])], ids=["17-point", "one-point"])
@@ -363,6 +365,23 @@ def test_classify_rejects_zero_vector():
     lyap = construct_S(spec, op, 0.5, np.linspace(0.0, 2.0, 5))
     with pytest.raises(ValueError):
         classify(lyap, op, 0.0, [0.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize(
+    "x, horizon, match",
+    [
+        ([1.0, 0.0], 0.0, "horizon"),
+        ([1.0, 0.0], -1.0, "horizon"),
+        ([1.0, 0.0], math.nan, "horizon"),
+        ([math.nan, 0.0], 1.0, "finite"),
+    ],
+)
+def test_classify_rejects_an_empty_horizon_and_a_non_finite_vector(x, horizon, match):
+    # a horizon that is not positive has no samples in (tau, tau + horizon]
+    spec, op = diag_setup()
+    lyap = construct_S(spec, op, 0.5, np.linspace(-2.0, 2.0, 9))
+    with pytest.raises(ValueError, match=match):
+        classify(lyap, op, 0.0, x, horizon)
 
 
 def test_subspace_split_dimension():
