@@ -18,7 +18,7 @@ from .system import (
     constant_field,
     make_example22,
 )
-from .evolution import EvolutionOperator, IntegratorConfig
+from .evolution import EvolutionOperator
 from .dichotomy import (
     Certificate,
     DichotomySpec,
@@ -47,7 +47,6 @@ __all__ = [
     "constant_field",
     "make_example22",
     "EvolutionOperator",
-    "IntegratorConfig",
     "Certificate",
     "DichotomySpec",
     "ProjectionFamily",

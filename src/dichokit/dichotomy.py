@@ -70,6 +70,9 @@ class DichotomySpec:
     eps: float
 
     def __post_init__(self):
+        for name in ("K", "a", "b", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"need a finite {name}, got {getattr(self, name)}")
         if not (self.a < 0 <= self.b):
             raise ValueError(f"need a < 0 <= b, got a={self.a}, b={self.b}")
         if self.K <= 0:
@@ -131,7 +134,15 @@ class Certificate:
 
 
 def square_grid(lo: float, hi: float, step: float):
-    """All (t, s) pairs with t >= s on a uniform grid, diagonal included."""
+    """All (t, s) pairs with t >= s on a uniform grid, diagonal included.
+
+    The ends must be finite with lo <= hi and the step positive and finite;
+    otherwise ValueError, since the grid would be empty or unbounded.
+    """
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"grid step must be positive and finite, got {step}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"grid ends must be finite with lo <= hi, got [{lo}, {hi}]")
     vals = np.arange(lo, hi + step * 0.5, step)
     return [(float(t), float(s)) for i, t in enumerate(vals) for s in vals[: i + 1]]
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
@@ -42,32 +41,12 @@ from .errors import IntegrationError
 from .system import CoefficientField
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Tolerances and checkpoint lattice of an operator's solves (see `_integrate`).
-
-    Both solves of an `EvolutionOperator` read them (`_table` and `_clocked`,
-    so `classify`'s orbits and the sweeps of `construct_S` too); the
-    renormalized solve of `spectrum` takes no operator and reads
-    `spectrum.RTOL` and `spectrum.ATOL` instead.  Each solve starts from I
-    within one cell, so an entry keeps relative accuracy unless it decays
-    below about abs_tol there.
-
-    The checkpoint spacing must keep one cell's transition in floating-point
-    range: a cell holding an end of a multi-cell `evolve` span is integrated
-    end to end, so with A = +1 a spacing of 2e4 overflows (e^{2e4}) and
-    raises IntegrationError naming the cell.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    checkpoint_spacing: float = 1.0
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.checkpoint_spacing <= 0:
-            raise ValueError("checkpoint spacing must be positive")
+# Every solve of an `EvolutionOperator` (`_table` and `_clocked`, so
+# `classify`'s orbits and the sweeps of `construct_S` too) reads these at
+# call time; the renormalized solve of `spectrum` reads `spectrum.RTOL` and
+# `spectrum.ATOL` instead.  Each solve starts from I within one cell, so an
+# entry keeps relative accuracy unless it decays below about ATOL there.
+RTOL, ATOL = 1e-10, 1e-12
 
 
 def _inward(a: float, b: float):
@@ -115,11 +94,21 @@ def _integrate(solve, rhs, span, y0, rtol, atol, dense_output=False, t_eval=None
 
 
 class EvolutionOperator:
-    """Cached evolution operator of a linear coefficient field."""
+    """Cached evolution operator of a linear coefficient field.
 
-    def __init__(self, field: CoefficientField, config: IntegratorConfig | None = None):
+    `checkpoint_spacing` describes the field: the lattice i * spacing must
+    hold every time where it jumps, and one cell's transition must stay in
+    floating-point range.  A cell holding an end of a multi-cell `evolve`
+    span is integrated end to end, so with A = +1 a spacing of 2e4 overflows
+    (e^{2e4}) and raises IntegrationError naming the cell.  A spacing that
+    is not positive and finite raises ValueError.
+    """
+
+    def __init__(self, field: CoefficientField, checkpoint_spacing: float = 1.0):
+        if not (checkpoint_spacing > 0 and math.isfinite(checkpoint_spacing)):
+            raise ValueError(f"checkpoint spacing must be positive and finite, got {checkpoint_spacing}")
         self.field = field
-        self.config = config or IntegratorConfig()
+        self.checkpoint_spacing = checkpoint_spacing
         # (a, b, inverse) -> step table (times, matrices); see `_table`
         self._cache: dict[tuple[float, float, bool], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -136,7 +125,7 @@ class EvolutionOperator:
         key = (a, b, inverse)
         hit = self._cache.get(key)
         if hit is None:
-            field, n, cfg = self.field, self.field.dim, self.config
+            field, n = self.field, self.field.dim
             inward = _inward(a, b)
 
             def rhs(t, y):
@@ -144,7 +133,7 @@ class EvolutionOperator:
                 return (-(y @ m) if inverse else m @ y).ravel()
 
             span = (b, a) if inverse else (a, b)
-            sol = _integrate(solve_ivp, rhs, span, np.eye(n).ravel(), cfg.rel_tol, cfg.abs_tol)
+            sol = _integrate(solve_ivp, rhs, span, np.eye(n).ravel(), RTOL, ATOL)
             hit = self._cache[key] = (sol.t, sol.y.T.reshape(-1, n, n))
         return hit
 
@@ -180,7 +169,7 @@ class EvolutionOperator:
         Y' = c_k (A Y - shift(times(sigma))[k] Y), with no shift term when
         `shift` is None, so sol.y[:, -1] stacks the (shifted) transitions
         from lo_k to hi_k.  scipy's RMS error norm pools the pieces: one
-        piece's local error may exceed rel_tol by up to sqrt(pieces).
+        piece's local error may exceed RTOL by up to sqrt(pieces).
 
         Given `first_step`, the field at every piece and node sigma = C_i
         first_step of the DOP853 tableau (the last node, 1, also serves the
@@ -190,7 +179,7 @@ class EvolutionOperator:
         a later step) reads each piece through the checked field call, so
         the result never depends on the prediction.
         """
-        n, field, cfg = self.field.dim, self.field, self.config
+        n, field = self.field.dim, self.field
         ell = max(abs(q - p) for p, q in zip(lo, hi))
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         c = (hi - lo) / ell
@@ -213,16 +202,14 @@ class EvolutionOperator:
             return (scale * (a @ y if shift is None else a @ y - shift(vs)[:, None, None] * y)).ravel()
 
         y0 = np.tile(np.eye(n).ravel(), lo.size)
-        sol = _integrate(
-            solve_ivp, rhs, (0.0, ell), y0, cfg.rel_tol, cfg.abs_tol, dense_output=dense, first_step=first_step
-        )
+        sol = _integrate(solve_ivp, rhs, (0.0, ell), y0, RTOL, ATOL, dense_output=dense, first_step=first_step)
         return sol, times
 
     def _knots(self, a: float, b: float) -> list[int]:
         """The i of every checkpoint i * spacing strictly between a and b, compared exactly, from a to b."""
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"span [{a}, {b}] has the non-finite end {b if math.isfinite(a) else a}")
-        c = self.config.checkpoint_spacing
+        c = self.checkpoint_spacing
         lo, hi = min(a, b), max(a, b)
         inner = [i for i in range(math.floor(lo / c), math.ceil(hi / c) + 1) if lo < i * c < hi]
         return inner if b > a else inner[::-1]
@@ -234,7 +221,7 @@ class EvolutionOperator:
         compared exactly (field jumps live there); a checkpoint that misses
         an end by round-off is a knot, and gives a piece a few ulps long.
         """
-        c = self.config.checkpoint_spacing
+        c = self.checkpoint_spacing
         knots = [a] + [i * c for i in self._knots(a, b)] + [b]
         return list(zip(knots[:-1], knots[1:]))
 
@@ -260,7 +247,7 @@ class EvolutionOperator:
         if not knots:
             return self._segment(s, t).copy()
         step = 1 if t > s else -1
-        c = self.config.checkpoint_spacing
+        c = self.checkpoint_spacing
         cells = [i * c for i in [knots[0] - step, *knots, knots[-1] + step]]
         near, near_piece = self._end(cells[0], cells[1], s, True)
         whole = [self._segment(p, q) for p, q in zip(cells[1:-2], cells[2:-1])]
@@ -326,7 +313,7 @@ class EvolutionOperator:
         k) start_k; Y(v) on piece k is its interpolant at sigma = (v - lo_k) /
         c_k times start_k, so a decaying solution keeps its relative accuracy
         over any number of cells.  scipy's RMS error norm pools the pieces:
-        one piece's local error may exceed rel_tol by up to sqrt(pieces).  The
+        one piece's local error may exceed RTOL by up to sqrt(pieces).  The
         lookup takes a time or an array of times (stacked along axis 0) in one
         interpolant call; a time on a knot reads the piece that ends there.
         """
@@ -354,11 +341,6 @@ class EvolutionOperator:
             return (ys[np.arange(vs.size), k] @ starts[k]).reshape(np.shape(v) + m0.shape)
 
         return at
-
-    def vector_solution(self, a: float, b: float, x0):
-        """Dense vector solution of the linear system through (a, x0)."""
-        col = self.matrix_solution(a, b, np.asarray(x0, dtype=float).reshape(-1, 1))
-        return lambda v: col(v)[..., 0]
 
     def cache_report(self) -> dict:
         """Cached solve count and the worst condition number among them.

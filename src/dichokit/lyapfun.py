@@ -303,7 +303,7 @@ def classify(lyap: QuadraticLyapunov, op: EvolutionOperator, tau: float, x, hori
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) == 0:
         raise ValueError("cannot classify the zero vector")
-    orbit = op.vector_solution(tau, tau + horizon, x)
+    orbit = op.matrix_solution(tau, tau + horizon, x)
     ts = tau + horizon * np.arange(1, CLASSIFY_SAMPLES + 1) / CLASSIFY_SAMPLES
     xs, s = orbit(ts), lyap.S(ts)
     values = np.einsum("ki,kij,kj->k", xs, s, xs)

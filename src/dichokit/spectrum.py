@@ -49,7 +49,7 @@ GAP_THRESHOLD = 0.05
 SPREAD_LIMIT = 0.2
 WINDOW = 0.2  # the tail window is this last fraction of the horizon
 SAMPLES = 200  # times sampled in the tail window
-RTOL, ATOL = 1e-9, 1e-12  # of the renormalized solve; evolution solves read `IntegratorConfig`
+RTOL, ATOL = 1e-9, 1e-12  # of the renormalized solve; evolution solves read `evolution.RTOL`/`ATOL`
 CLAIM_K = 1.0  # the K that dichotomy_from_spectrum claims
 
 
@@ -91,6 +91,8 @@ def _exponent_traces(matrix, rates: list, X0, horizon: float, mask=None) -> tupl
     if live.size == 0:
         return traces, 0
     distinct = {id(rates[j]): rates[j] for j in live}
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon {horizon} is not finite")
     if min(r.log_u(horizon) for r in distinct.values()) <= 10.0:
         raise ValueError(f"horizon too short: log u({horizon}) <= 10")
     m = live.size
@@ -123,8 +125,8 @@ def lyapunov_exponent(field_w: CoefficientField, rate: GrowthRate, x0, horizon: 
 
     The one-column case of the batched renormalized solve (see the module
     docstring).  x0 = 0 gets the distinguished value -inf; an x0 whose size
-    is not the field dimension raises ValueError.  Requires
-    log u(horizon) > 10 so the denominator dominates integration error.
+    is not the field dimension raises ValueError.  Requires a finite horizon
+    with log u(horizon) > 10 so the denominator dominates integration error.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.size != field_w.dim:

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,36 @@ def test_spec_constant_constraints():
         DichotomySpec(P, exp_quad(), K=0.0, a=-1.0, b=1.0, eps=0.0)
     with pytest.raises(ValueError):
         DichotomySpec(P, exp_quad(), K=1.0, a=-1.0, b=1.0, eps=-0.1)
+
+
+@pytest.mark.parametrize(
+    "name, changes",
+    [
+        ("K", {"K": math.nan}),
+        ("K", {"K": math.inf, "a": -100.0, "eps": 0.0}),
+        ("eps", {"eps": math.nan}),
+        ("eps", {"eps": math.inf}),
+        ("b", {"b": math.inf}),
+        ("a", {"a": -math.inf}),
+    ],
+)
+def test_spec_rejects_a_non_finite_constant_naming_it(name, changes):
+    # with K = inf, a = -100 and eps = 0, verify of Example 2.2 used to pass
+    # on square_grid(-2, 2, 0.5), a certificate of nothing
+    _, _, spec = make_example22(Example22Params(1.0, 0.1, 1.0))
+    with pytest.raises(ValueError, match=f"need a finite {name}, got {changes[name]}"):
+        replace(spec, **changes)
+
+
+def test_square_grid_rejects_an_empty_or_unbounded_grid():
+    # a negative step or reversed ends used to give [], which verify passes
+    for lo, hi, step in ((0.0, 1.0, -0.1), (0.0, 1.0, 0.0), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf)):
+        with pytest.raises(ValueError, match=f"step must be positive and finite, got {step}"):
+            square_grid(lo, hi, step)
+    for lo, hi in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="ends must be finite with lo <= hi"):
+            square_grid(lo, hi, 0.1)
+    assert square_grid(1.0, 1.0, 0.1) == [(1.0, 1.0)]
 
 
 def test_example22_certificate_passes():

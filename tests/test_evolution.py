@@ -12,7 +12,7 @@ from scipy.linalg import expm
 from dichokit import evolution, spectrum
 from dichokit.dichotomy import DichotomySpec, ProjectionFamily
 from dichokit.errors import IntegrationError
-from dichokit.evolution import EvolutionOperator, IntegratorConfig, _inward
+from dichokit.evolution import EvolutionOperator, _inward
 from dichokit.growth import RateQuadruple, builtin
 from dichokit.lyapfun import construct_S
 from dichokit.system import (
@@ -26,9 +26,9 @@ from dichokit.system import (
 RNG = np.random.default_rng(7)
 
 
-def example22_pair(rel_tol=1e-9):
+def example22_pair():
     field, analytic, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
-    return EvolutionOperator(field, IntegratorConfig(rel_tol=rel_tol)), analytic
+    return EvolutionOperator(field), analytic
 
 
 def test_constant_diagonal_flow():
@@ -83,12 +83,13 @@ def test_forward_backward_inverse_consistency():
         assert np.linalg.norm(prod - np.eye(2), 2) <= 1e-7
 
 
-def test_error_shrinks_with_tolerance():
+def test_error_shrinks_with_tolerance(monkeypatch):
     _, analytic = example22_pair()
     want = analytic(4.0, -2.0)
     errs = []
     for rtol in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
-        op, _ = example22_pair(rel_tol=rtol)
+        monkeypatch.setattr(evolution, "RTOL", rtol)
+        op, _ = example22_pair()
         got = op.evolve(4.0, -2.0)
         errs.append(np.linalg.norm(got - want, 2) / np.linalg.norm(want, 2))
     for coarse, fine in zip(errs, errs[1:]):
@@ -108,7 +109,7 @@ def test_dense_solutions_across_the_jump_match_closed_form(a, b):
     # Example 2.2's field jumps at 0; each span is cut there like evolve's
     op, analytic = example22_pair()
     x = np.array([1.0, 1.0])
-    orbit = op.vector_solution(a, b, x)
+    orbit = op.matrix_solution(a, b, x)
     cols = op.matrix_solution(a, b, np.eye(2))
     for v in np.linspace(a, b, 13):
         want = analytic(v, a)
@@ -122,7 +123,7 @@ def test_dense_lookup_of_an_array_matches_one_time_at_a_time(a, b):
     # per-time loop is the reference, knots (-1, 0, 1) and both ends included
     op, _ = example22_pair()
     x = np.array([1.0, 1.0])
-    orbit = op.vector_solution(a, b, x)
+    orbit = op.matrix_solution(a, b, x)
     cols = op.matrix_solution(a, b, np.eye(2))
     vs = np.concatenate([np.linspace(a, b, 13), RNG.uniform(-1.5, 1.5, 20)])
     assert orbit(vs).shape == (vs.size, 2) and cols(vs).shape == (vs.size, 2, 2)
@@ -140,7 +141,7 @@ def test_dense_stage_times_stay_on_their_side_of_the_jump():
     x = np.array([1.0, 1.0])
     for end in (-1.6549270241938287e-36, -1e-20, 0.0, 1e-300):
         want = analytic(end, -1.0) @ x
-        got = op.vector_solution(-1.0, end, x)(end)
+        got = op.matrix_solution(-1.0, end, x)(end)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
@@ -148,7 +149,7 @@ def test_dense_stage_times_stay_on_their_side_of_the_jump():
 def test_evolve_at_the_default_config_matches_closed_form(t, s):
     # the worst spans of 1,000 random off-lattice queries, each across the jump at 0
     field, analytic, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
-    got = EvolutionOperator(field, IntegratorConfig()).evolve(t, s)
+    got = EvolutionOperator(field).evolve(t, s)
     want = analytic(t, s)
     assert np.max(np.abs(np.diag(got) - np.diag(want)) / np.diag(want)) <= 1.5e-9
     assert got[0, 1] == got[1, 0] == 0.0
@@ -186,11 +187,13 @@ def test_every_solve_reaches_its_module_global_at_call_time(monkeypatch):
     assert len(methods) == 1
 
 
-def test_config_rejects_bad_tolerances():
-    with pytest.raises(ValueError):
-        IntegratorConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(checkpoint_spacing=-1.0)
+def test_the_operator_rejects_a_spacing_that_is_not_positive_and_finite():
+    # a NaN spacing used to fail at the first evolve; an infinite one removed
+    # the lattice, so the jump of Example 2.2 at 0 was integrated across
+    field, _, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
+    for spacing in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"spacing must be positive and finite, got {spacing}"):
+            EvolutionOperator(field, checkpoint_spacing=spacing)
 
 
 def test_cache_report_counts_segments():
@@ -216,7 +219,7 @@ def test_a_cell_whose_transition_overflows_raises_naming_it():
     # end; with A = +1 there its transition is e^{2e4}, past the largest double
     c = 2e4
     field = CoefficientField(1, lambda t: np.array([[-1.0 if t < c else 1.0]]))
-    op = EvolutionOperator(field, IntegratorConfig(checkpoint_spacing=c))
+    op = EvolutionOperator(field, checkpoint_spacing=c)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError, match=r"\[20000.0, 40000.0\]"):
         op.evolve(c + 0.5, c - 0.5)
 
@@ -224,7 +227,7 @@ def test_a_cell_whose_transition_overflows_raises_naming_it():
 def test_every_checkpoint_strictly_inside_a_span_is_a_knot():
     # 3 * 0.1 is 0.30000000000000004 and 7 * 0.1 is 0.7000000000000001:
     # the first lies inside (0.3, 0.7) and is a knot, the second does not
-    op = EvolutionOperator(constant_field([[1.0]]), IntegratorConfig(checkpoint_spacing=0.1))
+    op = EvolutionOperator(constant_field([[1.0]]), checkpoint_spacing=0.1)
     checkpoints = [i * 0.1 for i in range(10)]
     for a, b in ((0.3, 0.7), (0.7, 0.3)):
         pieces = op._pieces(a, b)
@@ -310,7 +313,7 @@ def assert_matches_fresh_pieces(op, t, s, exact, rel):
     if t == s:
         assert np.array_equal(got, np.eye(n))
         return
-    fresh = EvolutionOperator(op.field, op.config)
+    fresh = EvolutionOperator(op.field, op.checkpoint_spacing)
     want = np.eye(n)
     for p, q in fresh._pieces(s, t):
         want = fresh._segment(p, q) @ want
@@ -324,7 +327,7 @@ def test_tables_match_fresh_piece_solves(setup, spacing, data):
     # ends anywhere, on checkpoints, one ulp off one, or on a step time of
     # the table that serves them; both orientations
     field, exact, rel = setup()
-    op = EvolutionOperator(field, IntegratorConfig(checkpoint_spacing=spacing))
+    op = EvolutionOperator(field, checkpoint_spacing=spacing)
     index = st.integers(round(-3 / spacing), round(3 / spacing))
     end = st.one_of(
         st.floats(-3.0, 3.0),
@@ -352,7 +355,7 @@ def test_tables_match_fresh_piece_solves_one_ulp_off_a_checkpoint(setup, t, s):
     # 3 * 0.1 and 7 * 0.1 miss 0.3 and 0.7 by one ulp, so the span has an
     # end piece one ulp long at one end and one ulp short of a cell at the other
     field, exact, rel = setup()
-    op = EvolutionOperator(field, IntegratorConfig(checkpoint_spacing=0.1))
+    op = EvolutionOperator(field, checkpoint_spacing=0.1)
     assert_matches_fresh_pieces(op, t, s, exact, rel)
 
 
@@ -540,7 +543,7 @@ def test_evolve_evolve_pairs_and_dense_solutions_agree_on_shared_spans(data):
     x = np.array([1.0, 0.0] if b > a else [0.0, 1.0]) * data.draw(st.floats(0.5, 2.0))
     fractions = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)))
     vs = np.concatenate([[b], np.clip(a + (b - a) * fractions, min(a, b), max(a, b))])
-    dense = op.vector_solution(a, b, x)(vs)
+    dense = op.matrix_solution(a, b, x)(vs)
     single = np.array([op.evolve(v, a) @ x for v in vs])
     pairs = op.evolve_pairs(vs, np.full(vs.size, a)) @ x
     live = np.argmax(np.abs(x))
@@ -551,10 +554,10 @@ def test_evolve_evolve_pairs_and_dense_solutions_agree_on_shared_spans(data):
 
 def test_a_long_decaying_orbit_matches_the_closed_form():
     # the orbit falls to about 1e-23 by v = 50; a solve carried from cell to
-    # cell kept only abs_tol there
+    # cell kept only ATOL there
     field, analytic, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
     vs = np.linspace(0.0, 50.0, 101)
-    got = EvolutionOperator(field).vector_solution(0.0, 50.0, (1, 0))(vs)
+    got = EvolutionOperator(field).matrix_solution(0.0, 50.0, (1, 0))(vs)
     want = np.array([analytic(v, 0.0)[:, 0] for v in vs])
     assert np.all(got[:, 1] == 0.0)
     assert np.max(np.abs(got[:, 0] / want[:, 0] - 1.0)) <= 1e-8

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from dichokit import evolution, lyapfun
 from dichokit.dichotomy import DichotomySpec, ProjectionFamily, square_grid, verify
 from dichokit.errors import DichokitError, TailCertificationError
-from dichokit.evolution import EvolutionOperator, IntegratorConfig
+from dichokit.evolution import EvolutionOperator
 from dichokit.growth import RateQuadruple, builtin
 from dichokit.lyapfun import QuadraticLyapunov, classify, construct_S, derivative_condition
 from dichokit.system import CoefficientField, Example22Params, constant_field, make_example22
@@ -123,7 +123,7 @@ def test_construct_S_on_a_fine_lattice_matches_the_unit_lattice():
     field, _, spec = example22_setup()
     times = np.array([-0.7, -0.3, 0.3, 0.7])
     unit, fine = (
-        construct_S(spec, EvolutionOperator(field, IntegratorConfig(checkpoint_spacing=c)), 0.5, times).matrices
+        construct_S(spec, EvolutionOperator(field, checkpoint_spacing=c), 0.5, times).matrices
         for c in (1.0, 0.1)
     )
     err = np.linalg.norm(fine - unit, 2, axis=(1, 2)) / np.linalg.norm(unit, 2, axis=(1, 2))

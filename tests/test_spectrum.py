@@ -87,6 +87,23 @@ def test_short_horizon_rejected():
         lyapunov_exponent(constant_field([[-1.0]]), EXP, [1.0], horizon=5.0)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h: lyapunov_exponent(constant_field([[-1.0]]), EXP, [1.0], horizon=h),
+        lambda h: spectrum(standard_block(), EXP, EXP, horizon=h),
+        lambda h: regularity(standard_block(), EXP, EXP, horizon=h),
+    ],
+    ids=["lyapunov_exponent", "spectrum", "regularity"],
+)
+def test_a_non_finite_horizon_rejected(call, horizon):
+    # log u(nan) <= 10 is False, so the short-horizon check let NaN through
+    # and the solve never ended; an infinite one warned, then never ended
+    with pytest.raises(ValueError, match=f"horizon {horizon} is not finite"):
+        call(horizon)
+
+
 def test_scaling_invariance_of_exponent():
     # the log|c| offset decays like log|c| / t, so the 0.01 agreement
     # needs a horizon past log(10)/0.01
