@@ -31,7 +31,7 @@ from .dichotomy import (
 from .lyapfun import QuadraticLyapunov, classify, construct_S, derivative_condition
 
 # the function spectrum stays dichokit.spectrum.spectrum: importing it here
-# would rebind the name of its module
+# would rebind the name of its module; regularity is an alias of it
 from .spectrum import dichotomy_from_spectrum, lyapunov_exponent, regularity
 
 __all__ = [

@@ -9,23 +9,24 @@ approximated by the supremum over a tail window of the horizon, with the
 window spread reported as the trust measure (no finite computation yields a
 true limsup).
 
-`spectrum` and `regularity` each make one solve (`evolution._integrate`) of
-the doubled system D(t) = diag(A(t), -A(t)^T), A = diag(W1, W2), evaluating
-W1 and W2 once per stage for every forward and adjoint column.  D is one
-(2n, 2n) array per solve, refilled in place at each stage from the two
-shape-checked blocks and checked for finiteness once.  Per column,
-the state holds a unit direction q (only the entries of the column's own
-block of D) and a log-norm log r, measured against the column's rate (h, k,
-hbar or kbar):
+`spectrum` makes one solve (`evolution._integrate`) of the doubled system
+D(t) = diag(A(t), -A(t)^T), A = diag(W1, W2), for the exponents and the
+regularity bounds together, evaluating W1 and W2 once per stage for every
+forward and adjoint column.  D is one (2n, 2n) array per solve, refilled
+in place at each stage from the two shape-checked blocks and checked for
+finiteness once.  Per column, the state holds a unit direction q (only the
+entries of the column's own block of D) and a log-norm log r, measured
+against the column's rate (h, k, hbar or kbar):
 
     q' = D q^ - (q^T D q^) q^,    (log r)' = q^T D q^,    q^ = q / |q|,
 
 so no mode overflows.  Columns are not orthogonalized against each other,
 and the one run's error norm pools all of them (see `_exponent_traces`).
 
-Regularity coefficients pair forward and adjoint exponents over dual bases.
-The true minimum over all dual bases is a hard search; we return certified
-upper bounds over a candidate set, which downstream only ever weakens the
+Regularity coefficients pair forward and adjoint exponents over dual bases,
+whose basis and dual columns are the solve's start columns.  The true
+minimum over all dual bases is a hard search; we return certified upper
+bounds over a candidate set, which downstream only ever weakens the
 claimed dichotomy (a larger nonuniformity exponent), and the claim is then
 grid-checked by the dichotomy module.
 """
@@ -78,10 +79,15 @@ def _exponent_traces(matrix, rates: list, X0, horizon: float, mask=None) -> tupl
     before its next call.  All nonzero
     columns are integrated in one `evolution._integrate` solve, so scipy's
     RMS error norm pools the entries of every column: a column's own local
-    error may exceed `RTOL` by up to sqrt(state size / its entries).  A
-    zero column gets -inf and is left out.  Returns one trace per column
+    error may exceed `RTOL` by up to sqrt(state size / its entries).  The
+    horizon is checked against every column's rate, then a zero column
+    gets -inf and is left out.  Returns one trace per column
     and the run's field evaluations (0 when every column is zero).
     """
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon {horizon} is not finite")
+    if min(r.log_u(horizon) for r in {id(r): r for r in rates}.values()) <= 10.0:
+        raise ValueError(f"horizon too short: log u({horizon}) <= 10")
     X0 = np.asarray(X0, dtype=float)
     n = X0.shape[0]
     mask = np.ones(X0.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
@@ -91,10 +97,6 @@ def _exponent_traces(matrix, rates: list, X0, horizon: float, mask=None) -> tupl
     if live.size == 0:
         return traces, 0
     distinct = {id(rates[j]): rates[j] for j in live}
-    if not math.isfinite(horizon):
-        raise ValueError(f"horizon {horizon} is not finite")
-    if min(r.log_u(horizon) for r in distinct.values()) <= 10.0:
-        raise ValueError(f"horizon too short: log u({horizon}) <= 10")
     m = live.size
     entries = np.flatnonzero(mask[:, live])  # into the row-major (n, m) directions
     split = entries.size
@@ -180,61 +182,6 @@ def _doubled_traces(block: BlockSystem, starts, rates, horizon: float):
     return [flat[e - w : e] for w, e in zip(widths, ends)], nfev
 
 
-@dataclass
-class SpectrumReport:
-    """Distinct exponents of both blocks and their adjoints."""
-
-    values_E: list
-    values_F: list
-    adjoint_E: list
-    adjoint_F: list
-    horizon: float
-    traces: dict = field(default_factory=dict)
-    reliable: bool = True
-    nfev: int = 0  # field evaluations of the one solve
-
-    @property
-    def lambda_top(self) -> float:
-        """Largest stable-block exponent (the lambda_r of the E side)."""
-        return self.values_E[-1][0]
-
-    @property
-    def chi_bottom(self) -> float:
-        """Smallest unstable-block exponent (the chi_1 of the F side)."""
-        return self.values_F[0][0]
-
-
-def spectrum(
-    block: BlockSystem,
-    h: GrowthRate,
-    k: GrowthRate,
-    hbar: GrowthRate | None = None,
-    kbar: GrowthRate | None = None,
-    horizon: float = 50.0,
-) -> SpectrumReport:
-    """Exponents of the fundamental-matrix columns of both blocks.
-
-    One solve of the doubled system (see the module docstring) integrates
-    the coordinate columns of each block, measured against h/k, and of each
-    block's adjoint, measured against hbar/kbar (defaulting to h/k).  A
-    report is marked unreliable when any column's tail-window spread exceeds
-    0.2; ``nfev`` is the field evaluations of the solve.
-    """
-    eyes = [np.eye(block.split), np.eye(block.dim - block.split)] * 2
-    flat, nfev = _doubled_traces(block, eyes, (h, k, hbar or h, kbar or k), horizon)
-    values_E, values_F, adjoint_E, adjoint_F = (_cluster([t.estimate for t in trs]) for trs in flat)
-    return SpectrumReport(
-        values_E=values_E,
-        values_F=values_F,
-        adjoint_E=adjoint_E,
-        adjoint_F=adjoint_F,
-        horizon=horizon,
-        traces=dict(zip(("E", "F", "E_adjoint", "F_adjoint"), flat)),
-        reliable=all(t.reliable for trs in flat for t in trs),
-        nfev=nfev,
-    )
-
-
 @dataclass(frozen=True)
 class DualBasisPair:
     """Square basis and dual with Kronecker pairing (a partial basis would under-report regularity)."""
@@ -259,19 +206,42 @@ class DualBasisPair:
 
 
 @dataclass
-class RegularityReport:
-    """Certified upper bounds on the two regularity coefficients."""
+class SpectrumReport:
+    """Distinct exponents of both blocks and their adjoints, and the regularity bounds.
 
+    The exponents are those of each block's first candidate basis and its
+    dual; ``gamma`` and ``gamma_bar`` are certified upper bounds on the two
+    regularity coefficients, attained by ``basis_E`` and ``basis_F``.
+    ``traces`` holds the trace of every start column, candidates in order.
+    """
+
+    values_E: list
+    values_F: list
+    adjoint_E: list
+    adjoint_F: list
     gamma: float
     gamma_bar: float
     basis_E: DualBasisPair
     basis_F: DualBasisPair
-    per_candidate_E: list = field(default_factory=list)
-    per_candidate_F: list = field(default_factory=list)
+    per_candidate_E: list
+    per_candidate_F: list
+    horizon: float
+    traces: dict = field(default_factory=dict)
+    reliable: bool = True
     nfev: int = 0  # field evaluations of the one solve
 
+    @property
+    def lambda_top(self) -> float:
+        """Largest stable-block exponent (the lambda_r of the E side)."""
+        return self.values_E[-1][0]
 
-def regularity(
+    @property
+    def chi_bottom(self) -> float:
+        """Smallest unstable-block exponent (the chi_1 of the F side)."""
+        return self.values_F[0][0]
+
+
+def spectrum(
     block: BlockSystem,
     h: GrowthRate,
     k: GrowthRate,
@@ -280,42 +250,58 @@ def regularity(
     candidates_E: list | None = None,
     candidates_F: list | None = None,
     horizon: float = 50.0,
-) -> RegularityReport:
-    """Upper-bound the regularity coefficients over candidate dual bases.
+) -> SpectrumReport:
+    """Exponents of both blocks and upper bounds on their regularity coefficients.
 
-    Each candidate pairs basis vector i with dual vector i; the candidate's
-    score is the max paired sum of forward and adjoint exponents, and the
-    bound is the min over candidates.  The exact min over all dual bases is
-    not computed.  The basis columns of every candidate of both blocks and
-    their dual columns share one solve of the doubled system (see the module
-    docstring); ``nfev`` is the field evaluations of that solve.
+    Each block has a list of candidate dual bases (`DualBasisPair`),
+    defaulting to its coordinate basis.  One solve of the doubled system
+    (see the module docstring) integrates every candidate's basis columns,
+    measured against h/k, and dual columns, measured against hbar/kbar
+    (defaulting to h/k).  The exponents are the clusters of each block's
+    first candidate.  A candidate pairs basis vector i with dual vector i;
+    its score is the max paired sum of forward and adjoint exponents, and
+    ``gamma`` (E) and ``gamma_bar`` (F) are the min over candidates.  The
+    exact min over all dual bases is not computed.  A report is marked
+    unreliable when any column's tail-window spread exceeds 0.2; ``nfev``
+    is the field evaluations of the solve.
     """
-    cands = [
-        candidates_E or [DualBasisPair.from_basis(np.eye(block.W1.dim))],
-        candidates_F or [DualBasisPair.from_basis(np.eye(block.W2.dim))],
-    ]
+    dims = (block.split, block.dim - block.split)
+    cands = [cs or [DualBasisPair.from_basis(np.eye(d))] for cs, d in zip((candidates_E, candidates_F), dims)]
     starts = [np.hstack([c.basis for c in cs]) for cs in cands] + [np.hstack([c.dual for c in cs]) for cs in cands]
-    traces, nfev = _doubled_traces(block, starts, (h, k, hbar or h, kbar or k), horizon)
+    flat, nfev = _doubled_traces(block, starts, (h, k, hbar or h, kbar or k), horizon)
     scores = []
-    for cs, fwd, bwd in zip(cands, traces[:2], traces[2:]):
+    for d, fwd, bwd in zip(dims, flat[:2], flat[2:]):
         sums = [f.estimate + b.estimate for f, b in zip(fwd, bwd)]
-        ends = np.cumsum([c.basis.shape[1] for c in cs])
-        scores.append([max(sums[end - c.basis.shape[1] : end]) for c, end in zip(cs, ends)])
+        scores.append([max(sums[i : i + d]) for i in range(0, len(sums), d)])
     best_E, best_F = (int(np.argmin(s)) for s in scores)
-    return RegularityReport(
+    first = [trs[:d] for trs, d in zip(flat, dims * 2)]  # each block's first candidate
+    values_E, values_F, adjoint_E, adjoint_F = (_cluster([t.estimate for t in trs]) for trs in first)
+    return SpectrumReport(
+        values_E=values_E,
+        values_F=values_F,
+        adjoint_E=adjoint_E,
+        adjoint_F=adjoint_F,
         gamma=scores[0][best_E],
         gamma_bar=scores[1][best_F],
         basis_E=cands[0][best_E],
         basis_F=cands[1][best_F],
         per_candidate_E=scores[0],
         per_candidate_F=scores[1],
+        horizon=horizon,
+        traces=dict(zip(("E", "F", "E_adjoint", "F_adjoint"), flat)),
+        reliable=all(t.reliable for trs in flat for t in trs),
         nfev=nfev,
     )
 
 
+# the name the benchmark's coupled-spectrum pipeline calls and traces as a
+# second, identical solve; it goes with the benchmark's second call
+regularity = spectrum
+
+
 def dichotomy_from_spectrum(
     report: SpectrumReport,
-    reg: RegularityReport,
+    reg: SpectrumReport,
     h: GrowthRate,
     k: GrowthRate,
     hbar: GrowthRate,
@@ -331,6 +317,8 @@ def dichotomy_from_spectrum(
     asserts existence of a constant; K is `CLAIM_K`, and the claim is then
     tested by dichotomy.verify.  DichotomySpec is a frozen dataclass that
     re-checks K, so ``dataclasses.replace(spec, K=...)`` claims another K.
+    The exponents are read from `report` and gamma, gamma_bar from `reg`;
+    one `spectrum` report carries both, so it may be passed as both.
     """
     if eps_tilde <= 0:
         raise ValueError("eps_tilde must be positive")

@@ -40,6 +40,15 @@ def test_constant_diagonal_flow():
 def test_identity_at_equal_times():
     op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0])))
     assert np.array_equal(op.evolve(1.3, 1.3), np.eye(2))
+    m0 = np.array([[1.0, 2.0], [3.0, 4.0]])
+    solution = op.matrix_solution(1.3, 1.3, m0)
+    assert np.array_equal(solution(1.3), m0) and np.array_equal(solution(np.array([1.3, 1.3])), [m0, m0])
+
+
+def test_evolve_pairs_rejects_t_and_s_of_different_sizes():
+    op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0])))
+    with pytest.raises(ValueError, match="need as many t as s, got 2 and 1"):
+        op.evolve_pairs([0.0, 1.0], [0.0])
 
 
 def test_example22_matches_closed_form():

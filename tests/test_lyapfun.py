@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -72,6 +72,13 @@ def test_construct_S_rejects_bad_damping():
         construct_S(spec, op, 0.0, np.linspace(-1, 1, 3))
 
 
+def test_construct_S_refuses_a_spec_whose_K_is_below_the_truth():
+    # S = diag(1, -1) exactly, past the envelope cap K^2 (1 + 1) / (2 dbar) = 0.5
+    spec, op = diag_setup()
+    with pytest.raises(DichokitError, match=r"\|S\(-1\.0\)\| exceeds the envelope cap 0\.5;"):
+        construct_S(replace(spec, K=0.5), op, 0.5, np.linspace(-1.0, 1.0, 5))
+
+
 def test_construct_S_norm_cap_margin_nonnegative():
     field, _, spec = make_example22(Example22Params(1.0, 0.1, 1.0))
     op = EvolutionOperator(field)
@@ -84,31 +91,37 @@ def example22_setup():
     return make_example22(Example22Params(1.0, 0.1, 1.0))
 
 
-def example22_oracle(analytic, spec, dbar, times):
-    # h = k = e^t, so h'/h = k'/k = 1; 40 time units out the integrands are below e^-40
+def example22_oracle(analytic, spec, dbar, times, c):
+    # h = k = e^{ct}, so h'/h = k'/k = c; 40/c time units out the integrands are below e^-40
     def integral(f, lo, hi):
         pts = [0.0] if lo < 0.0 < hi else None
         return quad(f, lo, hi, points=pts, limit=400, epsabs=0.0, epsrel=1e-12)[0]
 
-    a, b = spec.a, spec.b
-    s11 = [integral(lambda v: analytic(v, t)[0, 0] ** 2 * math.exp(-2 * (a + dbar) * (v - t)), t, t + 40) for t in times]
-    s22 = [-integral(lambda v: analytic(v, t)[1, 1] ** 2 * math.exp(2 * (b - dbar) * (t - v)), t - 40, t) for t in times]
+    a, b, span = spec.a, spec.b, 40 / c
+    stable = lambda t: lambda v: c * analytic(v, t)[0, 0] ** 2 * math.exp(-2 * (a + dbar) * c * (v - t))
+    unstable = lambda t: lambda v: c * analytic(v, t)[1, 1] ** 2 * math.exp(2 * (b - dbar) * c * (t - v))
+    s11 = [integral(stable(t), t, t + span) for t in times]
+    s22 = [-integral(unstable(t), t - span, t) for t in times]
     return np.array(s11), np.array(s22)
 
 
-def assert_matches_example22_oracle(times):
-    field, analytic, spec = example22_setup()
+def assert_matches_example22_oracle(times, c=1.0):
+    h, mu = builtin("exp", {"rate": c}), builtin("expabs")
+    field, analytic, spec = make_example22(Example22Params(1.0, 0.1, 1.0, RateQuadruple(h, h, mu, mu)))
     dbar = 0.5
     got = construct_S(spec, EvolutionOperator(field), dbar, times).matrices
-    s11, s22 = example22_oracle(analytic, spec, dbar, times)
+    s11, s22 = example22_oracle(analytic, spec, dbar, times, c)
     assert np.max(np.abs(got[:, 0, 0] - s11) / np.abs(s11)) <= 5e-8
     assert np.max(np.abs(got[:, 1, 1] - s22) / np.abs(s22)) <= 5e-8
     assert np.max(np.abs(got[:, 0, 1])) <= 1e-12
 
 
-def test_construct_S_example22_matches_scalar_quadrature_off_zero():
+@settings(max_examples=5, deadline=None)
+@given(c=st.floats(0.5, 2.0))
+@example(c=1.0)
+def test_construct_S_example22_matches_scalar_quadrature_off_zero(c):
     # grid without 0: the field jump at 0 falls inside a grid interval
-    assert_matches_example22_oracle(np.linspace(-1.9, 2.1, 17))
+    assert_matches_example22_oracle(np.linspace(-1.9, 2.1, 17), c)
 
 
 def test_construct_S_example22_matches_scalar_quadrature_on_a_nonuniform_grid():
@@ -332,6 +345,11 @@ def test_derivative_condition_refuses_coarse_grid():
     lyap = QuadraticLyapunov(times, wiggly, 0.5, spec)
     with pytest.raises(DichokitError):
         derivative_condition(lyap, op.field)
+    with pytest.raises(ValueError, match="form must be 'sufficiency' or 'necessity'"):
+        derivative_condition(lyap, op.field, form="both")
+    one_point = QuadraticLyapunov(times[:1], wiggly[:1], 0.5, spec)
+    with pytest.raises(DichokitError, match="no interior points"):
+        derivative_condition(one_point, op.field)
 
 
 def test_necessity_form_holds_for_time_varying_field():
@@ -358,6 +376,8 @@ def test_classify_basis_and_mixed_vectors():
     assert classify(lyap, op, 0.0, [0.0, 1.0], 4.0) == "unstable"
     # H(t) = e^{-2t} - e^{2t} < 0 for t > 0: eventually unstable
     assert classify(lyap, op, 0.0, [1.0, 1.0], 4.0) == "unstable"
+    # H(t) = e^{-2t} - 1e-4 e^{2t} changes sign at t = ln(10) inside the horizon
+    assert classify(lyap, op, 0.0, [1.0, 0.01], 6.0) == "undetermined"
 
 
 def test_classify_rejects_zero_vector():

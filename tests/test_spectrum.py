@@ -104,6 +104,13 @@ def test_a_non_finite_horizon_rejected(call, horizon):
         call(horizon)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -5.0])
+def test_an_all_zero_start_still_has_its_horizon_checked(horizon):
+    # a zero start used to return -inf before either horizon check
+    with pytest.raises(ValueError, match=f"horizon {horizon} is not finite|horizon too short"):
+        lyapunov_exponent(constant_field([[1.0]]), EXP, [0.0], horizon=horizon)
+
+
 def test_scaling_invariance_of_exponent():
     # the log|c| offset decays like log|c| / t, so the 0.01 agreement
     # needs a horizon past log(10)/0.01
@@ -187,6 +194,30 @@ def test_regularity_rotated_system_orders_candidates():
     assert rep.gamma == pytest.approx(diag_score, abs=1e-12)
 
 
+def test_one_report_carries_the_first_candidates_exponents_and_the_regularity_bound():
+    theta = math.radians(30.0)
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    blk = BlockSystem(constant_field(rot @ np.diag([-1.0, -3.0]) @ rot.T), constant_field([[2.0]]))
+    cands = [DualBasisPair(rot, rot), DualBasisPair.from_basis(np.eye(2))]
+    # round-off seeds the -1 mode into the -3 eigenvector at about 1e-16, and
+    # it gains e^{2t}: by horizon 50 that column reads -1.74 (ROADMAP item 2)
+    horizon = 12.0
+    rep = spectrum(blk, EXP, EXP, candidates_E=cands, horizon=horizon)
+    assert regularity is spectrum
+    # the diagonalizing candidate comes first and sees both eigenvalues; the
+    # coordinate columns would both read the top one, -1
+    assert [v for v, _ in rep.values_E] == pytest.approx([-3.0, -1.0], abs=1e-6)
+    assert [v for v, _ in rep.adjoint_E] == pytest.approx([1.0, 3.0], abs=1e-6)
+    # paired sums 0 for the eigenbasis, about -1 + 3 for the coordinate one
+    assert rep.gamma == min(rep.per_candidate_E) == rep.per_candidate_E[0] and rep.basis_E is cands[0]
+    assert rep.gamma_bar == rep.per_candidate_F[0] and len(rep.per_candidate_F) == 1
+    # one report in both places gives the spec of the two-call pipeline
+    claim = lambda report, reg: dichotomy_from_spectrum(report, reg, EXP, EXP, EXP, EXP, eps_tilde=0.1, block=blk)
+    one = claim(rep, rep)
+    two = claim(*(call(blk, EXP, EXP, candidates_E=cands, horizon=horizon) for call in (spectrum, regularity)))
+    assert (one.K, one.a, one.b, one.eps) == (two.K, two.a, two.b, two.eps)
+
+
 def test_dichotomy_from_spectrum_arithmetic():
     blk = BlockSystem(constant_field([[-2.0]]), constant_field([[1.0]]))
     rep = spectrum(blk, EXP, EXP, horizon=50.0)
@@ -215,6 +246,13 @@ def test_sign_condition_violation_raises():
     reg = regularity(blk, EXP, EXP, horizon=50.0)
     with pytest.raises(DichokitError):
         dichotomy_from_spectrum(rep, reg, EXP, EXP, EXP, EXP, eps_tilde=0.1, block=blk)
+    # lambda_top = -1 < 0 < chi_bottom: the margin checks on eps_tilde
+    blk = BlockSystem(constant_field([[-1.0]]), constant_field([[1.0]]))
+    rep = spectrum(blk, EXP, EXP, horizon=50.0)
+    with pytest.raises(ValueError, match="eps_tilde must be positive"):
+        dichotomy_from_spectrum(rep, rep, EXP, EXP, EXP, EXP, eps_tilde=0.0, block=blk)
+    with pytest.raises(DichokitError, match="eps_tilde=1.5 swallows the stable margin"):
+        dichotomy_from_spectrum(rep, rep, EXP, EXP, EXP, EXP, eps_tilde=1.5, block=blk)
 
 
 def rotated_block(diag, angle, omega):
@@ -424,7 +462,8 @@ def nan_after(t_bad, w):
     return CoefficientField(w.dim, lambda t: np.full((w.dim, w.dim), math.nan) if t >= t_bad else w.eval(t))
 
 
-@pytest.mark.parametrize("call", [spectrum, regularity])
+# regularity is spectrum, so the ids are named
+@pytest.mark.parametrize("call", [spectrum, regularity], ids=["spectrum", "regularity"])
 def test_non_finite_block_raises_naming_the_time(call):
     blk = standard_block()
     blk = BlockSystem(blk.W1, nan_after(20.0, blk.W2))
