@@ -316,30 +316,31 @@ class EvolutionOperator:
         one piece's local error may exceed RTOL by up to sqrt(pieces).  The
         lookup takes a time or an array of times (stacked along axis 0) in one
         interpolant call; a time on a knot reads the piece that ends there.
+        A time outside [a, b], NaN included, raises ValueError.
         """
         m0, n = np.asarray(m0, dtype=float), self.field.dim
         if m0.ndim not in (1, 2) or m0.shape[0] != n or not np.all(np.isfinite(m0)):
             raise ValueError(f"m0 must be finite with leading dimension {n}, got shape {m0.shape}")
-        if a == b:
-            return lambda v: np.broadcast_to(m0, np.shape(v) + m0.shape).copy()
-        lo, hi = np.array(self._pieces(a, b)).T
-        sol, _ = self._clocked(lo, hi, dense=True)
-        ends, starts = sol.y[:, -1].reshape(-1, n, n), [m0.reshape(n, -1)]
-        for end in ends[:-1]:
-            starts.append(end @ starts[-1])
-        starts, sign, ell = np.array(starts), math.copysign(1.0, b - a), sol.t[-1]
 
         def at(v):
             vs = np.asarray(v, dtype=float).ravel()
             inside = (min(a, b) <= vs) & (vs <= max(a, b))
             if not inside.all():
                 raise ValueError(f"time {vs[~inside][0]} outside the solved span [{a}, {b}]")
-            if vs.size == 0:
-                return np.empty(np.shape(v) + m0.shape)
+            if a == b or vs.size == 0:
+                return np.broadcast_to(m0, np.shape(v) + m0.shape).copy()
             k = np.maximum(np.searchsorted(sign * lo, sign * vs) - 1, 0)
             ys = sol.sol(ell * ((vs - lo[k]) / (hi[k] - lo[k]))).T.reshape(vs.size, -1, n, n)
             return (ys[np.arange(vs.size), k] @ starts[k]).reshape(np.shape(v) + m0.shape)
 
+        if a == b:  # a one-point span: no solve, and `at` reads m0
+            return at
+        lo, hi = np.array(self._pieces(a, b)).T
+        sol, _ = self._clocked(lo, hi, dense=True)
+        ends, starts = sol.y[:, -1].reshape(-1, n, n), [m0.reshape(n, -1)]
+        for end in ends[:-1]:
+            starts.append(end @ starts[-1])
+        starts, sign, ell = np.array(starts), math.copysign(1.0, b - a), sol.t[-1]
         return at
 
     def cache_report(self) -> dict:

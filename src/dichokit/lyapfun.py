@@ -123,17 +123,19 @@ class QuadraticLyapunov:
         """S at a time, or stacked along axis 0 at an array of times."""
         ts = self.times
         t = np.asarray(t, dtype=float)
-        if np.any((t < ts[0] - 1e-9) | (t > ts[-1] + 1e-9)):
-            raise ValueError(f"t={t} outside the S grid [{ts[0]}, {ts[-1]}]")
+        outside = ~((ts[0] - 1e-9 <= t) & (t <= ts[-1] + 1e-9))  # NaN included
+        if outside.any():
+            raise ValueError(f"t={t[outside][0]} outside the S grid [{ts[0]}, {ts[-1]}]")
         if ts.size == 1:
             return np.broadcast_to(self.matrices[0], t.shape + self.matrices[0].shape).copy()
         i = np.clip(np.searchsorted(ts, t) - 1, 0, ts.size - 2)
         w = np.clip((t - ts[i]) / (ts[i + 1] - ts[i]), 0.0, 1.0)[..., None, None]
         return (1 - w) * self.matrices[i] + w * self.matrices[i + 1]
 
-    def H(self, t: float, x) -> float:
+    def H(self, t, x):
+        """<S(t) x, x> at a time, or at an array of times with x stacked along axis 0."""
         x = np.asarray(x, dtype=float)
-        return float(x @ self.S(t) @ x)
+        return np.einsum("...i,...ij,...j->...", x, self.S(t), x)[()]
 
 
 def construct_S(
@@ -245,37 +247,31 @@ def derivative_condition(
     """
     if form not in ("sufficiency", "necessity"):
         raise ValueError("form must be 'sufficiency' or 'necessity'")
-    times, spec = lyap.times, lyap.spec
+    grid, spec = lyap.times, lyap.spec
     n = lyap.matrices.shape[1]
-    dt = float(np.min(np.diff(lyap.times))) if lyap.times.size > 1 else 1.0
+    dt = float(np.min(np.diff(grid))) if grid.size > 1 else 1.0
     # central differences need both neighbors: interior points only
-    times = times[(times - dt >= lyap.times[0] - 1e-12) & (times + dt <= lyap.times[-1] + 1e-12)]
+    times = grid[(grid - dt >= grid[0] - 1e-12) & (grid + dt <= grid[-1] + 1e-12)]
     if times.size == 0:
         raise DichokitError("S grid has no interior points to difference on")
 
-    worst = -math.inf
-    fd_err = 0.0
-    rows = []
-    for t in times:
-        lo, hi = t - dt, t + dt
-        ds = (lyap.S(hi) - lyap.S(lo)) / (hi - lo)
-        lo2, hi2 = max(t - 2 * dt, lyap.times[0]), min(t + 2 * dt, lyap.times[-1])
-        ds2 = (lyap.S(hi2) - lyap.S(lo2)) / (hi2 - lo2)
-        fd_err = max(fd_err, spectral_norm(ds - ds2) / 3.0)
+    lo, hi = times - dt, times + dt
+    lo2, hi2 = np.maximum(times - 2 * dt, grid[0]), np.minimum(times + 2 * dt, grid[-1])
+    s, s_lo, s_hi, s_lo2, s_hi2 = lyap.S(np.stack([times, lo, hi, lo2, hi2]))
+    ds = (s_hi - s_lo) / (hi - lo)[:, None, None]
+    ds2 = (s_hi2 - s_lo2) / (hi2 - lo2)[:, None, None]
+    fd_err = max(spectral_norm(e) / 3.0 for e in ds - ds2)
 
-        a = a_field(t)
-        s = lyap.S(t)
-        if form == "sufficiency":
-            rhs = np.eye(n)
-        else:
-            p = spec.P(t)
-            q = np.eye(n) - p
-            rhs = p.T @ p * spec.rates.h.dlog(t) + q.T @ q * spec.rates.k.dlog(t)
-        m = ds + s @ a + a.T @ s + rhs
-        m = 0.5 * (m + m.T)
-        top = float(np.max(np.linalg.eigvalsh(m)))
-        rows.append((float(t), top))
-        worst = max(worst, top)
+    rhs = np.eye(n)
+    if form == "necessity":
+        p = np.array([spec.P(t) for t in times])
+        q = np.eye(n) - p
+        h_slope, k_slope = (np.array([r.dlog(t) for t in times])[:, None, None] for r in (spec.rates.h, spec.rates.k))
+        rhs = p.transpose(0, 2, 1) @ p * h_slope + q.transpose(0, 2, 1) @ q * k_slope
+    a = a_field.stack(times)
+    m = ds + s @ a + a.transpose(0, 2, 1) @ s + rhs
+    tops = np.linalg.eigvalsh(0.5 * (m + m.transpose(0, 2, 1))).max(axis=1)
+    worst = float(tops.max())
 
     margin = -(worst - DERIVATIVE_TOL)
     if fd_err > FD_TOL and fd_err > 0.5 * abs(margin):
@@ -283,6 +279,7 @@ def derivative_condition(
             f"grid too coarse: finite-difference error {fd_err:.3g} is comparable "
             f"to the margin {margin:.3g}; refine the S grid"
         )
+    rows = list(zip(times.tolist(), tops.tolist()))
     return DerivativeReport(form, worst, -worst, rows, fd_err, worst <= DERIVATIVE_TOL)
 
 
@@ -306,7 +303,7 @@ def classify(lyap: QuadraticLyapunov, op: EvolutionOperator, tau: float, x, hori
     orbit = op.matrix_solution(tau, tau + horizon, x)
     ts = tau + horizon * np.arange(1, CLASSIFY_SAMPLES + 1) / CLASSIFY_SAMPLES
     xs, s = orbit(ts), lyap.S(ts)
-    values = np.einsum("ki,kij,kj->k", xs, s, xs)
+    values = lyap.H(ts, xs)
     margin = CLASSIFY_MARGIN * np.einsum("ki,ki->k", xs, xs) * np.sqrt(np.einsum("kij,kij->k", s, s))
     if np.all(values > margin):
         return "stable"

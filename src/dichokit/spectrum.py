@@ -80,7 +80,8 @@ def _exponent_traces(matrix, rates: list, X0, horizon: float, mask=None) -> tupl
     columns are integrated in one `evolution._integrate` solve, so scipy's
     RMS error norm pools the entries of every column: a column's own local
     error may exceed `RTOL` by up to sqrt(state size / its entries).  The
-    horizon is checked against every column's rate, then a zero column
+    horizon is checked against every column's rate and a start column that
+    is not finite raises ValueError; then a zero column
     gets -inf and is left out.  Returns one trace per column
     and the run's field evaluations (0 when every column is zero).
     """
@@ -89,6 +90,8 @@ def _exponent_traces(matrix, rates: list, X0, horizon: float, mask=None) -> tupl
     if min(r.log_u(horizon) for r in {id(r): r for r in rates}.values()) <= 10.0:
         raise ValueError(f"horizon too short: log u({horizon}) <= 10")
     X0 = np.asarray(X0, dtype=float)
+    if not np.all(np.isfinite(X0)):
+        raise ValueError(f"start column {np.flatnonzero(~np.isfinite(X0).all(axis=0))[0]} is not finite")
     n = X0.shape[0]
     mask = np.ones(X0.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     norms = np.linalg.norm(X0, axis=0)
@@ -127,7 +130,7 @@ def lyapunov_exponent(field_w: CoefficientField, rate: GrowthRate, x0, horizon: 
 
     The one-column case of the batched renormalized solve (see the module
     docstring).  x0 = 0 gets the distinguished value -inf; an x0 whose size
-    is not the field dimension raises ValueError.  Requires a finite horizon
+    is not the field dimension, or that is not finite, raises ValueError.  Requires a finite horizon
     with log u(horizon) > 10 so the denominator dominates integration error.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -184,7 +187,7 @@ def _doubled_traces(block: BlockSystem, starts, rates, horizon: float):
 
 @dataclass(frozen=True)
 class DualBasisPair:
-    """Square basis and dual with Kronecker pairing (a partial basis would under-report regularity)."""
+    """Finite square basis and dual with Kronecker pairing (a partial basis would under-report regularity)."""
 
     basis: np.ndarray
     dual: np.ndarray
@@ -196,8 +199,8 @@ class DualBasisPair:
         object.__setattr__(self, "dual", d)
         if b.ndim != 2 or b.shape[0] != b.shape[1] or d.shape != b.shape:
             raise ValueError(f"need a square basis and dual of one shape, got {b.shape} and {d.shape}")
-        if np.max(np.abs(b.T @ d - np.eye(b.shape[1]))) > 1e-10:
-            raise ValueError("basis and dual do not pair to the identity")
+        if not np.max(np.abs(b.T @ d - np.eye(b.shape[1]))) <= 1e-10:  # a non-finite entry fails too
+            raise ValueError("basis and dual must be finite and pair to the identity")
 
     @staticmethod
     def from_basis(basis) -> "DualBasisPair":

@@ -332,6 +332,15 @@ def test_estimate_with_trivial_unstable_side_warns(caplog):
     assert any("unstable" in w for w in diag.warnings)
     logged = [r.getMessage() for r in caplog.records if r.name == "dichokit.dichotomy"]
     assert logged == diag.warnings
+    # both sides decay: the unstable side's fitted b = -0.5 is clamped to 0
+    caplog.clear()
+    both_decay = EvolutionOperator(constant_field(np.diag([-1.0, -0.5])))
+    e, e_abs = builtin("exp"), builtin("expabs")
+    P, rates = ProjectionFamily.constant(np.diag([1.0, 0.0])), RateQuadruple(e, e, e_abs, e_abs)
+    with caplog.at_level(logging.WARNING, logger="dichokit.dichotomy"):
+        fitted, _ = estimate_constants(both_decay, P, rates, square_grid(-2.0, 2.0, 0.25))
+    assert fitted.b == 0.0
+    assert "fitted b=-0.5 was negative; clamped to 0" in [r.getMessage() for r in caplog.records]
 
 
 def test_estimate_rejects_degenerate_grid():

@@ -43,6 +43,9 @@ def test_identity_at_equal_times():
     m0 = np.array([[1.0, 2.0], [3.0, 4.0]])
     solution = op.matrix_solution(1.3, 1.3, m0)
     assert np.array_equal(solution(1.3), m0) and np.array_equal(solution(np.array([1.3, 1.3])), [m0, m0])
+    for outside in (5.0, math.nan):
+        with pytest.raises(ValueError, match=f"time {outside} outside the solved span"):
+            solution(outside)
 
 
 def test_evolve_pairs_rejects_t_and_s_of_different_sizes():

@@ -54,6 +54,25 @@ def test_derivative_consistency(name):
     probes = np.linspace(0.0 if rate.domain == "half" else -6.0, 6.0, 25)
     report = validate(rate, probes)
     assert report.check("derivative").passed, report.check("derivative")
+    # and where |log u| passes 700 (expsq from t = 27, exp and expabs past |t| = 700)
+    far = np.linspace(0.0, 40.0, 41) if name == "expsq" else np.linspace(-900.0, 900.0, 19)
+    assert validate(rate, far).check("derivative").passed
+
+
+@pytest.mark.parametrize(
+    "rate, probes, worst",
+    [
+        # log u = t^2 with slope 3t: off by t at every t > 0, where u passes e^700
+        (GrowthRate("sq", "full", lambda t: t * t, lambda t: 3.0 * t), [0.0, 30.0, 40.0], 1 / 3),
+        # log u = t with its slope wrong only past t = 800
+        (GrowthRate("late", "full", lambda t: t, lambda t: 1.0 if t <= 800 else 0.0), np.linspace(-900, 900, 19), 1.0),
+    ],
+    ids=["slope-3t", "slope-wrong-past-800"],
+)
+def test_validate_compares_the_slope_in_log_space_at_every_size_of_u(rate, probes, worst):
+    report = validate(rate, probes)
+    assert not report.check("derivative").passed
+    assert report.check("derivative").worst == pytest.approx(worst, rel=1e-9)
 
 
 def test_half_line_rate_rejects_negative_time():
@@ -70,7 +89,7 @@ def test_unknown_name_and_bad_params():
 
 def test_product_rate_adds_logs():
     two = product_rate(builtin("exp"), builtin("exp"))
-    assert two.eval(0.0) == 1.0
+    assert two.name == "exp*exp" and two.eval(0.0) == 1.0
     assert two.log_u(3.0) == pytest.approx(6.0, rel=1e-14)
     assert two.dlog(1.0) == pytest.approx(2.0, rel=1e-14)
 

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from dichokit import evolution, lyapfun
 from dichokit.dichotomy import DichotomySpec, ProjectionFamily, square_grid, verify
-from dichokit.errors import DichokitError, TailCertificationError
+from dichokit.errors import DichokitError, DomainError, TailCertificationError
 from dichokit.evolution import EvolutionOperator
 from dichokit.growth import RateQuadruple, builtin
 from dichokit.lyapfun import QuadraticLyapunov, classify, construct_S, derivative_condition
@@ -70,6 +70,17 @@ def test_construct_S_rejects_bad_damping():
         construct_S(spec, op, 1.5, np.linspace(-1, 1, 3))
     with pytest.raises(ValueError):
         construct_S(spec, op, 0.0, np.linspace(-1, 1, 3))
+
+
+def test_construct_S_refuses_an_unstable_side_on_a_half_line_system():
+    # the unstable integral runs back to -inf, where a half-line system has no values
+    r = builtin("expsq")
+    spec = DichotomySpec(
+        ProjectionFamily.constant(np.diag([1.0, 0.0])), RateQuadruple(r, r, r, r), K=1.0, a=-1.0, b=1.0, eps=0.0
+    )
+    op = EvolutionOperator(constant_field(np.diag([-2.0, 2.0]), domain="half"))
+    with pytest.raises(DomainError, match="the unstable integral needs a full-line system"):
+        construct_S(spec, op, 0.5, [0.0, 1.0])
 
 
 def test_construct_S_refuses_a_spec_whose_K_is_below_the_truth():
@@ -231,7 +242,7 @@ def test_construct_S_commutes_with_rotation():
 
 
 def test_construct_S_field_evaluations_grow_slowly_with_grid_size():
-    # one sweep per side: the tails dominate, each grid interval adds a short solve
+    # one sweep per side: the tails dominate, each grid interval adds pieces to one batched solve
     field, _, spec = example22_setup()
     calls = [0]
 
@@ -256,6 +267,11 @@ def test_construct_S_reports_cutoffs_and_quadrature_error():
     assert all(math.isfinite(x) for x in (v_cut, w_cut, lyap.quad_error))
     assert v_cut > times[-1] > times[0] > w_cut
     assert 0.0 <= lyap.quad_error < 1e-6
+    # tail_tol >= 1 asks for no log drop: the cutoffs sit on the end points and S vanishes there
+    cut = [construct_S(spec, EvolutionOperator(field), 0.5, times, tail_tol=tol) for tol in (1.0, 5.0)]
+    assert (cut[0].stable_cutoff, cut[0].unstable_cutoff) == (2.0, -2.0)
+    assert cut[0].S(2.0)[0, 0] == cut[0].S(-2.0)[1, 1] == 0.0
+    assert np.array_equal(cut[0].matrices, cut[1].matrices)
 
 
 def test_tail_searches_cap_the_distance_from_t0_not_the_time():
@@ -301,6 +317,19 @@ def test_construct_S_one_point_grid():
     assert np.allclose(lyap.S(0.5), np.diag([1.0, -1.0]), atol=1e-6)
     with pytest.raises(ValueError):
         lyap.S(0.6)
+    for bad in (math.nan, [0.5, math.nan]):  # NaN compared false with both grid ends
+        with pytest.raises(ValueError, match="t=nan outside the S grid"):
+            lyap.S(bad)
+
+
+def test_H_reads_one_time_or_stacked_times():
+    spec, op = diag_setup()
+    lyap = construct_S(spec, op, 0.5, np.linspace(-1.0, 1.0, 5))
+    ts = np.array([-0.9, 0.1, 0.6])
+    xs = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
+    want = [x @ lyap.S(t) @ x for t, x in zip(ts, xs)]
+    assert lyap.H(ts[0], xs[0]) == pytest.approx(want[0], rel=1e-15)
+    np.testing.assert_allclose(lyap.H(ts, xs), want, rtol=1e-15, atol=0.0)
 
 
 def test_construct_S_rejects_empty_grid():

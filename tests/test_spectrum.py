@@ -68,6 +68,9 @@ def test_mismatched_start_vector_rejected():
     field = constant_field(np.diag([-1.0, -2.0]))
     with pytest.raises(ValueError, match="size 3.*dimension is 2"):
         lyapunov_exponent(field, EXP, [1.0, 2.0, 3.0], horizon=50.0)
+    # a NaN entry zeroed the start's norm test, so it read as x0 = 0 with estimate -inf
+    with pytest.raises(ValueError, match="start column 0 is not finite"):
+        lyapunov_exponent(constant_field(np.diag([-1.0, -3.0])), EXP, [math.nan, 1.0], horizon=20.0)
 
 
 def test_zero_column_is_not_integrated(solves):
@@ -506,3 +509,8 @@ def test_a_partial_candidate_basis_is_rejected():
         DualBasisPair(e2, e2)
     with pytest.raises(ValueError, match="square"):
         DualBasisPair(np.eye(1), [[1.0, 1.0]])
+    # a NaN basis failed no pairing comparison, and its candidate scored like the identity
+    with pytest.raises(ValueError, match="finite"):
+        DualBasisPair([[1.0, math.nan], [0.0, 1.0]], np.eye(2))
+    with pytest.raises(ValueError, match="finite"):
+        DualBasisPair.from_basis([[1.0, 0.0], [0.0, math.nan]])
