@@ -22,7 +22,6 @@ from .evolution import EvolutionOperator
 from .dichotomy import (
     Certificate,
     DichotomySpec,
-    ProjectionFamily,
     check_projection,
     estimate_constants,
     square_grid,
@@ -49,7 +48,6 @@ __all__ = [
     "EvolutionOperator",
     "Certificate",
     "DichotomySpec",
-    "ProjectionFamily",
     "check_projection",
     "estimate_constants",
     "square_grid",

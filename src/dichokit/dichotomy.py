@@ -1,4 +1,4 @@
-"""Projection families, the four-rate dichotomy bound, and its grid checks.
+"""The four-rate dichotomy bound and its grid checks.
 
 The checked inequalities are
 
@@ -30,7 +30,10 @@ from .evolution import EvolutionOperator
 from .growth import LOG_SATURATION, RateQuadruple
 
 VERIFY_TOL = 1e-6  # verify's slack on every ratio (1 + VERIFY_TOL) and commutation residual
+IDEMPOTENCY_TOL = 1e-10  # check_projection's bound on |P(u)^2 - P(u)|
 MIN_PAIRS = 20  # estimate_constants fits a side only from at least this many pairs
+
+Projection = Callable[[float], np.ndarray]  # t -> the n x n projection P(t)
 
 logger = logging.getLogger(__name__)
 
@@ -40,29 +43,10 @@ def spectral_norm(m: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class ProjectionFamily:
-    """A t-indexed idempotent family P(t); constant or analytic callback."""
-
-    at: Callable[[float], np.ndarray]
-
-    @staticmethod
-    def constant(matrix) -> "ProjectionFamily":
-        p = np.asarray(matrix, dtype=float)
-        return ProjectionFamily(lambda t: p)
-
-    def __call__(self, t: float) -> np.ndarray:
-        return np.asarray(self.at(t), dtype=float)
-
-    def complement(self, t: float) -> np.ndarray:
-        p = self(t)
-        return np.eye(p.shape[0]) - p
-
-
-@dataclass(frozen=True)
 class DichotomySpec:
-    """Claimed bound: projections, rates and the constants (K, a, b, eps)."""
+    """Claimed bound: projections P(t), rates and the constants (K, a, b, eps)."""
 
-    P: ProjectionFamily
+    P: Projection
     rates: RateQuadruple
     K: float
     a: float
@@ -151,7 +135,10 @@ def square_grid(lo: float, hi: float, step: float):
 
 
 def _grid_arrays(grid):
-    g = np.asarray(list(grid), dtype=float).reshape(-1, 2)
+    """The t and s columns of a grid of (t, s) pairs; ValueError on any other shape."""
+    g = np.asarray(list(grid) or np.empty((0, 2)), dtype=float)
+    if g.ndim != 2 or g.shape[1] != 2:
+        raise ValueError(f"a grid is an (m, 2) sequence of (t, s) pairs, got shape {g.shape}")
     return g[:, 0], g[:, 1]
 
 
@@ -163,10 +150,10 @@ def _norms(stack: np.ndarray) -> np.ndarray:
 def _per_unique(fn, x: np.ndarray) -> np.ndarray:
     """fn(v) for every entry v of x, calling fn once per unique value."""
     vals, idx = np.unique(x, return_inverse=True)
-    return np.array([fn(v) for v in vals.tolist()])[idx.reshape(x.shape)]
+    return np.array([fn(v) for v in vals.tolist()], dtype=float)[idx.reshape(x.shape)]
 
 
-def _pair_table(op: EvolutionOperator, P: ProjectionFamily, t, s):
+def _pair_table(op: EvolutionOperator, P: Projection, t, s):
     """T(t_k, s_k), P(t_k) and P(s_k) for arrays of directed pairs.
 
     T comes from one row sweep (``EvolutionOperator.evolve_pairs``); P is
@@ -199,7 +186,7 @@ class _BoundTable:
     x_unstable: np.ndarray
 
 
-def _bound_table(op: EvolutionOperator, P: ProjectionFamily, rates: RateQuadruple, grid) -> _BoundTable:
+def _bound_table(op: EvolutionOperator, P: Projection, rates: RateQuadruple, grid) -> _BoundTable:
     t, s = _grid_arrays(grid)
     hi, lo = np.maximum(t, s), np.minimum(t, s)
     m = hi.size
@@ -244,7 +231,8 @@ def verify(spec: DichotomySpec, op: EvolutionOperator, grid) -> Certificate:
     later time), and the commutation residual |P(t)T(t,s) - T(t,s)P(s)| is
     taken over both orderings.  Pass iff every ratio <= 1 + `VERIFY_TOL` and
     every commutation residual <= `VERIFY_TOL`, which the certificate's
-    ``tol`` reports.  An empty grid passes with zero worst values.
+    ``tol`` reports.  An empty grid passes with zero worst values; a grid
+    that is not an (m, 2) sequence of (t, s) pairs raises ValueError.
 
     All pairs are evaluated together: T(t, s) and T(s, t) come from one
     forward and one backward row sweep over the grid's unique times (one
@@ -273,22 +261,29 @@ def verify(spec: DichotomySpec, op: EvolutionOperator, grid) -> Certificate:
 
 @dataclass
 class ProjectionReport:
+    """Worst residuals of ``check_projection``.
+
+    Passes iff the commutation residual is at most `VERIFY_TOL` and the
+    idempotency residual at most `IDEMPOTENCY_TOL`.
+    """
+
     max_commute_residual: float
     max_idempotency_residual: float
 
     @property
     def passed(self) -> bool:
-        return self.max_commute_residual <= 1e-6 and self.max_idempotency_residual <= 1e-10
+        return self.max_commute_residual <= VERIFY_TOL and self.max_idempotency_residual <= IDEMPOTENCY_TOL
 
 
-def check_projection(P: ProjectionFamily, op: EvolutionOperator, grid) -> ProjectionReport:
+def check_projection(P: Projection, op: EvolutionOperator, grid) -> ProjectionReport:
     """Residuals of P(t)T(t,s) = T(t,s)P(s) and P(u)^2 = P(u) over a grid.
 
     The commutation residual is taken per pair; the idempotency residual at
     every time of the grid, both ends of each pair.  Pairs keep their
     orientation, so a pair with t < s is evolved backward.  T(t, s) comes
     from one row sweep over the grid's unique times and the norms from one
-    batched call.  An empty grid gives (0.0, 0.0).
+    batched call.  An empty grid gives (0.0, 0.0); a grid that is not an
+    (m, 2) sequence of (t, s) pairs raises ValueError.
     """
     t, s = _grid_arrays(grid)
     T, p_t, p_s = _pair_table(op, P, t, s)
@@ -310,7 +305,7 @@ class EstimateDiagnostics:
 
 def estimate_constants(
     op: EvolutionOperator,
-    P: ProjectionFamily,
+    P: Projection,
     rates: RateQuadruple,
     grid,
 ) -> tuple[DichotomySpec, EstimateDiagnostics]:

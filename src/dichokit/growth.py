@@ -34,9 +34,8 @@ class GrowthRate:
     """A comparison function u with stable log-space accessors.
 
     ``log_eval`` and ``log_deriv`` (= u'/u) are the primitives, read through
-    `log_u` and `dlog`; ``eval`` is derived and overflows to inf past
-    log u = `LOG_SATURATION`, which is acceptable because bound checking
-    never leaves log space.
+    `log_u` and `dlog`; u itself is never formed, since bound checking never
+    leaves log space.
     With ``vectorized`` set, both primitives also take a 1-d array of times
     and return values that broadcast against it (a constant may stay a
     scalar); they do not check the domain, which `log_u` and `dlog` do.
@@ -59,12 +58,6 @@ class GrowthRate:
     def log_u(self, t: float) -> float:
         self._check_domain(t)
         return float(self.log_eval(t))
-
-    def eval(self, t: float) -> float:
-        lv = self.log_u(t)
-        if lv > LOG_SATURATION:
-            return math.inf
-        return math.exp(lv)
 
     def dlog(self, t: float) -> float:
         """u'(t)/u(t); the weight h'/h appearing in every integral bound."""

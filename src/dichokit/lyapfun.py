@@ -192,7 +192,7 @@ def construct_S(
         if op.field.domain == "half":
             raise DomainError("the unstable integral needs a full-line system")
         w_cut = time_backward_for_log_drop(k, times[0], log_drop)
-        part, err = _congruence_sweep(op, spec.P.complement, spec.b - dbar, k, times[::-1], w_cut)
+        part, err = _congruence_sweep(op, lambda t: np.eye(n) - spec.P(t), spec.b - dbar, k, times[::-1], w_cut)
         s_mats -= part[::-1]
         quad_err += err
 
@@ -225,6 +225,12 @@ def construct_S(
 
 @dataclass
 class DerivativeReport:
+    """Verdict of ``derivative_condition``.
+
+    ``margin`` is `DERIVATIVE_TOL` minus ``max_eigenvalue``; the check passed
+    iff it is nonnegative.
+    """
+
     form: str
     max_eigenvalue: float
     margin: float
@@ -273,14 +279,14 @@ def derivative_condition(
     tops = np.linalg.eigvalsh(0.5 * (m + m.transpose(0, 2, 1))).max(axis=1)
     worst = float(tops.max())
 
-    margin = -(worst - DERIVATIVE_TOL)
+    margin = DERIVATIVE_TOL - worst
     if fd_err > FD_TOL and fd_err > 0.5 * abs(margin):
         raise DichokitError(
             f"grid too coarse: finite-difference error {fd_err:.3g} is comparable "
             f"to the margin {margin:.3g}; refine the S grid"
         )
     rows = list(zip(times.tolist(), tops.tolist()))
-    return DerivativeReport(form, worst, -worst, rows, fd_err, worst <= DERIVATIVE_TOL)
+    return DerivativeReport(form, worst, margin, rows, fd_err, margin >= 0)
 
 
 def classify(lyap: QuadraticLyapunov, op: EvolutionOperator, tau: float, x, horizon: float) -> str:

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag
 
-from .dichotomy import DichotomySpec, ProjectionFamily
+from .dichotomy import DichotomySpec
 from .errors import DichokitError
 from .evolution import _integrate
 from .growth import GrowthRate, RateQuadruple, product_rate
@@ -331,8 +331,9 @@ def dichotomy_from_spectrum(
     a = lam + eps_tilde
     if a >= 0:
         raise DichokitError(f"eps_tilde={eps_tilde} swallows the stable margin (a={a:.4g})")
+    p = block.projection()
     return DichotomySpec(
-        P=ProjectionFamily.constant(block.projection()),
+        P=lambda t: p,
         rates=RateQuadruple(h, k, product_rate(h, hbar), product_rate(k, kbar)),
         K=CLAIM_K,
         a=a,

@@ -211,7 +211,7 @@ def make_example22(params: Example22Params, domain: str | None = None):
     2x2 evolution operator and spec carries the claimed bound constants
     K = e^{2 eta2}, a = -eta1, b = eta3, eps = 2 eta2 with P = diag(1, 0).
     """
-    from .dichotomy import DichotomySpec, ProjectionFamily
+    from .dichotomy import DichotomySpec
 
     e1, e2, e3 = params.eta1, params.eta2, params.eta3
     hh, kk, mu, nu = params.hats.rates()
@@ -220,30 +220,18 @@ def make_example22(params: Example22Params, domain: str | None = None):
     if domain == "full" and params.hats.common_domain() != "full":
         raise DomainError("half-line hats cannot serve a full-line request")
 
-    def zeta(rate: GrowthRate, t: float) -> float:
-        w = rate.log_u(t)
-        return rate.dlog(t) * (w * math.cos(w) - 1.0)
-
-    def zetas(rate: GrowthRate, ts: np.ndarray) -> np.ndarray:
-        w = rate.log_eval(ts)
-        return rate.log_deriv(ts) * (w * np.cos(w) - 1.0)
-
-    def a_stack(ts: np.ndarray) -> np.ndarray:
-        # the scalar arithmetic of a_eval, elementwise; `stack` has checked the domain
-        a = np.zeros((ts.size, 2, 2))
-        a[:, 0, 0] = -e1 * hh.log_deriv(ts) + e2 * zetas(mu, ts)
-        a[:, 1, 1] = e3 * kk.log_deriv(ts) + e2 * zetas(nu, ts)
-        return a
+    # one time or an array of times, read through the hats' primitives: the
+    # field's checked call and `stack` check its domain, which lies inside theirs
+    def zeta(rate: GrowthRate, t):
+        w = rate.log_eval(t)
+        cos = np.cos if type(t) is np.ndarray else math.cos  # not isinstance, which costs numpy scalars more
+        return rate.log_deriv(t) * (w * cos(w) - 1.0)
 
     def a_eval(t):
-        if type(t) is np.ndarray:  # not isinstance, which costs numpy scalars more
-            return a_stack(t)
-        return np.diag(
-            [
-                -e1 * hh.dlog(t) + e2 * zeta(mu, t),
-                e3 * kk.dlog(t) + e2 * zeta(nu, t),
-            ]
-        )
+        a = np.zeros(np.shape(t) + (2, 2))
+        a[..., 0, 0] = -e1 * hh.log_deriv(t) + e2 * zeta(mu, t)
+        a[..., 1, 1] = e3 * kk.log_deriv(t) + e2 * zeta(nu, t)
+        return a
 
     field = CoefficientField(2, a_eval, domain, all(r.vectorized for r in params.hats.rates()))
 
@@ -260,8 +248,9 @@ def make_example22(params: Example22Params, domain: str | None = None):
     def analytic(t, s):
         return np.diag([math.exp(log_t11(t, s)), math.exp(log_t22(t, s))])
 
+    p = np.diag([1.0, 0.0])
     spec = DichotomySpec(
-        P=ProjectionFamily.constant(np.diag([1.0, 0.0])),
+        P=lambda t: p,
         rates=params.hats,
         K=math.exp(2 * e2),
         a=-e1,

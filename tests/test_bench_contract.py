@@ -28,7 +28,7 @@ def test_pass_meets_its_references(name):
 
 def test_the_traced_example_field_stays_vectorized():
     # traced passes wrap eval through dataclasses.replace, which must keep the
-    # flag, so they run the batched read of the paired end solve too
+    # flag, so they run the batched read of the clocked end-piece solve too
     import spans
 
     tracer = spans.Tracer()

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dichokit.dichotomy import (
+    IDEMPOTENCY_TOL,
+    VERIFY_TOL,
     DichotomySpec,
-    ProjectionFamily,
+    ProjectionReport,
     check_projection,
     estimate_constants,
     square_grid,
@@ -29,7 +32,7 @@ def exp_quad():
 def tight_diag_setup():
     op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0])))
     spec = DichotomySpec(
-        P=ProjectionFamily.constant(np.diag([1.0, 0.0])),
+        P=lambda t: np.diag([1.0, 0.0]),
         rates=exp_quad(),
         K=1.0,
         a=-1.0,
@@ -40,7 +43,7 @@ def tight_diag_setup():
 
 
 def test_spec_constant_constraints():
-    P = ProjectionFamily.constant(np.diag([1.0, 0.0]))
+    P = lambda t: np.diag([1.0, 0.0])
     with pytest.raises(ValueError):
         DichotomySpec(P, exp_quad(), K=1.0, a=0.1, b=1.0, eps=0.0)
     with pytest.raises(ValueError):
@@ -79,6 +82,24 @@ def test_square_grid_rejects_an_empty_or_unbounded_grid():
         with pytest.raises(ValueError, match="ends must be finite with lo <= hi"):
             square_grid(lo, hi, 0.1)
     assert square_grid(1.0, 1.0, 0.1) == [(1.0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[(0.0, 0.5, 1.0), (1.5, 2.0, 2.5)], [0.0, 0.5], [[(0.0, 0.5)]]],
+    ids=["triples", "flat", "nested"],
+)
+def test_a_grid_that_is_not_pairs_is_rejected_naming_its_shape(grid):
+    # reshaping the triples to (-1, 2) would certify (0.5, 0), (1.5, 1) and (2.5, 2)
+    field, _, spec = make_example22(Example22Params(1.0, 0.1, 1.0))
+    op = EvolutionOperator(field)
+    shape = str(np.shape(grid))
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        verify(spec, op, grid)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        estimate_constants(op, spec.P, spec.rates, grid)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        check_projection(spec.P, op, grid)
 
 
 def test_example22_certificate_passes():
@@ -139,7 +160,7 @@ def test_verify_rejects_half_line_rates_on_a_full_line_system():
 def nonnormal_setup():
     """A non-diagonal, non-normal constant field and a claim that ignores it."""
     op = EvolutionOperator(constant_field([[-0.5, 2.0], [0.25, 0.5]]))
-    spec = DichotomySpec(ProjectionFamily.constant(np.diag([1.0, 0.0])), exp_quad(), K=1.0, a=-1.0, b=1.0, eps=0.0)
+    spec = DichotomySpec(lambda t: np.diag([1.0, 0.0]), exp_quad(), K=1.0, a=-1.0, b=1.0, eps=0.0)
     return spec, op
 
 
@@ -325,7 +346,7 @@ def test_example22_with_expsq_hats_at_moderate_times_matches_its_closed_form():
 
 def test_estimate_with_trivial_unstable_side_warns(caplog):
     op = EvolutionOperator(constant_field([[-1.0]]))
-    P = ProjectionFamily.constant([[1.0]])
+    P = lambda t: [[1.0]]
     with caplog.at_level(logging.WARNING, logger="dichokit.dichotomy"):
         fitted, diag = estimate_constants(op, P, exp_quad(), square_grid(0.0, 6.0, 0.5))
     assert fitted.b == 0.0
@@ -336,7 +357,7 @@ def test_estimate_with_trivial_unstable_side_warns(caplog):
     caplog.clear()
     both_decay = EvolutionOperator(constant_field(np.diag([-1.0, -0.5])))
     e, e_abs = builtin("exp"), builtin("expabs")
-    P, rates = ProjectionFamily.constant(np.diag([1.0, 0.0])), RateQuadruple(e, e, e_abs, e_abs)
+    P, rates = lambda t: np.diag([1.0, 0.0]), RateQuadruple(e, e, e_abs, e_abs)
     with caplog.at_level(logging.WARNING, logger="dichokit.dichotomy"):
         fitted, _ = estimate_constants(both_decay, P, rates, square_grid(-2.0, 2.0, 0.25))
     assert fitted.b == 0.0
@@ -353,6 +374,12 @@ def test_estimate_rejects_degenerate_grid():
     growing = EvolutionOperator(constant_field(np.eye(2)))  # P's side grows like e^{t - s}
     with pytest.raises(EstimationError, match="fitted stable exponent a=1 is not negative"):
         estimate_constants(growing, spec.P, exp_quad(), square_grid(0.0, 5.0, 0.5))
+
+
+def test_projection_report_passes_at_its_named_bounds():
+    assert ProjectionReport(VERIFY_TOL, IDEMPOTENCY_TOL).passed
+    assert not ProjectionReport(np.nextafter(VERIFY_TOL, 1.0), 0.0).passed
+    assert not ProjectionReport(0.0, np.nextafter(IDEMPOTENCY_TOL, 1.0)).passed
 
 
 def test_check_projection_commuting_constant():
@@ -372,7 +399,7 @@ def test_check_projection_example22():
 def test_check_projection_rotated_projector_fails():
     # P at 45 degrees to a diag(-1,1) flow: commutator norm is sinh(t-s)
     _, op = tight_diag_setup()
-    P = ProjectionFamily.constant(np.full((2, 2), 0.5))
+    P = lambda t: np.full((2, 2), 0.5)
     pairs = [(2.0, 0.0)]
     rep = check_projection(P, op, pairs)
     assert rep.max_commute_residual == pytest.approx(math.sinh(2.0), rel=1e-7)
@@ -382,7 +409,7 @@ def test_check_projection_rotated_projector_fails():
 def test_check_projection_evolves_reversed_pairs_backward():
     # diag(-1, 2) flow, P at 45 degrees: |[P, T(t, s)]| = |T11 - T22| / 2
     op = EvolutionOperator(constant_field(np.diag([-1.0, 2.0])))
-    P = ProjectionFamily.constant(np.full((2, 2), 0.5))
+    P = lambda t: np.full((2, 2), 0.5)
     back = check_projection(P, op, [(0.0, 2.0)]).max_commute_residual
     assert back == pytest.approx((math.exp(2.0) - math.exp(-4.0)) / 2, rel=1e-7)
     fwd = check_projection(P, op, [(2.0, 0.0)]).max_commute_residual
@@ -392,6 +419,6 @@ def test_check_projection_evolves_reversed_pairs_backward():
 def test_check_projection_measures_idempotency_at_both_ends():
     # P fails idempotency only before t = 0.5, which this grid meets as s alone
     _, op = tight_diag_setup()
-    P = ProjectionFamily(lambda t: np.diag([2.0 if t < 0.5 else 1.0, 0.0]))
+    P = lambda t: np.diag([2.0 if t < 0.5 else 1.0, 0.0])
     assert check_projection(P, op, [(1.0, 0.0)]).max_idempotency_residual == pytest.approx(2.0)
     assert check_projection(P, op, [(0.0, 1.0)]).max_idempotency_residual == pytest.approx(2.0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dichokit import evolution, spectrum
-from dichokit.dichotomy import DichotomySpec, ProjectionFamily
+from dichokit.dichotomy import DichotomySpec
 from dichokit.errors import IntegrationError
 from dichokit.evolution import EvolutionOperator, _inward
 from dichokit.growth import RateQuadruple, builtin
@@ -182,7 +182,7 @@ def test_every_solve_reaches_its_module_global_at_call_time(monkeypatch):
     diag = constant_field(np.diag([-1.0, 1.0]))
     block = BlockSystem(constant_field([[-1.0]]), constant_field([[1.0]]))
     spec = DichotomySpec(
-        ProjectionFamily.constant(np.diag([1.0, 0.0])), RateQuadruple(exp, exp, exp, exp), K=1.0, a=-1.0, b=1.0, eps=0.0
+        lambda t: np.diag([1.0, 0.0]), RateQuadruple(exp, exp, exp, exp), K=1.0, a=-1.0, b=1.0, eps=0.0
     )
     calls = {
         "evolve": (evolution, lambda op: op.evolve(2.5, -1.5)),
@@ -371,7 +371,7 @@ def test_tables_match_fresh_piece_solves_one_ulp_off_a_checkpoint(setup, t, s):
     assert_matches_fresh_pieces(op, t, s, exact, rel)
 
 
-def test_a_multi_cell_evolve_over_built_tables_makes_one_paired_one_step_solve(monkeypatch):
+def test_a_multi_cell_evolve_over_built_tables_makes_one_clocked_one_step_solve(monkeypatch):
     # once the tables of the touched cells exist, both end pieces of a query
     # share one solve on one clock whose first trial step is the clock's whole
     # length; a step of that length reads the field at the 12 nodes of the
@@ -443,7 +443,7 @@ def test_the_array_clamp_moves_each_time_as_its_scalar_clamp():
     [([-0.3, 0.0], [0.0, 0.2], 0.3), ([-0.9, 0.0], [0.0, 0.9], 0.9)],
     ids=["one-step", "three-step"],
 )
-def test_the_paired_solve_reads_a_vectorized_field_as_its_per_time_calls(lo, hi, first_step):
+def test_the_clocked_solve_reads_a_vectorized_field_as_per_time_calls(lo, hi, first_step):
     # a clock that its first step cannot cover takes later steps, whose
     # stages miss the prefetched nodes and read each piece afresh
     field, _, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
@@ -466,7 +466,7 @@ def test_the_paired_solve_reads_a_vectorized_field_as_its_per_time_calls(lo, hi,
 
 def test_a_nan_inside_an_end_piece_raises_naming_its_time():
     # the tables of the span are built clean; then the field turns NaN on the
-    # far end piece (v, t) alone, which only the paired solve evaluates
+    # far end piece (v, t) alone, which only the clocked end-piece solve evaluates
     poisoned = []
 
     def ev(t):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dichokit import evolution, lyapfun
-from dichokit.dichotomy import DichotomySpec, ProjectionFamily, square_grid, verify
+from dichokit.dichotomy import DichotomySpec, square_grid, verify
 from dichokit.errors import DichokitError, DomainError, TailCertificationError
 from dichokit.evolution import EvolutionOperator
 from dichokit.growth import RateQuadruple, builtin
@@ -22,7 +22,7 @@ EXPQUAD = RateQuadruple(*(builtin("exp") for _ in range(4)))
 
 def diag_setup():
     spec = DichotomySpec(
-        ProjectionFamily.constant(np.diag([1.0, 0.0])), EXPQUAD, K=1.0, a=-1.0, b=1.0, eps=0.0
+        lambda t: np.diag([1.0, 0.0]), EXPQUAD, K=1.0, a=-1.0, b=1.0, eps=0.0
     )
     op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0])))
     return spec, op
@@ -55,7 +55,7 @@ def test_construct_S_quarter_damping_matches_oracle():
 
 def test_construct_S_pure_contraction_is_positive_definite():
     spec = DichotomySpec(
-        ProjectionFamily.constant(np.eye(2)), EXPQUAD, K=1.0, a=-1.0, b=0.0, eps=0.0
+        lambda t: np.eye(2), EXPQUAD, K=1.0, a=-1.0, b=0.0, eps=0.0
     )
     op = EvolutionOperator(constant_field(np.diag([-1.0, -2.0])))
     lyap = construct_S(spec, op, 0.5, np.linspace(0.0, 2.0, 5))
@@ -76,7 +76,7 @@ def test_construct_S_refuses_an_unstable_side_on_a_half_line_system():
     # the unstable integral runs back to -inf, where a half-line system has no values
     r = builtin("expsq")
     spec = DichotomySpec(
-        ProjectionFamily.constant(np.diag([1.0, 0.0])), RateQuadruple(r, r, r, r), K=1.0, a=-1.0, b=1.0, eps=0.0
+        lambda t: np.diag([1.0, 0.0]), RateQuadruple(r, r, r, r), K=1.0, a=-1.0, b=1.0, eps=0.0
     )
     op = EvolutionOperator(constant_field(np.diag([-2.0, 2.0]), domain="half"))
     with pytest.raises(DomainError, match="the unstable integral needs a full-line system"):
@@ -152,6 +152,19 @@ def test_construct_S_on_a_fine_lattice_matches_the_unit_lattice():
     )
     err = np.linalg.norm(fine - unit, 2, axis=(1, 2)) / np.linalg.norm(unit, 2, axis=(1, 2))
     assert err.max() <= 1e-12
+
+
+def test_construct_S_cut_at_the_reprojection_window_matches_the_unit_lattice():
+    # at spacing 64 each tail, 18.4 long past +-4, lies inside one lattice cell,
+    # so only the cut at REPROJECT_WINDOW splits it into reprojected pieces
+    field, _, spec = example22_setup()
+    times = np.linspace(-4.0, 4.0, 9)
+    unit, long = (
+        construct_S(spec, EvolutionOperator(field, checkpoint_spacing=c), 0.5, times).matrices
+        for c in (1.0, 64.0)
+    )
+    err = np.linalg.norm(long - unit, 2, axis=(1, 2)) / np.linalg.norm(unit, 2, axis=(1, 2))
+    assert err.max() <= 1e-13
 
 
 @pytest.mark.parametrize("hair", [1e-300, -1e-300])
@@ -231,7 +244,7 @@ def test_construct_S_commutes_with_rotation():
     gen = np.array([[0.0, -1.0], [1.0, 0.0]])
     p = np.diag([1.0, 0.0])
     field_y = CoefficientField(2, lambda t: rot(t) @ a_x(t) @ rot(t).T + w * gen)
-    families = (ProjectionFamily.constant(p), ProjectionFamily(lambda t: rot(t) @ p @ rot(t).T))
+    families = (lambda t: p, lambda t: rot(t) @ p @ rot(t).T)
     spec_x, spec_y = (DichotomySpec(P, EXPQUAD, K=math.exp(0.6), a=-1.0, b=1.0, eps=0.0) for P in families)
     times = np.linspace(-1.0, 1.0, 9)
     s_x = construct_S(spec_x, EvolutionOperator(CoefficientField(2, a_x)), 0.4, times).matrices
@@ -352,6 +365,8 @@ def test_derivative_condition_both_forms_pass_on_diag():
     assert suff.passed and suff.margin == pytest.approx(1.0, abs=1e-6)
     nec = derivative_condition(lyap, op.field, form="necessity")
     assert nec.passed and nec.margin == pytest.approx(1.0, abs=1e-6)
+    for rep in (suff, nec):
+        assert rep.margin == lyapfun.DERIVATIVE_TOL - rep.max_eigenvalue
 
 
 def test_derivative_condition_identity_matrix_fails():
@@ -361,6 +376,7 @@ def test_derivative_condition_identity_matrix_fails():
     rep = derivative_condition(bad, op.field, form="sufficiency")
     assert not rep.passed
     assert rep.max_eigenvalue == pytest.approx(3.0, abs=1e-9)  # 2 A22 + 1
+    assert rep.margin == lyapfun.DERIVATIVE_TOL - rep.max_eigenvalue
 
 
 def test_derivative_condition_refuses_coarse_grid():
@@ -388,7 +404,7 @@ def test_necessity_form_holds_for_time_varying_field():
         2, lambda t: np.diag([-1.0 - 0.3 * math.sin(t), 1.0 + 0.2 * math.cos(t)])
     )
     spec = DichotomySpec(
-        ProjectionFamily.constant(np.diag([1.0, 0.0])), EXPQUAD, K=math.exp(0.6), a=-1.0, b=1.0, eps=0.0
+        lambda t: np.diag([1.0, 0.0]), EXPQUAD, K=math.exp(0.6), a=-1.0, b=1.0, eps=0.0
     )
     op = EvolutionOperator(field)
     assert verify(spec, op, square_grid(-2.0, 2.0, 0.5)).passed
@@ -396,6 +412,7 @@ def test_necessity_form_holds_for_time_varying_field():
     rep = derivative_condition(lyap, field, form="necessity")
     assert rep.passed
     assert rep.margin > 0.5
+    assert rep.margin == lyapfun.DERIVATIVE_TOL - rep.max_eigenvalue
 
 
 def test_classify_basis_and_mixed_vectors():
@@ -436,7 +453,7 @@ def test_classify_rejects_an_empty_horizon_and_a_non_finite_vector(x, horizon, m
 def test_subspace_split_dimension():
     quad3 = EXPQUAD
     spec = DichotomySpec(
-        ProjectionFamily.constant(np.diag([1.0, 1.0, 0.0])), quad3, K=1.0, a=-1.0, b=1.0, eps=0.0
+        lambda t: np.diag([1.0, 1.0, 0.0]), quad3, K=1.0, a=-1.0, b=1.0, eps=0.0
     )
     op = EvolutionOperator(constant_field(np.diag([-1.0, -2.0, 1.0])))
     lyap = construct_S(spec, op, 0.5, np.linspace(0.0, 5.0, 11))
@@ -458,7 +475,7 @@ def test_construct_S_reads_an_envelope_cap_past_the_double_range_as_inf(start):
     # mu(|t|)^{2 eps} = e^{|t|} passes the double range past t = 709.78: the cap is inf,
     # the check holds, and S is the same diag(1, -1) as near the origin
     rates = RateQuadruple(builtin("exp"), builtin("exp"), builtin("expabs"), builtin("expabs"))
-    spec = DichotomySpec(ProjectionFamily.constant(np.diag([1.0, 0.0])), rates, K=1.0, a=-1.0, b=1.0, eps=0.5)
+    spec = DichotomySpec(lambda t: np.diag([1.0, 0.0]), rates, K=1.0, a=-1.0, b=1.0, eps=0.5)
     op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0])))
     lyap = construct_S(spec, op, 0.5, [start, start + 1.0])
     assert lyap.norm_margin == math.inf
