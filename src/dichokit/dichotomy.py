@@ -13,7 +13,10 @@ powers never poison a certificate with overflow.
 
 The grid checks share one pair table: T(t, s) for every pair from one row
 sweep of the evolution operator, P and the rates evaluated once per unique
-time, and the norms taken in batched calls over the stacked pairs.
+time, and the norms taken in batched calls over the stacked pairs.  Checks
+on one grid share one sweep: `verify` and `estimate_constants` pass
+``EvolutionOperator.evolve_pairs`` the same arrays, and the operator returns
+its retained result for a repeated call.
 """
 
 from __future__ import annotations
@@ -235,9 +238,9 @@ def verify(spec: DichotomySpec, op: EvolutionOperator, grid) -> Certificate:
     that is not an (m, 2) sequence of (t, s) pairs raises ValueError.
 
     All pairs are evaluated together: T(t, s) and T(s, t) come from one
-    forward and one backward row sweep over the grid's unique times (one
-    ``evolve`` per adjacent pair of times), and every norm from batched
-    calls.
+    forward and one backward row sweep over the grid's unique times (see
+    ``EvolutionOperator.evolve_pairs``), and every norm from batched calls.
+    A non-finite grid time raises ValueError naming it.
     """
     if not spec.rates.compatible_with(op.field.domain):
         raise DomainError("half-line rates cannot certify a full-line system")

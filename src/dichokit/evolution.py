@@ -20,13 +20,16 @@ every step the solver accepted: a span inside one cell is one such solve,
 and a span across knots reads one table per cell and orientation, a whole
 cell being its forward table's last row and each off-lattice end a table
 row times a short piece inside an accepted step.  `EvolutionOperator._clocked`
-solves many pieces, uncached, on one clock: both short pieces of a span
-(nearly always in one step), the pieces of a dense solution and the sweeps
-of `construct_S`.  The end piece from s up to the first knot c uses the
-adjoint form: Z' = -Z A with Z(c) = I, solved from c back across the cell,
-has the rows Z(v) = T(c, v), so still nothing is inverted.  Every cell that
-holds an end of a multi-cell span is integrated end to end once, so the
-spacing must keep one cell's transition in floating-point range.
+solves many pieces on one clock: both short pieces of a span (nearly always
+in one step), the pieces of a dense solution, the sweeps of `construct_S`,
+and the within-cell steps of one direction of a pair sweep
+(`EvolutionOperator.evolve_pairs`).  Only the last are cached, each as a
+two-row table under its span's key, where `evolve` finds it.  The end piece
+from s up to the first knot c uses the adjoint form: Z' = -Z A with
+Z(c) = I, solved from c back across the cell, has the rows Z(v) = T(c, v),
+so still nothing is inverted.  Every cell that holds an end of a multi-cell
+span is integrated end to end once, so the spacing must keep one cell's
+transition in floating-point range.
 """
 
 from __future__ import annotations
@@ -111,6 +114,8 @@ class EvolutionOperator:
         self.checkpoint_spacing = checkpoint_spacing
         # (a, b, inverse) -> step table (times, matrices); see `_table`
         self._cache: dict[tuple[float, float, bool], tuple[np.ndarray, np.ndarray]] = {}
+        # (t, s, result) of the last `evolve_pairs` call
+        self._last_pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- low-level integration ------------------------------------------------
 
@@ -271,13 +276,33 @@ class EvolutionOperator:
         T(u_j, s) = T(u_j, u_{j-1}) T(u_{j-1}, s), and once backward,
         T(u_i, s) = T(u_i, u_{i+1}) T(u_{i+1}, s).  Each step is one
         ``evolve`` between adjacent times, so backward steps stay backward
-        integrated and nothing is inverted.  Pairs with t == s give I.
-        Working memory is O(N n^2) beyond the (pairs, n, n) result.
+        integrated and nothing is inverted.  Before each sweep, its steps
+        that lie inside one cell, are not cached and are not a whole cell
+        are solved together by one `_clocked` solve, each from I, and cached
+        as two-row tables; so a within-cell step's value depends at round-off
+        on the batch that first solved it (scipy's RMS error norm pools the
+        pieces, so one step's local error may exceed RTOL by up to
+        sqrt(steps)).  Pairs with t == s give I.
+
+        The operator keeps its last (t, s) and result: a call with equal
+        arrays returns a copy of that result without a sweep, so the grid
+        checks on one grid share one sweep.  Working memory is O(N n^2) per
+        accepted step of the batched solves, beyond the (pairs, n, n) result
+        and the one retained result.  A non-finite t or s raises ValueError
+        naming it.
         """
-        t = np.asarray(t, dtype=float).ravel()
-        s = np.asarray(s, dtype=float).ravel()
+        t = np.array(t, dtype=float).ravel()
+        s = np.array(s, dtype=float).ravel()
         if t.shape != s.shape:
             raise ValueError(f"need as many t as s, got {t.size} and {s.size}")
+        finite = np.isfinite(t) & np.isfinite(s)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"pair ({t[k]}, {s[k]}) has the non-finite end {s[k] if np.isfinite(t[k]) else t[k]}")
+        if self._last_pairs is not None:
+            last_t, last_s, last_out = self._last_pairs
+            if np.array_equal(t, last_t) and np.array_equal(s, last_s):
+                return last_out.copy()
         n = self.field.dim
         out = np.empty((t.size, n, n))
         out[:] = np.eye(n)
@@ -293,6 +318,7 @@ class EvolutionOperator:
             starts = np.unique(start[pairs])
             col = np.searchsorted(starts, start[pairs])
             ends = end[pairs]
+            self._solve_within_cell_steps(times[starts[0] : ends[-1] + 1])
             # after step j, cur[c] holds T(times[j], times[starts[c]]) for starts[c] <= j
             cur = np.empty((starts.size, n, n))
             cur[:] = np.eye(n)
@@ -301,7 +327,33 @@ class EvolutionOperator:
                 cur[:live] = self.evolve(times[j], times[j - 1]) @ cur[:live]
                 lo, hi = np.searchsorted(ends, [j, j + 1])
                 out[pairs[lo:hi]] = cur[col[lo:hi]]
+        self._last_pairs = (t, s, out.copy())
         return out
+
+    def _solve_within_cell_steps(self, times) -> None:
+        """Cache T(q, p) for the steps (p, q) between consecutive `times`, in one solve.
+
+        Only the steps `evolve` would solve on their own are taken: inside one
+        cell, not cached and not a whole cell (a whole cell's key holds its
+        step table, which `_end` reads).  Each is stored under its span's key
+        as the two-row table (p, q), (I, T(q, p)).
+        """
+        steps = [
+            (p, q)
+            for p, q in zip(times[:-1], times[1:])
+            if (p, q, False) not in self._cache and not self._knots(p, q) and not self._whole_cell(p, q)
+        ]
+        if not steps:
+            return
+        sol, _ = self._clocked(*zip(*steps))
+        n = self.field.dim
+        for (p, q), m in zip(steps, sol.y[:, -1].reshape(-1, n, n)):
+            self._cache[(p, q, False)] = (np.array([p, q]), np.array([np.eye(n), m]))
+
+    def _whole_cell(self, a: float, b: float) -> bool:
+        """Whether both ends of a span with no knots are checkpoints, compared exactly."""
+        c = self.checkpoint_spacing
+        return all(any(i * c == v for i in range(math.floor(v / c) - 1, math.floor(v / c) + 2)) for v in (a, b))
 
     def matrix_solution(self, a: float, b: float, m0: np.ndarray):
         """Dense solution Y(v) of Y' = A(v) Y, Y(a) = m0, for v between a and b.
@@ -344,11 +396,12 @@ class EvolutionOperator:
         return at
 
     def cache_report(self) -> dict:
-        """Cached solve count and the worst condition number among them.
+        """Cached table count and the worst condition number among them.
 
-        `segments` counts every cached solve: the step tables of the cells
-        and the single-piece spans.  `worst_condition` is taken over each
-        table's last row, its transition across its whole span.
+        `segments` counts every cached table: the step tables of the cells,
+        the single-piece spans and the batched within-cell steps of
+        `evolve_pairs`.  `worst_condition` is taken over each table's last
+        row, its transition across its whole span.
         """
         if not self._cache:
             return {"segments": 0, "worst_condition": 1.0}

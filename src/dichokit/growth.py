@@ -183,8 +183,8 @@ BUILTIN_NAMES = ("exp", "poly", "polysq", "expabs", "expsq", "rho_exp")
 
 def _positive(params: dict, key: str, default: float) -> float:
     v = float(params.get(key, default))
-    if v <= 0:
-        raise ValueError(f"parameter {key!r} must be positive, got {v}")
+    if not (v > 0 and math.isfinite(v)):
+        raise ValueError(f"parameter {key!r} must be positive and finite, got {v}")
     return v
 
 

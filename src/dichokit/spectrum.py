@@ -204,8 +204,15 @@ class DualBasisPair:
 
     @staticmethod
     def from_basis(basis) -> "DualBasisPair":
+        """The pair of a square basis and its inverse transpose; ValueError if it has none."""
         b = np.asarray(basis, dtype=float)
-        return DualBasisPair(b, np.linalg.inv(b).T)
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise ValueError(f"need a square basis, got shape {b.shape}")
+        try:
+            dual = np.linalg.inv(b).T
+        except np.linalg.LinAlgError:
+            raise ValueError("basis is singular") from None
+        return DualBasisPair(b, dual)
 
 
 @dataclass

@@ -95,8 +95,14 @@ def tabulated_field(times, matrices, domain: str | None = None) -> CoefficientFi
     """Field from samples; entries linearly interpolated, ends clamped."""
     times = np.asarray(times, dtype=float)
     matrices = np.asarray(matrices, dtype=float)
-    if times.ndim != 1 or np.any(np.diff(times) <= 0):
-        raise ValueError("tabulated field needs strictly increasing times")
+    if times.ndim != 1:
+        raise ValueError(f"tabulated field needs strictly increasing times, got shape {times.shape}")
+    # NaN fails every comparison, so test for the good case
+    good = np.isfinite(times)
+    good[1:] &= np.diff(times) > 0
+    if not good.all():
+        k = int(np.argmin(good))
+        raise ValueError(f"tabulated field needs finite, strictly increasing times; time {k} is {times[k]}")
     n = matrices.shape[1]
     flat = matrices.reshape(times.size, n * n)
 

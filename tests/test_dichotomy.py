@@ -199,6 +199,44 @@ def test_pair_table_matches_per_pair_evolve(setup, pairs, data):
     assert check_projection(spec.P, op, pairs) == check_projection(spec.P, op, shuffled)
 
 
+def test_checks_on_one_grid_share_one_sweep(monkeypatch):
+    # verify and estimate_constants pass evolve_pairs the same arrays, so only
+    # the first of them sweeps; check_projection keeps the grid's orientation
+    spec, op = example22_setup()
+    grid = square_grid(-2.0, 2.0, 0.25)
+    first = verify(spec, op, grid)
+    evolves = []
+
+    def recording(self, *args, real=EvolutionOperator.evolve):
+        evolves.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(EvolutionOperator, "evolve", recording)
+    fitted, _ = estimate_constants(op, spec.P, spec.rates, grid)
+    again = verify(spec, op, grid)
+    assert evolves == []
+    assert again.to_dict() == first.to_dict() and verify(fitted, op, grid).passed
+    check_projection(spec.P, op, grid)
+    assert evolves
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda spec, op: verify(spec, op, square_grid(-2.0, 2.0, 0.25) + [(math.nan, 0.0)]),
+        lambda spec, op: estimate_constants(op, spec.P, spec.rates, square_grid(-2.0, 2.0, 0.25) + [(math.nan, 0.0)]),
+        lambda spec, op: check_projection(spec.P, op, [(math.nan, math.nan)]),
+        lambda spec, op: check_projection(spec.P, op, [(0.0, 1.0), (math.inf, 0.5)]),
+    ],
+)
+def test_a_grid_with_a_non_finite_time_raises_naming_it(check):
+    # verify reported a NaN worst ratio, estimate_constants raised LinAlgError
+    # and check_projection passed a pair of NaN ends with zero residuals
+    spec, op = example22_setup()
+    with pytest.raises(ValueError, match="non-finite end (nan|inf)"):
+        check(spec, op)
+
+
 def test_empty_grid():
     spec, op = tight_diag_setup()
     cert = verify(spec, op, [])

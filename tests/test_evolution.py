@@ -278,7 +278,8 @@ def test_evolve_pairs_memory_is_linear_in_times():
     op.evolve_pairs(t, s)  # fill the segment cache, which is O(N) on its own
     tracemalloc.start()
     try:
-        op.evolve_pairs(t, s)
+        # the reversed pair order misses the retained result, so this sweeps
+        op.evolve_pairs(t[::-1], s[::-1])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -369,6 +370,108 @@ def test_tables_match_fresh_piece_solves_one_ulp_off_a_checkpoint(setup, t, s):
     field, exact, rel = setup()
     op = EvolutionOperator(field, checkpoint_spacing=0.1)
     assert_matches_fresh_pieces(op, t, s, exact, rel)
+
+
+def recorded_pieces(monkeypatch):
+    """The piece count of every solve the evolution module makes, as a list that grows."""
+    pieces = []
+
+    def recording(rhs, span, y0, *args, real=evolution.solve_ivp, **kwargs):
+        pieces.append(len(y0) // 4)
+        return real(rhs, span, y0, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "solve_ivp", recording)
+    return pieces
+
+
+def test_a_pair_sweep_solves_its_within_cell_steps_once_per_direction(monkeypatch):
+    # nine steps inside the cell [0, 1]: one solve of nine pieces forward and
+    # one backward, and none when the steps come round again
+    op = EvolutionOperator(constant_field(NONNORMAL))
+    pieces = recorded_pieces(monkeypatch)
+    u = np.linspace(0.05, 0.95, 10)
+    t, s = (v.ravel() for v in np.meshgrid(u, u))
+    table = op.evolve_pairs(t, s)
+    assert pieces == [9, 9]
+    pieces.clear()
+    assert np.array_equal(op.evolve_pairs(s, t), table.reshape(10, 10, 2, 2).transpose(1, 0, 2, 3).reshape(-1, 2, 2))
+    op.evolve_pairs(t[::-1], s[::-1])
+    assert pieces == []
+
+
+def test_a_pair_sweep_leaves_whole_cells_and_steps_across_knots_to_evolve():
+    # (1, 2) is a whole cell, whose key holds the cell's step table, and
+    # (2.5, 3.7) crosses the knot 3; the three other steps are batched
+    u = [0.0, 0.5, 1.0, 2.0, 2.5, 3.7]
+    op = EvolutionOperator(constant_field(NONNORMAL))
+    op.evolve_pairs(u[1:], u[:-1])
+    fresh = EvolutionOperator(op.field)
+    for key in ((1.0, 2.0, False), (2.0, 3.0, True), (3.0, 4.0, False)):
+        assert all(np.array_equal(got, want) for got, want in zip(op._cache[key], fresh._table(*key)))
+    for p, q in ((0.0, 0.5), (0.5, 1.0), (2.0, 2.5)):
+        times, mats = op._cache[(p, q, False)]
+        assert times.tolist() == [p, q] and np.array_equal(mats[0], np.eye(2))
+    assert (2.5, 3.7, False) not in op._cache
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    setup=st.sampled_from([nonnormal_setup, example22_setup]),
+    spacing=st.sampled_from([1.0, 0.1]),
+    times=st.lists(
+        st.one_of(st.floats(-3.0, 3.0), st.integers(-30, 30).map(lambda i: i * 0.1), st.floats(-1e-3, 1e-3)),
+        min_size=2,
+        max_size=40,
+        unique=True,
+    ),
+)
+def test_batched_steps_match_fresh_per_step_solves(setup, spacing, times):
+    # steps from ulps to a whole cell long, on a constant non-normal field and
+    # on Example 2.2's time-varying one.  Both solves keep each local error
+    # within RTOL in their own norm, but the batched solve's RMS norm pools its
+    # pieces, so one piece may reach sqrt(pieces) RTOL: the two differ by at
+    # most (sqrt(pieces) + 1) RTOL relative
+    field, _, rel = setup()
+    op = EvolutionOperator(field, spacing)
+    u = np.unique(times)
+    t, s = (v.ravel() for v in np.meshgrid(u, u))
+    table = op.evolve_pairs(t, s)
+    fresh = EvolutionOperator(field, spacing)
+    for sweep in (u.tolist(), u[::-1].tolist()):
+        steps = [(p, q) for p, q in zip(sweep[:-1], sweep[1:]) if not op._knots(p, q) and not op._whole_cell(p, q)]
+        for p, q in steps:
+            times_pq, mats = op._cache[(p, q, False)]
+            assert times_pq.tolist() == [p, q]
+            assert rel(mats[-1], fresh._segment(p, q)) <= (math.sqrt(len(steps)) + 1) * evolution.RTOL
+    for k in range(t.size):
+        assert rel(table[k], op.evolve(t[k], s[k])) <= 1e-9 if t[k] != s[k] else np.array_equal(table[k], np.eye(2))
+
+
+def test_an_identical_pair_call_returns_a_fresh_copy_of_the_retained_result(monkeypatch):
+    op, _ = example22_pair()
+    t, s = np.array([0.5, 2.25, -1.0, 0.5]), np.array([-0.75, 0.5, 2.25, 0.5])
+    first = op.evolve_pairs(t, s)
+    want = first.copy()
+    evolves = []
+
+    def recording(self, *args, real=EvolutionOperator.evolve):
+        evolves.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(EvolutionOperator, "evolve", recording)
+    again = op.evolve_pairs(t.tolist(), s.tolist())
+    assert evolves == [] and again is not first and np.array_equal(again, want)
+    first[:] = 7.0
+    again[:] = 7.0
+    assert np.array_equal(op.evolve_pairs(t, s), want)
+    # the retained key is a copy too: changing the caller's array makes a new call
+    t[0] = 0.25
+    op.evolve_pairs(t, s)
+    assert evolves
+    evolves.clear()
+    t[0] = 0.5
+    op.evolve_pairs(t[::-1], s[::-1])  # a reordered grid misses the retained result
+    assert evolves
 
 
 def test_a_multi_cell_evolve_over_built_tables_makes_one_clocked_one_step_solve(monkeypatch):
@@ -530,11 +633,14 @@ def test_the_clocked_solve_of_shifted_pieces_matches_the_matrix_exponential():
         lambda op: op.evolve(0.5, math.nan),
         lambda op: op.evolve(math.inf, 0.0),
         lambda op: op.evolve_pairs([math.nan], [0.0]),
+        lambda op: op.evolve_pairs([math.nan], [math.nan]),
+        lambda op: op.evolve_pairs([0.0, 1.0], [0.5, math.inf]),
         lambda op: op.matrix_solution(0.0, math.nan, np.eye(2)),
     ],
 )
 def test_a_non_finite_end_raises_naming_it(call):
-    # a NaN end used to hang the solver, an infinite one overflowed in the lattice walk
+    # a NaN end used to hang the solver, an infinite one overflowed in the lattice
+    # walk, and a pair of NaN ends read as t == s and gave I
     op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0])))
     with pytest.raises(ValueError, match="non-finite end (nan|inf)"):
         call(op)

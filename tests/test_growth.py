@@ -87,6 +87,15 @@ def test_unknown_name_and_bad_params():
         builtin("exp", {"rate": -2.0})
 
 
+@pytest.mark.parametrize(
+    "name, key, value", [("exp", "rate", math.nan), ("poly", "power", math.inf), ("exp", "rate", 0.0)]
+)
+def test_a_builtin_parameter_must_be_positive_and_finite(name, key, value):
+    # NaN passed the test v <= 0, and log_u then read nan
+    with pytest.raises(ValueError, match=f"parameter '{key}' must be positive and finite, got {value}"):
+        builtin(name, {key: value})
+
+
 def test_product_rate_adds_logs():
     two = product_rate(builtin("exp"), builtin("exp"))
     assert two.name == "exp*exp" and math.exp(two.log_u(0.0)) == 1.0

@@ -514,3 +514,8 @@ def test_a_partial_candidate_basis_is_rejected():
         DualBasisPair([[1.0, math.nan], [0.0, 1.0]], np.eye(2))
     with pytest.raises(ValueError, match="finite"):
         DualBasisPair.from_basis([[1.0, 0.0], [0.0, math.nan]])
+    # numpy's LinAlgError escaped from_basis on these two
+    with pytest.raises(ValueError, match="basis is singular"):
+        DualBasisPair.from_basis([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(ValueError, match=r"need a square basis, got shape \(2, 1\)"):
+        DualBasisPair.from_basis(e2)

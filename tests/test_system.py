@@ -166,6 +166,16 @@ def test_tabulated_field_roundtrip(tmp_path):
 
 
 
+@pytest.mark.parametrize(
+    "times, first_bad",
+    [([0.0, math.nan], "time 1 is nan"), ([math.inf, 1.0], "time 0 is inf"), ([0.0, 2.0, 2.0], "time 2 is 2.0")],
+)
+def test_tabulated_field_names_its_first_bad_time(times, first_bad):
+    # np.diff(times) <= 0 is False at a NaN, so a NaN time was accepted
+    with pytest.raises(ValueError, match=f"finite, strictly increasing times; {first_bad}"):
+        tabulated_field(times, np.ones((len(times), 1, 1)))
+
+
 def test_csv_readers_skip_comments_and_headers_and_reject_empty_files(tmp_path):
     rho = tmp_path / "rho.csv"
     rho.write_text("# rho(t) = 2 t\nt,rho\n\n-1.0,-2.0\n0.0,0.0\n1.0,2.0\n")
