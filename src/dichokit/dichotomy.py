@@ -11,18 +11,19 @@ factors are always evaluated at |s|; rates themselves are stored over
 signed time.  Ratios are formed in log space so that saturated rate
 powers never poison a certificate with overflow.
 
-The grid checks share one pair table: T(t, s) for every pair from one row
-sweep of the evolution operator, P and the rates evaluated once per unique
-time, and the norms taken in batched calls over the stacked pairs.  Checks
-on one grid share one sweep: `verify` and `estimate_constants` pass
-``EvolutionOperator.evolve_pairs`` the same arrays, and the operator returns
-its retained result for a repeated call.
+The grid checks read one pair table per grid: the pairs normalized to
+(hi, lo), T in both orientations from one ``EvolutionOperator.evolve_pairs``
+call, P read once per unique time and every norm from one batched call.
+Each operator's last table is kept (weakly) and reused while the (hi, lo)
+arrays and P's values are equal, so `verify`, `estimate_constants` and
+`check_projection` on one grid share one sweep; the rates enter per call.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -156,53 +157,62 @@ def _per_unique(fn, x: np.ndarray) -> np.ndarray:
     return np.array([fn(v) for v in vals.tolist()], dtype=float)[idx.reshape(x.shape)]
 
 
-def _pair_table(op: EvolutionOperator, P: Projection, t, s):
-    """T(t_k, s_k), P(t_k) and P(s_k) for arrays of directed pairs.
-
-    T comes from one row sweep (``EvolutionOperator.evolve_pairs``); P is
-    evaluated once per unique time.
-    """
-    n = op.field.dim
-    p_t, p_s = _per_unique(P, np.stack([t, s])).reshape(2, t.size, n, n)
-    return op.evolve_pairs(t, s), p_t, p_s
-
-
 @dataclass
-class _BoundTable:
-    """Grid pairs normalized to (hi, lo), hi >= lo, with both bounds' inputs.
+class _PairTable:
+    """The norms the grid checks read, for grid pairs normalized to (hi, lo).
 
-    ``stable`` = |T(hi, lo) P(lo)| and ``unstable`` = |T(lo, hi) Q(hi)|.  The
-    log-space features make a spec's log bounds x_stable @ (log K, a, eps)
-    and x_unstable @ (log K, b, eps), the same regression rows that
-    ``estimate_constants`` fits.
+    stable = |T(hi, lo) P(lo)|, unstable = |T(lo, hi) Q(hi)|, forward and
+    backward = |P(t) T(t, s) - T(t, s) P(s)| at (t, s) = (hi, lo) and
+    (lo, hi), idempotency = |P(u)^2 - P(u)| at the unique times u.
     """
 
     hi: np.ndarray
     lo: np.ndarray
-    fwd: np.ndarray  # T(hi, lo)
-    bwd: np.ndarray  # T(lo, hi), backward integrated
-    p_hi: np.ndarray
-    p_lo: np.ndarray
+    u: np.ndarray
+    p_u: np.ndarray  # P(u), with hi and lo the table's key
     stable: np.ndarray
     unstable: np.ndarray
-    x_stable: np.ndarray
-    x_unstable: np.ndarray
+    forward: np.ndarray
+    backward: np.ndarray
+    idempotency: np.ndarray
 
 
-def _bound_table(op: EvolutionOperator, P: Projection, rates: RateQuadruple, grid) -> _BoundTable:
-    t, s = _grid_arrays(grid)
+_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # operator -> its last table
+
+
+def _pair_table(op: EvolutionOperator, P: Projection, t: np.ndarray, s: np.ndarray) -> _PairTable:
+    """The table of the pairs (t_k, s_k): the operator's last one if its key matches, else a new one."""
     hi, lo = np.maximum(t, s), np.minimum(t, s)
-    m = hi.size
-    T, p_to, p_from = _pair_table(op, P, np.concatenate([hi, lo]), np.concatenate([lo, hi]))
-    fwd, bwd, p_hi, p_lo = T[:m], T[m:], p_to[:m], p_from[:m]
-    q_hi = np.eye(op.field.dim) - p_hi
-    stable, unstable = _norms(np.concatenate([fwd @ p_lo, bwd @ q_hi])).reshape(2, m)
+    n, m = op.field.dim, hi.size
+    u, idx = np.unique(np.concatenate([hi, lo]), return_inverse=True)
+    p_u = np.empty((u.size, n, n))
+    for j, v in enumerate(u.tolist()):
+        p = np.asarray(P(v), dtype=float)
+        if p.shape != (n, n) or not np.isfinite(p).all():
+            raise ValueError(f"P({v}) must be a finite {n} x {n} matrix, got {p.tolist()}")
+        p_u[j] = p
+    tab = _tables.get(op)
+    if tab is not None and np.array_equal(hi, tab.hi) and np.array_equal(lo, tab.lo) and np.array_equal(p_u, tab.p_u):
+        return tab
+    T = op.evolve_pairs(np.concatenate([hi, lo]), np.concatenate([lo, hi]))
+    fwd, bwd, p_hi, p_lo = T[:m], T[m:], p_u[idx[:m]], p_u[idx[m:]]
+    stacks = [fwd @ p_lo, bwd @ (np.eye(n) - p_hi), p_hi @ fwd - fwd @ p_lo, p_lo @ bwd - bwd @ p_hi, p_u @ p_u - p_u]
+    norms = _norms(np.concatenate(stacks))
+    tab = _tables[op] = _PairTable(hi, lo, u, p_u, *norms[: 4 * m].reshape(4, m), norms[4 * m :])
+    return tab
+
+
+def _regression_rows(rates: RateQuadruple, op: EvolutionOperator, t: np.ndarray, s: np.ndarray):
+    """Regression rows on the pairs' (hi, lo): log bounds x_stable @ (log K, a, eps), x_unstable @ (log K, b, eps)."""
+    if not rates.compatible_with(op.field.domain):
+        raise DomainError("half-line rates cannot certify a full-line system")
     h, k, mu, nu = rates.rates()
+    hi, lo = np.maximum(t, s), np.minimum(t, s)
     lh, lk = _per_unique(h.log_u, np.stack([hi, lo])), _per_unique(k.log_u, np.stack([hi, lo]))
-    ones = np.ones(m)
+    ones = np.ones(hi.size)
     x_stable = np.column_stack([ones, lh[0] - lh[1], _per_unique(mu.log_u, np.abs(lo))])
     x_unstable = np.column_stack([ones, -(lk[0] - lk[1]), _per_unique(nu.log_u, np.abs(hi))])
-    return _BoundTable(hi, lo, fwd, bwd, p_hi, p_lo, stable, unstable, x_stable, x_unstable)
+    return x_stable, x_unstable
 
 
 def _ratios(norms: np.ndarray, log_bound: np.ndarray):
@@ -237,21 +247,18 @@ def verify(spec: DichotomySpec, op: EvolutionOperator, grid) -> Certificate:
     ``tol`` reports.  An empty grid passes with zero worst values; a grid
     that is not an (m, 2) sequence of (t, s) pairs raises ValueError.
 
-    All pairs are evaluated together: T(t, s) and T(s, t) come from one
-    forward and one backward row sweep over the grid's unique times (see
-    ``EvolutionOperator.evolve_pairs``), and every norm from batched calls.
-    A non-finite grid time raises ValueError naming it.
+    The norms come from the pair table (see the module docstring).  A
+    non-finite grid time, or a P(u) that is not a finite n x n matrix,
+    raises ValueError naming it.
     """
-    if not spec.rates.compatible_with(op.field.domain):
-        raise DomainError("half-line rates cannot certify a full-line system")
-
-    tab = _bound_table(op, spec.P, spec.rates, grid)
+    t, s = _grid_arrays(grid)
+    x_stable, x_unstable = _regression_rows(spec.rates, op, t, s)
+    tab = _pair_table(op, spec.P, t, s)
     log_k = math.log(spec.K)
-    stable, sat_s = _ratios(tab.stable, tab.x_stable @ (log_k, spec.a, spec.eps))
-    unstable, sat_u = _ratios(tab.unstable, tab.x_unstable @ (log_k, spec.b, spec.eps))
-    hi, lo, fwd, bwd, p_hi, p_lo = tab.hi, tab.lo, tab.fwd, tab.bwd, tab.p_hi, tab.p_lo
-    commute = _norms(np.concatenate([p_hi @ fwd - fwd @ p_lo, p_lo @ bwd - bwd @ p_hi]))
-    commute = commute.reshape(2, hi.size).max(axis=0)
+    stable, sat_s = _ratios(tab.stable, x_stable @ (log_k, spec.a, spec.eps))
+    unstable, sat_u = _ratios(tab.unstable, x_unstable @ (log_k, spec.b, spec.eps))
+    hi, lo = tab.hi, tab.lo
+    commute = np.maximum(tab.forward, tab.backward)
     rows = np.rec.fromarrays(
         [hi, lo, stable, unstable, commute], names="t,s,stable_ratio,unstable_ratio,commute_residual"
     )
@@ -264,14 +271,18 @@ def verify(spec: DichotomySpec, op: EvolutionOperator, grid) -> Certificate:
 
 @dataclass
 class ProjectionReport:
-    """Worst residuals of ``check_projection``.
+    """Worst residuals of ``check_projection`` and where they occurred.
 
     Passes iff the commutation residual is at most `VERIFY_TOL` and the
-    idempotency residual at most `IDEMPOTENCY_TOL`.
+    idempotency residual at most `IDEMPOTENCY_TOL`.  The worst ones occurred
+    at the grid pair ``worst_commute_at`` and the time ``worst_idempotency_at``,
+    both None on an empty grid.
     """
 
     max_commute_residual: float
     max_idempotency_residual: float
+    worst_commute_at: tuple | None = None
+    worst_idempotency_at: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -281,20 +292,18 @@ class ProjectionReport:
 def check_projection(P: Projection, op: EvolutionOperator, grid) -> ProjectionReport:
     """Residuals of P(t)T(t,s) = T(t,s)P(s) and P(u)^2 = P(u) over a grid.
 
-    The commutation residual is taken per pair; the idempotency residual at
-    every time of the grid, both ends of each pair.  Pairs keep their
-    orientation, so a pair with t < s is evolved backward.  T(t, s) comes
-    from one row sweep over the grid's unique times and the norms from one
-    batched call.  An empty grid gives (0.0, 0.0); a grid that is not an
-    (m, 2) sequence of (t, s) pairs raises ValueError.
+    The commutation residual is taken per pair in its own orientation (t < s
+    reads the backward-integrated T(t, s)), the idempotency residual at every
+    time of the grid, both from the pair table: alone on a one-orientation
+    grid, this sweeps both directions.  An empty grid gives (0.0, 0.0) and no
+    locations; a grid that is not (m, 2) pairs, or a P(u) that is not a
+    finite n x n matrix, raises ValueError.
     """
     t, s = _grid_arrays(grid)
-    T, p_t, p_s = _pair_table(op, P, t, s)
-    _, first = np.unique(np.concatenate([t, s]), return_index=True)
-    p_u = np.concatenate([p_t, p_s])[first]
-    norms = _norms(np.concatenate([p_t @ T - T @ p_s, p_u @ p_u - p_u]))
-    commute, idem = norms[: t.size], norms[t.size :]
-    return ProjectionReport(float(commute.max(initial=0.0)), float(idem.max(initial=0.0)))
+    tab = _pair_table(op, P, t, s)
+    wc, wc_at = _worst(np.where(t >= s, tab.forward, tab.backward), t, s)
+    wi, wi_at = _worst(tab.idempotency, tab.u, tab.u)
+    return ProjectionReport(wc, wi, wc_at, None if wi_at is None else wi_at[0])
 
 
 @dataclass
@@ -322,22 +331,22 @@ def estimate_constants(
     training grid by construction.  When the unstable side has fewer than
     `MIN_PAIRS` pairs, b is 0 and that side's log K counts as 0, so K >= 1.
 
-    The norms come from the same pair table as ``verify`` (one forward and
-    one backward row sweep, batched norms) and are taken once, for both the
-    fit and the inflation.  Each diagnostics warning is also logged on the
-    ``dichokit.dichotomy`` logger.
+    The norms come from the pair table ``verify`` reads (see the module
+    docstring); half-line rates and a malformed P raise as in ``verify``.  Each
+    diagnostics warning is also logged on the ``dichokit.dichotomy`` logger.
     """
     warnings = []
-    tab = _bound_table(op, P, rates, grid)
+    t, s = _grid_arrays(grid)
+    x_stable, x_unstable = _regression_rows(rates, op, t, s)
+    tab = _pair_table(op, P, t, s)
     keep_s, keep_u = tab.stable > 0, tab.unstable > 0
-    rows_s, ys = tab.x_stable[keep_s], np.log(tab.stable[keep_s])
-    rows_u, yu = tab.x_unstable[keep_u], np.log(tab.unstable[keep_u])
+    rows_s, ys = x_stable[keep_s], np.log(tab.stable[keep_s])
+    rows_u, yu = x_unstable[keep_u], np.log(tab.unstable[keep_u])
 
     def fit(X, y, side):
-        rank = np.linalg.matrix_rank(X)
+        coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
         if rank < X.shape[1]:
             raise EstimationError(f"{side} regression is rank-deficient on this grid")
-        coef, *_ = np.linalg.lstsq(X, y, rcond=None)
         return coef
 
     if len(rows_s) < MIN_PAIRS:

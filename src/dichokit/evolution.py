@@ -114,8 +114,6 @@ class EvolutionOperator:
         self.checkpoint_spacing = checkpoint_spacing
         # (a, b, inverse) -> step table (times, matrices); see `_table`
         self._cache: dict[tuple[float, float, bool], tuple[np.ndarray, np.ndarray]] = {}
-        # (t, s, result) of the last `evolve_pairs` call
-        self._last_pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- low-level integration ------------------------------------------------
 
@@ -284,12 +282,9 @@ class EvolutionOperator:
         pieces, so one step's local error may exceed RTOL by up to
         sqrt(steps)).  Pairs with t == s give I.
 
-        The operator keeps its last (t, s) and result: a call with equal
-        arrays returns a copy of that result without a sweep, so the grid
-        checks on one grid share one sweep.  Working memory is O(N n^2) per
-        accepted step of the batched solves, beyond the (pairs, n, n) result
-        and the one retained result.  A non-finite t or s raises ValueError
-        naming it.
+        Working memory is O(N n^2) per accepted step of the batched solves,
+        beyond the (pairs, n, n) result.  A non-finite t or s raises
+        ValueError naming it.
         """
         t = np.array(t, dtype=float).ravel()
         s = np.array(s, dtype=float).ravel()
@@ -299,10 +294,6 @@ class EvolutionOperator:
         if not finite.all():
             k = int(np.argmin(finite))
             raise ValueError(f"pair ({t[k]}, {s[k]}) has the non-finite end {s[k] if np.isfinite(t[k]) else t[k]}")
-        if self._last_pairs is not None:
-            last_t, last_s, last_out = self._last_pairs
-            if np.array_equal(t, last_t) and np.array_equal(s, last_s):
-                return last_out.copy()
         n = self.field.dim
         out = np.empty((t.size, n, n))
         out[:] = np.eye(n)
@@ -327,7 +318,6 @@ class EvolutionOperator:
                 cur[:live] = self.evolve(times[j], times[j - 1]) @ cur[:live]
                 lo, hi = np.searchsorted(ends, [j, j + 1])
                 out[pairs[lo:hi]] = cur[col[lo:hi]]
-        self._last_pairs = (t, s, out.copy())
         return out
 
     def _solve_within_cell_steps(self, times) -> None:

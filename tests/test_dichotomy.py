@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dichokit import dichotomy
 from dichokit.dichotomy import (
     IDEMPOTENCY_TOL,
     VERIFY_TOL,
@@ -157,6 +159,14 @@ def test_verify_rejects_half_line_rates_on_a_full_line_system():
         verify(half, op, square_grid(0.0, 1.0, 0.5))
 
 
+def test_estimate_rejects_half_line_rates_on_a_full_line_system():
+    # it fitted K = 3.41, a = -2.94, b = 2.19, a spec that verify then refused
+    spec, op = tight_diag_setup()
+    poly = RateQuadruple(*(builtin("poly") for _ in range(4)))
+    with pytest.raises(DomainError, match="half-line rates cannot certify a full-line system"):
+        estimate_constants(op, spec.P, poly, square_grid(0.0, 4.0, 0.25))
+
+
 def nonnormal_setup():
     """A non-diagonal, non-normal constant field and a claim that ignores it."""
     op = EvolutionOperator(constant_field([[-0.5, 2.0], [0.25, 0.5]]))
@@ -196,28 +206,68 @@ def test_pair_table_matches_per_pair_evolve(setup, pairs, data):
     )
     key = lambda r: (r.t, r.s, r.stable_ratio, r.unstable_ratio, r.commute_residual)
     assert sorted(map(key, a.rows)) == sorted(map(key, b.rows))
-    assert check_projection(spec.P, op, pairs) == check_projection(spec.P, op, shuffled)
+    # a tie's location depends on the grid's order, so only the residuals compare
+    residuals = lambda rep: (rep.max_commute_residual, rep.max_idempotency_residual)
+    assert residuals(check_projection(spec.P, op, pairs)) == residuals(check_projection(spec.P, op, shuffled))
+
+
+def count_table_work(monkeypatch):
+    """Counts of the pair sweeps and the batched norm calls made from now on."""
+    calls = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(EvolutionOperator, "evolve_pairs")
+    count(dichotomy, "_norms")
+    return calls
 
 
 def test_checks_on_one_grid_share_one_sweep(monkeypatch):
-    # verify and estimate_constants pass evolve_pairs the same arrays, so only
-    # the first of them sweeps; check_projection keeps the grid's orientation
+    # the three checks read one pair table: one sweep over both orientations
+    # and one batched norm call serve them all
     spec, op = example22_setup()
     grid = square_grid(-2.0, 2.0, 0.25)
+    calls = count_table_work(monkeypatch)
     first = verify(spec, op, grid)
-    evolves = []
-
-    def recording(self, *args, real=EvolutionOperator.evolve):
-        evolves.append(args)
-        return real(self, *args)
-
-    monkeypatch.setattr(EvolutionOperator, "evolve", recording)
     fitted, _ = estimate_constants(op, spec.P, spec.rates, grid)
+    assert verify(fitted, op, grid).passed
+    assert check_projection(spec.P, op, grid).passed
+    assert verify(spec, op, grid).to_dict() == first.to_dict()
+    assert calls == {"evolve_pairs": 1, "_norms": 1}
+
+
+def test_a_changed_P_grid_or_operator_rebuilds_the_table(monkeypatch):
+    spec, op = example22_setup()
+    grid = square_grid(-2.0, 2.0, 0.25)
+    values = {"P": np.diag([1.0, 0.0])}
+    P = lambda t: values["P"]
+    calls = count_table_work(monkeypatch)
+    assert check_projection(P, op, grid).passed
+    values["P"] = np.full((2, 2), 0.5)  # the same P, now at 45 degrees to the flow
+    assert not check_projection(P, op, grid).passed
+    assert calls == {"evolve_pairs": 2, "_norms": 2}
+    check_projection(P, op, grid[::-1])
+    check_projection(P, op, [(t + 0.125, s + 0.125) for t, s in grid])
+    check_projection(P, EvolutionOperator(op.field), grid)
+    assert calls == {"evolve_pairs": 5, "_norms": 5}
+
+
+def test_writing_into_certificate_rows_leaves_a_later_verify_intact():
+    spec, op = example22_setup()
+    grid = square_grid(-2.0, 2.0, 0.5)
+    first = verify(spec, op, grid)
+    record, rows = first.to_dict(), first.rows.copy()
+    for name in rows.dtype.names:
+        first.rows[name] = 7.0
     again = verify(spec, op, grid)
-    assert evolves == []
-    assert again.to_dict() == first.to_dict() and verify(fitted, op, grid).passed
-    check_projection(spec.P, op, grid)
-    assert evolves
+    assert again.to_dict() == record and np.array_equal(again.rows, rows)
 
 
 @pytest.mark.parametrize(
@@ -245,6 +295,7 @@ def test_empty_grid():
     assert cert.worst_stable_at is None and cert.saturated == 0
     rep = check_projection(spec.P, op, [])
     assert (rep.max_commute_residual, rep.max_idempotency_residual) == (0.0, 0.0)
+    assert rep.worst_commute_at is None and rep.worst_idempotency_at is None
     assert op.evolve_pairs([], []).shape == (0, 2, 2)
 
 
@@ -405,7 +456,7 @@ def test_estimate_with_trivial_unstable_side_warns(caplog):
 def test_estimate_rejects_degenerate_grid():
     spec, op = tight_diag_setup()
     grid = [(t, t) for t in np.linspace(0, 5, 30)]  # no rate variation
-    with pytest.raises(EstimationError):
+    with pytest.raises(EstimationError, match="rank-deficient"):
         estimate_constants(op, spec.P, exp_quad(), grid)
     with pytest.raises(EstimationError, match="need >= 20 stable pairs, got 6"):
         estimate_constants(op, spec.P, exp_quad(), square_grid(0.0, 1.0, 0.5))
@@ -460,3 +511,42 @@ def test_check_projection_measures_idempotency_at_both_ends():
     P = lambda t: np.diag([2.0 if t < 0.5 else 1.0, 0.0])
     assert check_projection(P, op, [(1.0, 0.0)]).max_idempotency_residual == pytest.approx(2.0)
     assert check_projection(P, op, [(0.0, 1.0)]).max_idempotency_residual == pytest.approx(2.0)
+
+
+def test_check_projection_locates_its_worst_residuals():
+    # diag(-1, 1) flow; P is diag(1, 0) except at 45 degrees at u = 1, which
+    # only the pair (0.5, 1) meets, and not idempotent at u = 2
+    _, op = tight_diag_setup()
+    rotated, p = np.full((2, 2), 0.5), np.diag([1.0, 0.0])
+    P = lambda t: rotated if t == 1.0 else 2 * p if t == 2.0 else p
+    rep = check_projection(P, op, [(0.5, 0.0), (0.5, 1.0), (0.0, 0.5), (2.0, 2.0)])
+    T = np.diag([math.exp(0.5), math.exp(-0.5)])  # T(0.5, 1)
+    assert rep.worst_commute_at == (0.5, 1.0)
+    assert rep.max_commute_residual == pytest.approx(np.linalg.norm(p @ T - T @ rotated, 2), rel=1e-9)
+    assert rep.worst_idempotency_at == 2.0 and rep.max_idempotency_residual == pytest.approx(2.0)
+    assert not rep.passed
+
+
+@pytest.mark.parametrize(
+    "P, message",
+    [
+        (lambda t: np.diag([1.0, math.nan if t > 1.0 else 0.0]), r"P\(1.25\) must be a finite 2 x 2 .*nan"),
+        (lambda t: np.eye(3), r"P\(-2.0\) must be a finite 2 x 2 matrix, got \[\[1.0, 0.0, 0.0\], "),
+        (lambda t: np.array([1.0, 0.0]), r"P\(-2.0\) must be a finite 2 x 2 matrix, got \[1.0, 0.0\]"),
+    ],
+    ids=["nan-after-1", "3x3", "vector"],
+)
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda spec, op, grid: verify(spec, op, grid),
+        lambda spec, op, grid: estimate_constants(op, spec.P, spec.rates, grid),
+        lambda spec, op, grid: check_projection(spec.P, op, grid),
+    ],
+    ids=["verify", "estimate_constants", "check_projection"],
+)
+def test_a_malformed_projection_raises_naming_its_time(P, message, check):
+    # a NaN P raised LinAlgError from the SVD, a 3 x 3 or vector P a reshape error
+    spec, op = example22_setup()
+    with pytest.raises(ValueError, match=message):
+        check(replace(spec, P=P), op, square_grid(-2.0, 2.0, 0.25))
