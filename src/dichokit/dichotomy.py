@@ -151,10 +151,18 @@ def _norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(stack, 2, axis=(1, 2))
 
 
-def _per_unique(fn, x: np.ndarray) -> np.ndarray:
-    """fn(v) for every entry v of x, calling fn once per unique value."""
-    vals, idx = np.unique(x, return_inverse=True)
-    return np.array([fn(v) for v in vals.tolist()], dtype=float)[idx.reshape(x.shape)]
+def _projections(P: Projection, ts, n: int) -> np.ndarray:
+    """The (m, n, n) stack of P(t) for the m times `ts`, one call per time.
+
+    A P(t) that is not a finite n x n matrix raises ValueError naming t.
+    """
+    out = np.empty((len(ts), n, n))
+    for j, v in enumerate(np.asarray(ts, dtype=float).tolist()):
+        p = np.asarray(P(v), dtype=float)
+        if p.shape != (n, n) or not np.isfinite(p).all():
+            raise ValueError(f"P({v}) must be a finite {n} x {n} matrix, got {p.tolist()}")
+        out[j] = p
+    return out
 
 
 @dataclass
@@ -185,12 +193,7 @@ def _pair_table(op: EvolutionOperator, P: Projection, t: np.ndarray, s: np.ndarr
     hi, lo = np.maximum(t, s), np.minimum(t, s)
     n, m = op.field.dim, hi.size
     u, idx = np.unique(np.concatenate([hi, lo]), return_inverse=True)
-    p_u = np.empty((u.size, n, n))
-    for j, v in enumerate(u.tolist()):
-        p = np.asarray(P(v), dtype=float)
-        if p.shape != (n, n) or not np.isfinite(p).all():
-            raise ValueError(f"P({v}) must be a finite {n} x {n} matrix, got {p.tolist()}")
-        p_u[j] = p
+    p_u = _projections(P, u, n)
     tab = _tables.get(op)
     if tab is not None and np.array_equal(hi, tab.hi) and np.array_equal(lo, tab.lo) and np.array_equal(p_u, tab.p_u):
         return tab
@@ -208,10 +211,10 @@ def _regression_rows(rates: RateQuadruple, op: EvolutionOperator, t: np.ndarray,
         raise DomainError("half-line rates cannot certify a full-line system")
     h, k, mu, nu = rates.rates()
     hi, lo = np.maximum(t, s), np.minimum(t, s)
-    lh, lk = _per_unique(h.log_u, np.stack([hi, lo])), _per_unique(k.log_u, np.stack([hi, lo]))
+    lh, lk = h.log_u(np.stack([hi, lo])), k.log_u(np.stack([hi, lo]))
     ones = np.ones(hi.size)
-    x_stable = np.column_stack([ones, lh[0] - lh[1], _per_unique(mu.log_u, np.abs(lo))])
-    x_unstable = np.column_stack([ones, -(lk[0] - lk[1]), _per_unique(nu.log_u, np.abs(hi))])
+    x_stable = np.column_stack([ones, lh[0] - lh[1], mu.log_u(np.abs(lo))])
+    x_unstable = np.column_stack([ones, -(lk[0] - lk[1]), nu.log_u(np.abs(hi))])
     return x_stable, x_unstable
 
 

@@ -179,8 +179,9 @@ class EvolutionOperator:
         step's closing evaluation) is read before the solve in one
         `CoefficientField.stack` call, and the right-hand side looks sigma
         up exactly among those nodes.  Any other sigma (a rejected trial or
-        a later step) reads each piece through the checked field call, so
-        the result never depends on the prediction.
+        a later step) reads every piece in one `stack` call of its own, so
+        the result never depends on the prediction; `shift` gets the same
+        array of times.
         """
         n, field = self.field.dim, self.field
         ell = max(abs(q - p) for p, q in zip(lo, hi))
@@ -199,9 +200,9 @@ class EvolutionOperator:
 
         def rhs(sigma, y):
             y, a = y.reshape(-1, n, n), prefetched.get(sigma)
-            vs = times(sigma).tolist() if a is None or shift is not None else ()
+            vs = times(sigma) if a is None or shift is not None else None
             if a is None:
-                a = np.array([field(v) for v in vs])
+                a = field.stack(vs)
             return (scale * (a @ y if shift is None else a @ y - shift(vs)[:, None, None] * y)).ravel()
 
         y0 = np.tile(np.eye(n).ravel(), lo.size)

@@ -39,6 +39,13 @@ class GrowthRate:
     With ``vectorized`` set, both primitives also take a 1-d array of times
     and return values that broadcast against it (a constant may stay a
     scalar); they do not check the domain, which `log_u` and `dlog` do.
+
+    `log_u` and `dlog` take a time, giving a float, or an array of times,
+    giving a float array of its shape.  An array's domain is checked once,
+    a DomainError naming its first negative time on a half-line rate; a
+    vectorized rate then reads it in one primitive call, any other rate
+    once per unique time.  Array arithmetic may round differently from
+    scalar arithmetic (`np.log1p` against `math.log1p`).
     """
 
     name: str
@@ -51,18 +58,24 @@ class GrowthRate:
         if self.domain not in ("full", "half"):
             raise ValueError(f"domain must be 'full' or 'half', got {self.domain!r}")
 
-    def _check_domain(self, t: float):
-        if self.domain == "half" and t < 0:
-            raise DomainError(f"rate {self.name!r} is half-line only, got t={t}")
+    def _read(self, primitive, t):
+        if type(t) is not np.ndarray:
+            if self.domain == "half" and t < 0:
+                raise DomainError(f"rate {self.name!r} is half-line only, got t={t}")
+            return float(primitive(t))
+        if self.domain == "half" and (t < 0).any():
+            raise DomainError(f"rate {self.name!r} is half-line only, got t={t.flat[np.argmax(t < 0)]}")
+        if self.vectorized:
+            return np.broadcast_to(primitive(t), t.shape).astype(float)
+        u, idx = np.unique(t, return_inverse=True)
+        return np.array([primitive(v) for v in u.tolist()], dtype=float)[idx.reshape(t.shape)]
 
-    def log_u(self, t: float) -> float:
-        self._check_domain(t)
-        return float(self.log_eval(t))
+    def log_u(self, t):
+        return self._read(self.log_eval, t)
 
-    def dlog(self, t: float) -> float:
+    def dlog(self, t):
         """u'(t)/u(t); the weight h'/h appearing in every integral bound."""
-        self._check_domain(t)
-        return float(self.log_deriv(t))
+        return self._read(self.log_deriv, t)
 
 
 @dataclass(frozen=True)
@@ -167,7 +180,7 @@ def validate(rate: GrowthRate, probes) -> ValidationReport:
 
     differenced = valid & np.isfinite(logs_below) & np.isfinite(logs_above)
     fd = ((logs_above - logs_below) / (above - below))[differenced]
-    slope = np.array([rate.dlog(t) for t in probes[differenced].tolist()])
+    slope = rate.dlog(probes[differenced])
     worst = float(np.max(np.abs(slope - fd) / np.maximum(1.0, np.abs(slope)), initial=0.0))
     checks.append(CheckResult("derivative", worst <= 1e-6, worst))
 

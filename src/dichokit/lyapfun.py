@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad_vec
 
-from .dichotomy import DichotomySpec, spectral_norm
+from .dichotomy import DichotomySpec, _projections, spectral_norm
 from .errors import DichokitError, DomainError
 from .evolution import EvolutionOperator
 from .system import CoefficientField
@@ -62,14 +62,16 @@ def _congruence_sweep(op: EvolutionOperator, projector, coeff: float, rate, ts, 
     the complement; one quad_vec over sigma of the stacked |c_k| rate'/rate(v_k)
     (Phi_k s_k)^T (Phi_k s_k), s_k the start of piece k, gives every piece's
     integral.  Then S(ts[i]) = M^T S(ts[i+1]) M + (interval integral), with
-    M = projector(ts[i+1]) G(ts[i+1], ts[i]).  Returns the stack in the order
-    of `ts` and the summed quad_vec error estimates.
+    M = projector(ts[i+1]) G(ts[i+1], ts[i]).  `projector` maps an array of
+    times to the stack of projectors there, read at every piece end before
+    the solves.  Returns the stack in the order of `ts` and the summed
+    quad_vec error estimates.
     """
     n, last, knots = op.field.dim, len(ts) - 1, list(ts) + [end]
     parts, maps, err = np.zeros((last + 1, n, n)), np.zeros((last + 1, n, n)), 0.0
 
     def shift(vs):
-        return coeff * np.array([rate.dlog(v) for v in vs])
+        return coeff * rate.dlog(vs)
 
     # a one-point grid has no intervals, and tail_tol >= 1 puts `end` on ts[-1]
     for group in filter(len, (range(last), range(last, last + (end != ts[-1])))):
@@ -79,16 +81,18 @@ def _congruence_sweep(op: EvolutionOperator, projector, coeff: float, rate, ts, 
                 m = max(1, math.ceil(abs(q - p) / REPROJECT_WINDOW))
                 cuts = [p + (q - p) * j / m for j in range(m)] + [q]
                 lo, hi, owner = lo + cuts[:-1], hi + cuts[1:], owner + [i] * m
+        starts, p_hi = projector(lo), projector(hi)
         sol, times = op._clocked(lo, hi, shift, dense=True)
         weight = np.abs(np.subtract(hi, lo)) / sol.t[-1]
-        ends, starts = sol.y[:, -1].reshape(-1, n, n), np.empty((len(lo), n, n))
+        ends = sol.y[:, -1].reshape(-1, n, n)
         for k, i in enumerate(owner):
-            starts[k] = maps[i] if k and owner[k - 1] == i else projector(lo[k])
-            maps[i] = projector(hi[k]) @ ends[k] @ starts[k]
+            if k and owner[k - 1] == i:
+                starts[k] = maps[i]
+            maps[i] = p_hi[k] @ ends[k] @ starts[k]
 
         def integrand(sigma):
             g = sol.sol(sigma).reshape(-1, n, n) @ starts
-            w = weight * np.array([rate.dlog(v) for v in times(sigma).tolist()])
+            w = weight * rate.dlog(times(sigma))
             return w[:, None, None] * (g.transpose(0, 2, 1) @ g)
 
         vals, e = quad_vec(integrand, 0.0, sol.t[-1], epsabs=QUAD_TOL, epsrel=QUAD_TOL)
@@ -173,7 +177,7 @@ def construct_S(
     times = np.unique(times)
     h, k = spec.rates.h, spec.rates.k
     n = op.field.dim
-    projs = np.array([spec.P(t) for t in times])
+    projs = _projections(spec.P, times, n)
     log_drop = math.log(1.0 / tail_tol) / (2.0 * dbar)  # in units of log h and log k
 
     # The rate-power weights are folded into shifted linear systems:
@@ -185,23 +189,22 @@ def construct_S(
     quad_err = 0.0
     if np.any(projs):
         v_cut = time_for_log_decrease(h, times[-1], log_drop)
-        part, err = _congruence_sweep(op, spec.P, spec.a + dbar, h, times, v_cut)
+        part, err = _congruence_sweep(op, lambda vs: _projections(spec.P, vs, n), spec.a + dbar, h, times, v_cut)
         s_mats += part
         quad_err += err
     if np.any(np.eye(n) - projs):
         if op.field.domain == "half":
             raise DomainError("the unstable integral needs a full-line system")
         w_cut = time_backward_for_log_drop(k, times[0], log_drop)
-        part, err = _congruence_sweep(op, lambda t: np.eye(n) - spec.P(t), spec.b - dbar, k, times[::-1], w_cut)
+        unstable = lambda vs: np.eye(n) - _projections(spec.P, vs, n)
+        part, err = _congruence_sweep(op, unstable, spec.b - dbar, k, times[::-1], w_cut)
         s_mats -= part[::-1]
         quad_err += err
 
     s_mats = 0.5 * (s_mats + s_mats.transpose(0, 2, 1))
     eigs = np.abs(np.linalg.eigvalsh(s_mats))
     with np.errstate(over="ignore"):
-        mu_pow, nu_pow = (
-            np.exp(2 * spec.eps * np.array([r.log_u(abs(t)) for t in times])) for r in (spec.rates.mu, spec.rates.nu)
-        )
+        mu_pow, nu_pow = (np.exp(2 * spec.eps * r.log_u(np.abs(times))) for r in (spec.rates.mu, spec.rates.nu))
         cap = (spec.K**2 / (2 * dbar)) * (mu_pow + nu_pow)
     gap = cap - eigs.max(axis=1)  # |S| is the largest |eigenvalue| of symmetric S
     bad = np.flatnonzero(gap < -1e-6 * cap)
@@ -270,9 +273,9 @@ def derivative_condition(
 
     rhs = np.eye(n)
     if form == "necessity":
-        p = np.array([spec.P(t) for t in times])
+        p = _projections(spec.P, times, n)
         q = np.eye(n) - p
-        h_slope, k_slope = (np.array([r.dlog(t) for t in times])[:, None, None] for r in (spec.rates.h, spec.rates.k))
+        h_slope, k_slope = (r.dlog(times)[:, None, None] for r in (spec.rates.h, spec.rates.k))
         rhs = p.transpose(0, 2, 1) @ p * h_slope + q.transpose(0, 2, 1) @ q * k_slope
     a = a_field.stack(times)
     m = ds + s @ a + a.transpose(0, 2, 1) @ s + rhs

@@ -118,7 +118,7 @@ def _exponent_traces(matrix, rates: list, X0, horizon: float, mask=None) -> tupl
     y0 = np.concatenate([(X0[:, live] / norms[live]).ravel()[entries], np.log(norms[live])])
     times = np.linspace((1.0 - WINDOW) * horizon, horizon, SAMPLES)
     sol = _integrate(solve_ivp, rhs, (0.0, horizon), y0, RTOL, ATOL, t_eval=times)
-    denoms = {key: np.array([r.log_u(t) for t in times]) for key, r in distinct.items()}
+    denoms = {key: r.log_u(times) for key, r in distinct.items()}
     for j, log_norms in zip(live, sol.y[split:]):
         values = log_norms / denoms[id(rates[j])]
         traces[j] = ExponentTrace(times, values, float(np.max(values)), float(np.max(values) - np.min(values)))

@@ -52,8 +52,10 @@ class CoefficientField:
     def stack(self, ts) -> np.ndarray:
         """The (m, n, n) stack of A(t) for the m times `ts`.
 
-        It equals ``np.array([self(t) for t in ts])``, and a field that is
-        not vectorized is read just so, one checked call per time.  A
+        Every stage of a batched solve (`EvolutionOperator._clocked`) reads
+        all its pieces in one such call.  It equals
+        ``np.array([self(t) for t in ts])``, and a field that is not
+        vectorized is read just so, one checked call per time.  A
         vectorized field is read in one ``eval`` call and checked once for
         the whole stack: the domain, the shape (a wrong one naming the first
         time) and finiteness, an error naming the first bad t.  Its array

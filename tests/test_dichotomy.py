@@ -24,6 +24,7 @@ from dichokit.dichotomy import (
 from dichokit.errors import DomainError, EstimationError
 from dichokit.evolution import EvolutionOperator
 from dichokit.growth import RateQuadruple, builtin, product_rate
+from dichokit.lyapfun import construct_S
 from dichokit.system import Example22Params, constant_field, make_example22
 
 
@@ -542,11 +543,13 @@ def test_check_projection_locates_its_worst_residuals():
         lambda spec, op, grid: verify(spec, op, grid),
         lambda spec, op, grid: estimate_constants(op, spec.P, spec.rates, grid),
         lambda spec, op, grid: check_projection(spec.P, op, grid),
+        lambda spec, op, grid: construct_S(spec, op, 0.5, np.ravel(grid)),
     ],
-    ids=["verify", "estimate_constants", "check_projection"],
+    ids=["verify", "estimate_constants", "check_projection", "construct_S"],
 )
 def test_a_malformed_projection_raises_naming_its_time(P, message, check):
-    # a NaN P raised LinAlgError from the SVD, a 3 x 3 or vector P a reshape error
+    # a NaN P raised LinAlgError from the SVD, a 3 x 3 or vector P a reshape
+    # error; construct_S returned an all-NaN S or raised a broadcast error
     spec, op = example22_setup()
     with pytest.raises(ValueError, match=message):
         check(replace(spec, P=P), op, square_grid(-2.0, 2.0, 0.25))

@@ -529,9 +529,9 @@ def test_the_array_clamp_moves_each_time_as_its_scalar_clamp():
     [([-0.3, 0.0], [0.0, 0.2], 0.3), ([-0.9, 0.0], [0.0, 0.9], 0.9)],
     ids=["one-step", "three-step"],
 )
-def test_the_clocked_solve_reads_a_vectorized_field_as_per_time_calls(lo, hi, first_step):
+def test_the_clocked_solve_reads_each_later_stage_of_a_vectorized_field_in_one_call(lo, hi, first_step):
     # a clock that its first step cannot cover takes later steps, whose
-    # stages miss the prefetched nodes and read each piece afresh
+    # stages miss the prefetched nodes and read both pieces in one call
     field, _, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
     assert field.vectorized
     calls = []
@@ -547,27 +547,62 @@ def test_the_clocked_solve_reads_a_vectorized_field_as_per_time_calls(lo, hi, fi
     if got.t.size == 2:
         assert len(calls) == 1
     else:
-        assert len(calls) > 1 and set(calls[1:]) == {1}
+        assert len(calls) > 1 and set(calls[1:]) == {2}
 
 
 def test_a_nan_inside_an_end_piece_raises_naming_its_time():
     # the tables of the span are built clean; then the field turns NaN on the
-    # far end piece (v, t) alone, which only the clocked end-piece solve evaluates
-    poisoned = []
+    # far end piece (v, t) alone, which only the clocked end-piece solve
+    # evaluates.  A vectorized field is NaN only on (v + 0.87 d, v + 0.99 d),
+    # d = t - v, between the prefetched nodes 0.857 and 1 of the piece, and
+    # stiff on the rest of it, so the first step is rejected and only a later
+    # stage's `stack` call meets the NaN
+    for vectorized in (False, True):
+        poisoned, calls = [], []
 
-    def ev(t):
-        return np.array([[math.nan if poisoned and poisoned[0] < t < poisoned[1] else -1.0]])
+        def ev(t):
+            calls.append(np.size(t))
+            t = np.asarray(t, dtype=float)
+            a = np.full(t.shape, -1.0)
+            if poisoned:
+                v, w = poisoned
+                inside = (v < t) & (t < w)
+                nan = inside & (v + 0.87 * (w - v) < t) & (t < v + 0.99 * (w - v)) if vectorized else inside
+                a = np.where(nan, math.nan, np.where(inside, -200.0, a))
+            return a[..., None, None]
 
-    op = EvolutionOperator(CoefficientField(1, ev))
-    t, s = 2.5, 0.5
-    op.evolve(t, s)
-    times = op._cache[(2.0, 3.0, False)][0]
-    v = times[np.count_nonzero(times <= t) - 1]
-    assert v < t
-    poisoned[:] = [v, t]
-    with pytest.raises(ValueError, match="non-finite entries") as err:
+        op = EvolutionOperator(CoefficientField(1, ev, vectorized=vectorized))
+        t, s = 2.5, 0.5
         op.evolve(t, s)
-    assert v < float(str(err.value).rpartition("t=")[2]) < t
+        times = op._cache[(2.0, 3.0, False)][0]
+        v = times[np.count_nonzero(times <= t) - 1]
+        assert v < t
+        poisoned[:] = [v, t]
+        calls.clear()
+        with pytest.raises(ValueError, match="non-finite entries") as err:
+            op.evolve(t, s)
+        named = float(str(err.value).rpartition("t=")[2])
+        assert v < named < t
+        if vectorized:
+            assert v + 0.87 * (t - v) < named < v + 0.99 * (t - v)
+            assert calls[0] == 24 and len(calls) > 1 and set(calls[1:]) == {2}
+
+
+def test_batched_reads_of_a_vectorized_field_match_its_per_time_reads():
+    # every stage of these solves misses a prefetch, so the vectorized field
+    # is read by `stack` in one call per stage, the other one time at a time
+    field, _, spec = make_example22(Example22Params(1.0, 0.1, 1.0))
+    ts, ss = np.random.default_rng(5).uniform(-3.0, 3.0, size=(2, 40))
+
+    def solve(f):
+        pairs = EvolutionOperator(f).evolve_pairs(ts, ss)
+        dense = EvolutionOperator(f).matrix_solution(-2.5, 3.5, np.eye(2))(np.linspace(-2.5, 3.5, 25))
+        lyap = construct_S(spec, EvolutionOperator(f), 0.5, np.linspace(-2.0, 2.0, 9))
+        return pairs, dense, lyap.matrices
+
+    assert field.vectorized
+    for got, want in zip(solve(field), solve(replace(field, vectorized=False))):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 @pytest.mark.parametrize("t, s", [(0.0, -5e-324), (5e-324, 0.0), (-5e-324, 0.0), (0.0, 5e-324)])

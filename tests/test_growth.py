@@ -75,6 +75,53 @@ def test_validate_compares_the_slope_in_log_space_at_every_size_of_u(rate, probe
     assert report.check("derivative").worst == pytest.approx(worst, rel=1e-9)
 
 
+def test_log_u_and_dlog_read_an_array_of_times_as_their_per_time_calls():
+    ts = np.random.default_rng(11).uniform(0.0, 6.0, 300)
+    rho = builtin("rho_exp", {"samples": [[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0], [4.0, 2.0]]})
+    reads = []
+
+    def counted(fn):
+        return lambda t: reads.append(t) or fn(t)
+
+    # a user's rate whose primitives take one time: math.atan fails on arrays
+    scalar = GrowthRate("atan", "full", counted(lambda t: t + math.atan(t)), counted(lambda t: 1.0 + 1.0 / (1.0 + t * t)))
+    rates = [builtin(name) for name in BUILTIN_NAMES if name != "rho_exp"]
+    rates += [rho, product_rate(builtin("exp", {"rate": 0.5}), builtin("expabs")), scalar]
+    for rate in rates:
+        xs = ts if rate.domain == "half" else np.concatenate([-ts, [-0.0, 0.0], ts])
+        xs = np.concatenate([xs, xs[:40]])  # repeated times
+        for read in (rate.log_u, rate.dlog):
+            reads.clear()
+            got = read(xs)
+            assert type(got) is np.ndarray and got.dtype == float and got.shape == xs.shape
+            if rate is scalar:
+                assert len(reads) == np.unique(xs).size  # once per unique time
+            want = [read(t) for t in xs.tolist()]
+            assert all(type(w) is float for w in want)
+            if rate.name.startswith("poly"):
+                np.testing.assert_array_max_ulp(got, want, maxulp=1)  # np.log1p against math.log1p
+            else:
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "rate",
+    [
+        builtin("poly"),
+        builtin("polysq"),
+        builtin("expsq"),
+        rho_exp_from_samples([0.0, 1.0, 2.0], [0.0, 1.0, 3.0]),
+        GrowthRate("sqrt", "half", lambda t: math.log1p(math.sqrt(t)), lambda t: 0.5 / (math.sqrt(t) + t)),
+    ],
+    ids=["poly", "polysq", "expsq", "rho_exp", "per-time"],
+)
+def test_a_half_line_rate_names_the_first_negative_time_of_an_array(rate):
+    ts = np.array([0.0, 1.5, -0.25, 2.0, -3.0])
+    for read in (rate.log_u, rate.dlog):
+        with pytest.raises(DomainError, match=r"half-line only, got t=-0\.25$"):
+            read(ts)
+
+
 def test_half_line_rate_rejects_negative_time():
     with pytest.raises(DomainError):
         builtin("expsq").log_u(-1.0)

@@ -358,6 +358,25 @@ def test_construct_S_rejects_non_finite_grid():
             construct_S(spec, op, 0.5, bad)
 
 
+@pytest.mark.parametrize("side, bad", [("stable", 0.0), ("unstable", -1.0)])
+def test_construct_S_names_a_malformed_projection_at_a_piece_end(side, bad):
+    # the grid reads P at -0.5 and 0.5 only; the stable sweep's pieces end at
+    # the checkpoint 0, the unstable one's tail also at -1
+    spec, op = diag_setup()
+    p = np.diag([1.0, 0.0])
+    P = lambda t: np.full((2, 2), math.nan) if t == bad else p
+    with pytest.raises(ValueError, match=rf"P\({bad}\) must be a finite 2 x 2 matrix"):
+        construct_S(replace(spec, P=P), op, 0.5, [-0.5, 0.5])
+
+
+def test_derivative_condition_names_a_malformed_projection():
+    spec, op = diag_setup()
+    lyap = construct_S(spec, op, 0.5, np.linspace(-2.0, 2.0, 9))
+    bad = replace(lyap, spec=replace(spec, P=lambda t: np.eye(3) if t > 0.4 else spec.P(t)))
+    with pytest.raises(ValueError, match=r"P\(0.5\) must be a finite 2 x 2 matrix"):
+        derivative_condition(bad, op.field, form="necessity")
+
+
 def test_derivative_condition_both_forms_pass_on_diag():
     spec, op = diag_setup()
     lyap = construct_S(spec, op, 0.5, np.linspace(-2.0, 2.0, 9))
