@@ -51,6 +51,10 @@ from .system import CoefficientField
 # entry keeps relative accuracy unless it decays below about ATOL there.
 RTOL, ATOL = 1e-10, 1e-12
 
+# The lattice rule (`EvolutionOperator._knot_range`) is exact for times
+# within this many checkpoint spacings of 0; an operator refuses times past it.
+LATTICE_REACH = 2.0**50
+
 
 def _inward(a: float, b: float):
     """The clamp of RK stage times into the open segment between a and b.
@@ -209,14 +213,40 @@ class EvolutionOperator:
         sol = _integrate(solve_ivp, rhs, (0.0, ell), y0, RTOL, ATOL, dense_output=dense, first_step=first_step)
         return sol, times
 
+    def _knot_range(self, lo, hi):
+        """(first, last): the i of the checkpoints strictly between lo <= hi, compared exactly.
+
+        The one lattice rule: `_knots`, `_whole_cell` and the step filter of
+        `_solve_within_cell_steps` all read it, on floats or on arrays, and
+        the checkpoints i * spacing strictly between lo and hi are those with
+        first <= i <= last.  k = lo // spacing is the floor of the exact
+        quotient, so k * spacing <= lo, but (k + 1) * spacing may round onto
+        lo (and m * spacing onto hi), which then moves the bound one index.
+        Exact while |lo| and |hi| stay below 2^51 spacing, where the floor is
+        exact and consecutive i give distinct checkpoints; `_reach` keeps
+        every time below `LATTICE_REACH` spacings.
+        """
+        c = self.checkpoint_spacing
+        k, m = lo // c, hi // c
+        return k + 1 + ((k + 1) * c == lo), m - (m * c == hi)
+
     def _knots(self, a: float, b: float) -> list[int]:
         """The i of every checkpoint i * spacing strictly between a and b, compared exactly, from a to b."""
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"span [{a}, {b}] has the non-finite end {b if math.isfinite(a) else a}")
-        c = self.checkpoint_spacing
-        lo, hi = min(a, b), max(a, b)
-        inner = [i for i in range(math.floor(lo / c), math.ceil(hi / c) + 1) if lo < i * c < hi]
+        self._reach(a if abs(a) > abs(b) else b)
+        first, last = self._knot_range(min(a, b), max(a, b))
+        inner = list(range(int(first), int(last) + 1))
         return inner if b > a else inner[::-1]
+
+    def _reach(self, v: float) -> None:
+        """Raise ValueError if |v| is past `LATTICE_REACH` checkpoint spacings.
+
+        There a cell holds only a few doubles or none, and the lattice rule
+        would take a span's own ends for knots.
+        """
+        if abs(v) >= LATTICE_REACH * self.checkpoint_spacing:
+            raise ValueError(f"time {v} is past 2^50 checkpoint spacings, where the lattice is not resolved")
 
     def _pieces(self, a: float, b: float):
         """[a, b] as consecutive (start, end) pieces, in the direction from a to b.
@@ -243,7 +273,9 @@ class EvolutionOperator:
         rows are solved together by one `_clocked` solve; an end on a step
         time or a checkpoint has no piece, and with no piece there is no
         solve.  The result is a new array, never a cached table row.  A
-        non-finite t or s raises ValueError.
+        non-finite t or s, or one past `LATTICE_REACH` spacings, raises
+        ValueError, and a product of tables that leaves the range of doubles
+        raises IntegrationError naming (t, s).
         """
         if t == s:
             return np.eye(self.field.dim)
@@ -260,13 +292,17 @@ class EvolutionOperator:
         if pieces:
             sol, _ = self._clocked(*zip(*pieces), first_step=max(abs(q - p) for p, q in pieces))
             shorts = sol.y[:, -1].reshape(-1, *near.shape)
-        if near_piece:
-            near = near @ shorts[0]
-        if far_piece:
-            far = shorts[-1] @ far
-        for seg in whole:
-            near = seg @ near
-        return far @ near
+        with np.errstate(over="ignore", invalid="ignore"):
+            if near_piece:
+                near = near @ shorts[0]
+            if far_piece:
+                far = shorts[-1] @ far
+            for seg in whole:
+                near = seg @ near
+            out = far @ near
+        if not np.isfinite(out).all():
+            raise IntegrationError(f"T({t}, {s}) leaves the range of doubles")
+        return out
 
     def evolve_pairs(self, t, s) -> np.ndarray:
         """Stack of T(t_k, s_k) for arrays of pairs in either orientation.
@@ -284,8 +320,10 @@ class EvolutionOperator:
         sqrt(steps)).  Pairs with t == s give I.
 
         Working memory is O(N n^2) per accepted step of the batched solves,
-        beyond the (pairs, n, n) result.  A non-finite t or s raises
-        ValueError naming it.
+        beyond the (pairs, n, n) result.  A non-finite t or s, or one past
+        `LATTICE_REACH` spacings, raises ValueError naming it, and a step or
+        pair whose transition leaves the range of doubles raises
+        IntegrationError naming it.
         """
         t = np.array(t, dtype=float).ravel()
         s = np.array(s, dtype=float).ravel()
@@ -299,10 +337,12 @@ class EvolutionOperator:
         out = np.empty((t.size, n, n))
         out[:] = np.eye(n)
         u, idx = np.unique(np.concatenate([t, s]), return_inverse=True)
+        if u.size:
+            self._reach(u[0] if -u[0] > u[-1] else u[-1])
         ti, si = idx[: t.size], idx[t.size :]
         last = u.size - 1
         # positions count along the sweep; the backward sweep reverses them
-        for times, end, start in ((u.tolist(), ti, si), (u[::-1].tolist(), last - ti, last - si)):
+        for times, end, start in ((u, ti, si), (u[::-1], last - ti, last - si)):
             pairs = np.flatnonzero(end > start)
             if pairs.size == 0:
                 continue
@@ -310,30 +350,41 @@ class EvolutionOperator:
             starts = np.unique(start[pairs])
             col = np.searchsorted(starts, start[pairs])
             ends = end[pairs]
-            self._solve_within_cell_steps(times[starts[0] : ends[-1] + 1])
+            sweep = times[starts[0] : ends[-1] + 1]
+            self._solve_within_cell_steps(sweep)
+            # step j runs from times[j - 1] to times[j]: it moves cur[:live[j]],
+            # the starts before it, and ends the pairs cuts[j]:cuts[j + 1] in end order
+            js = np.arange(starts[0] + 1, ends[-1] + 2)
+            live, cuts = np.searchsorted(starts, js[:-1]).tolist(), np.searchsorted(ends, js).tolist()
+            sweep = sweep.tolist()
             # after step j, cur[c] holds T(times[j], times[starts[c]]) for starts[c] <= j
             cur = np.empty((starts.size, n, n))
             cur[:] = np.eye(n)
-            for j in range(starts[0] + 1, ends[-1] + 1):
-                live = np.searchsorted(starts, j)
-                cur[:live] = self.evolve(times[j], times[j - 1]) @ cur[:live]
-                lo, hi = np.searchsorted(ends, [j, j + 1])
-                out[pairs[lo:hi]] = cur[col[lo:hi]]
+            ended = np.empty((pairs.size, n, n))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for p, q, k, lo, hi in zip(sweep[:-1], sweep[1:], live, cuts[:-1], cuts[1:]):
+                    cur[:k] = self.evolve(q, p) @ cur[:k]
+                    ended[lo:hi] = cur[col[lo:hi]]
+            out[pairs] = ended
+        if not np.isfinite(out).all():
+            k = int(np.argmin(np.isfinite(out).all(axis=(1, 2))))
+            raise IntegrationError(f"T({t[k]}, {s[k]}) leaves the range of doubles")
         return out
 
-    def _solve_within_cell_steps(self, times) -> None:
+    def _solve_within_cell_steps(self, times: np.ndarray) -> None:
         """Cache T(q, p) for the steps (p, q) between consecutive `times`, in one solve.
 
         Only the steps `evolve` would solve on their own are taken: inside one
         cell, not cached and not a whole cell (a whole cell's key holds its
-        step table, which `_end` reads).  Each is stored under its span's key
-        as the two-row table (p, q), (I, T(q, p)).
+        step table, which `_end` reads).  The first and last are picked for
+        all steps at once by the lattice rule `_knots` and `_whole_cell` read.
+        Each is stored under its span's key as the two-row table (p, q),
+        (I, T(q, p)).
         """
-        steps = [
-            (p, q)
-            for p, q in zip(times[:-1], times[1:])
-            if (p, q, False) not in self._cache and not self._knots(p, q) and not self._whole_cell(p, q)
-        ]
+        p, q = times[:-1], times[1:]
+        first, last = self._knot_range(np.minimum(p, q), np.maximum(p, q))
+        pick = (first > last) & ~self._whole_cell(p, q)
+        steps = [(a, b) for a, b in zip(p[pick].tolist(), q[pick].tolist()) if (a, b, False) not in self._cache]
         if not steps:
             return
         sol, _ = self._clocked(*zip(*steps))
@@ -341,10 +392,14 @@ class EvolutionOperator:
         for (p, q), m in zip(steps, sol.y[:, -1].reshape(-1, n, n)):
             self._cache[(p, q, False)] = (np.array([p, q]), np.array([np.eye(n), m]))
 
-    def _whole_cell(self, a: float, b: float) -> bool:
-        """Whether both ends of a span with no knots are checkpoints, compared exactly."""
-        c = self.checkpoint_spacing
-        return all(any(i * c == v for i in range(math.floor(v / c) - 1, math.floor(v / c) + 2)) for v in (a, b))
+    def _whole_cell(self, a, b):
+        """Whether both ends of a span with no knots are checkpoints, compared exactly; floats or arrays.
+
+        `_knot_range(v, v)` leaves out one index more when v is itself a
+        checkpoint: first - last is 2 there and 1 elsewhere.
+        """
+        (fa, la), (fb, lb) = self._knot_range(a, a), self._knot_range(b, b)
+        return (fa - la > 1) & (fb - lb > 1)
 
     def matrix_solution(self, a: float, b: float, m0: np.ndarray):
         """Dense solution Y(v) of Y' = A(v) Y, Y(a) = m0, for v between a and b.

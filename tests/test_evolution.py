@@ -736,3 +736,112 @@ def test_a_dense_solution_rejects_a_start_that_is_not_finite_or_of_the_wrong_sha
     shape = re.escape(str(np.shape(m0)))
     with pytest.raises(ValueError, match=f"leading dimension 2, got shape {shape}"):
         op.matrix_solution(0.0, 1.0, m0)
+
+
+def enumerated_knots(a, b, c):
+    # every i * c strictly between a and b, by walking the candidate indices
+    lo, hi = min(a, b), max(a, b)
+    inner = [i for i in range(math.floor(lo / c), math.ceil(hi / c) + 1) if lo < i * c < hi]
+    return inner if b > a else inner[::-1]
+
+
+def enumerated_checkpoint(v, c):
+    return any(i * c == v for i in range(math.floor(v / c) - 1, math.floor(v / c) + 2))
+
+
+@st.composite
+def lattice_times(draw, spacing):
+    # checkpoints and times up to two ulps off them, among times anywhere
+    v = draw(st.one_of(st.floats(-4.0, 4.0), st.integers(-40, 40).map(lambda i: i * spacing)))
+    toward = draw(st.sampled_from([-math.inf, math.inf]))
+    for _ in range(draw(st.integers(0, 2))):
+        v = math.nextafter(v, toward)
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), spacing=st.sampled_from([1.0, 0.1, 0.3, 1e-3, 2e4]))
+def test_the_lattice_rule_finds_every_checkpoint_strictly_inside_a_span(data, spacing):
+    op = EvolutionOperator(constant_field(NONNORMAL), spacing)
+    a, b = data.draw(lattice_times(spacing)), data.draw(lattice_times(spacing))
+    assert op._knots(a, b) == enumerated_knots(a, b, spacing)
+    assert op._whole_cell(a, b) == (enumerated_checkpoint(a, spacing) and enumerated_checkpoint(b, spacing))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    spacing=st.sampled_from([1.0, 0.1]),
+    backward=st.booleans(),
+    cached=st.integers(0, 5),
+)
+def test_the_array_step_filter_picks_the_steps_of_the_per_step_rule(data, spacing, backward, cached):
+    # the within-cell steps of a sweep are picked in one array pass; they must
+    # be exactly the steps with no knot that are no whole cell and not cached
+    times = data.draw(st.lists(lattice_times(spacing), min_size=2, max_size=40, unique=True))
+    sweep = np.unique(times)[::-1] if backward else np.unique(times)
+    steps = list(zip(sweep[:-1].tolist(), sweep[1:].tolist()))
+    op = EvolutionOperator(constant_field(NONNORMAL), spacing)
+    for p, q in steps[:cached]:
+        op._cache[(p, q, False)] = "cached"
+    want = {
+        (p, q, False)
+        for p, q in steps[cached:]
+        if not op._knots(p, q) and not op._whole_cell(p, q) and (p, q, False) not in op._cache
+    }
+    before = set(op._cache)
+    op._solve_within_cell_steps(sweep)
+    assert set(op._cache) - before == want
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_transition_past_double_range_raises_naming_its_span(n):
+    # T(800, 0) of diag(-1, 1) holds e^800: evolve returned [[0, nan], [0, nan]]
+    # with a RuntimeWarning, and the pair sweep all NaN
+    op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0] * (n // 2))), 100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match=r"T\(800, 0\) leaves the range of doubles"):
+            op.evolve(800, 0)
+        with pytest.raises(IntegrationError, match=r"T\(-0.5, 799.5\) leaves the range of doubles"):
+            op.evolve(-0.5, 799.5)
+        # each step of the sweep, (0, 400) and (400, 800), stays in range; the pair does not
+        with pytest.raises(IntegrationError, match=r"T\(800.0, 0.0\) leaves the range of doubles"):
+            op.evolve_pairs([400.0, 800.0], [0.0, 0.0])
+        assert np.allclose(op.evolve_pairs([400.0], [0.0])[0] * np.exp(-400.0), np.diag([0.0, 1.0] * (n // 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spacing=st.sampled_from([1.0, 0.1, 1e-3, 2e4]),
+    index=st.integers(-(2**50) + 4, 2**50 - 4),
+    ulps=st.integers(-2, 2),
+    cells=st.integers(0, 3),
+)
+def test_the_lattice_rule_holds_out_to_its_reach(spacing, index, ulps, cells):
+    # near 2^50 spacings a checkpoint is a few ulps from the next double
+    op = EvolutionOperator(constant_field(NONNORMAL), spacing)
+    a = index * spacing
+    for _ in range(abs(ulps)):
+        a = math.nextafter(a, math.copysign(math.inf, ulps))
+    b = (index + cells) * spacing if cells else math.nextafter(a, math.inf)
+    if max(abs(a), abs(b)) < evolution.LATTICE_REACH * spacing:
+        assert op._knots(a, b) == enumerated_knots(a, b, spacing)
+        assert op._whole_cell(a, b) == (enumerated_checkpoint(a, spacing) and enumerated_checkpoint(b, spacing))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda op: op.evolve(2.0**60 + 256, 2.0**60),
+        lambda op: op.evolve(0.0, -(2.0**50)),
+        lambda op: op.evolve_pairs([2.0**60 + 256, 0.0], [2.0**60, 0.5]),
+        lambda op: op.matrix_solution(0.0, 2.0**51, np.eye(2)),
+    ],
+)
+def test_a_time_past_the_lattice_reach_raises_naming_it(call):
+    # at 2^60 every double is a checkpoint of spacing 1, and the lattice rule
+    # took the span's own ends for knots
+    op = EvolutionOperator(constant_field(NONNORMAL), 1.0)
+    with pytest.raises(ValueError, match=r"time -?[0-9.e+]+ is past 2\^50 checkpoint spacings"):
+        call(op)
