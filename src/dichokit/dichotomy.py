@@ -13,8 +13,8 @@ signed time.  Ratios are formed in log space so that saturated rate
 powers never poison a certificate with overflow.
 
 The grid checks read one pair table per grid: the pairs normalized to
-(hi, lo), T in both orientations from one ``EvolutionOperator.evolve_pairs``
-call, P read once per unique time and every norm from one batched call.
+(hi, lo), T in both orientations from one ``EvolutionOperator.evolve`` call
+on arrays, P read once per unique time and every norm from one batched call.
 Each operator's last table is kept (weakly) and reused while the (hi, lo)
 arrays and P's values are equal, so `verify`, `estimate_constants` and
 `check_projection` on one grid share one sweep; the rates enter per call.
@@ -225,10 +225,16 @@ def _pair_table(op: EvolutionOperator, P: Projection, t: np.ndarray, s: np.ndarr
     tab = _tables.get(op)
     if tab is not None and np.array_equal(hi, tab.hi) and np.array_equal(lo, tab.lo) and np.array_equal(p_u, tab.p_u):
         return tab
-    T = op.evolve_pairs(np.concatenate([hi, lo]), np.concatenate([lo, hi]))
+    T = op.evolve(np.concatenate([hi, lo]), np.concatenate([lo, hi]))
     fwd, bwd, p_hi, p_lo = T[:m], T[m:], p_u[idx[:m]], p_u[idx[m:]]
-    stacks = [fwd @ p_lo, bwd @ (np.eye(n) - p_hi), p_hi @ fwd - fwd @ p_lo, p_lo @ bwd - bwd @ p_hi, p_u @ p_u - p_u]
-    norms = _norms(np.concatenate(stacks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacks = np.concatenate(
+            [fwd @ p_lo, bwd @ (np.eye(n) - p_hi), p_hi @ fwd - fwd @ p_lo, p_lo @ bwd - bwd @ p_hi, p_u @ p_u - p_u]
+        )
+    # a product past the range of doubles holds inf, or NaN where two such cancel: its norm reads inf
+    finite = np.isfinite(stacks).all(axis=(1, 2))
+    norms = np.full(len(stacks), np.inf)
+    norms[finite] = _norms(stacks[finite])
     tab = _tables[op] = _PairTable(hi, lo, u, p_u, *norms[: 4 * m].reshape(4, m), norms[4 * m :])
     return tab
 
@@ -278,9 +284,10 @@ def verify(spec: DichotomySpec, op: EvolutionOperator, grid) -> Certificate:
     ``tol`` reports.  An empty grid passes with zero worst values; a grid
     that is not an (m, 2) sequence of (t, s) pairs raises ValueError.
 
-    The norms come from the pair table (see the module docstring).  A
-    non-finite grid time, or a P(u) that is not a finite n x n matrix,
-    raises ValueError naming it.
+    The norms come from the pair table (see the module docstring); a norm
+    past the largest double reads inf, so its ratio saturates.  A non-finite
+    grid time, or a P(u) that is not a finite n x n matrix, raises
+    ValueError naming it.
     """
     t, s = _grid_arrays(grid)
     x_stable, x_unstable = _regression_rows(spec.rates, op, t, s)
@@ -363,13 +370,19 @@ def estimate_constants(
     `MIN_PAIRS` pairs, b is 0 and that side's log K counts as 0, so K >= 1.
 
     The norms come from the pair table ``verify`` reads (see the module
-    docstring); half-line rates and a malformed P raise as in ``verify``.  Each
-    diagnostics warning is also logged on the ``dichokit.dichotomy`` logger.
+    docstring); half-line rates and a malformed P raise as in ``verify``, and
+    a norm past the largest double raises EstimationError naming its pair.
+    Each diagnostics warning is also logged on the ``dichokit.dichotomy`` logger.
     """
     warnings = []
     t, s = _grid_arrays(grid)
     x_stable, x_unstable = _regression_rows(rates, op, t, s)
     tab = _pair_table(op, P, t, s)
+    sides = (("stable", tab.stable, tab.hi, tab.lo), ("unstable", tab.unstable, tab.lo, tab.hi))
+    for side, norms, later, earlier in sides:
+        overflow, at = _worst(np.isinf(norms), later, earlier)
+        if overflow:
+            raise EstimationError(f"the {side} norm at (t, s) = {at} is past the largest double")
     keep_s, keep_u = tab.stable > 0, tab.unstable > 0
     rows_s, ys = x_stable[keep_s], np.log(tab.stable[keep_s])
     rows_u, yu = x_unstable[keep_u], np.log(tab.unstable[keep_u])

@@ -15,21 +15,20 @@ are evaluated one floating-point step inside the segment so each integration
 sees the correct one-sided limit, at any |t|.
 
 The operator has two solves, each from I over at most one lattice cell.
-`EvolutionOperator._table` solves one span, forward or adjoint, and caches
+`EvolutionOperator._solve` solves one span, forward or adjoint, and keeps
 every step the solver accepted: a span inside one cell is one such solve,
-and a span across knots reads one table per cell and orientation, a whole
-cell being its forward table's last row and each off-lattice end a table
-row times a short piece inside an accepted step.  `EvolutionOperator._clocked`
-solves many pieces on one clock: both short pieces of a span (nearly always
-in one step), the pieces of a dense solution, the sweeps of `construct_S`,
-and the within-cell steps of one direction of a pair sweep
-(`EvolutionOperator.evolve_pairs`).  Only the last are cached, each as a
-two-row table under its span's key, where `evolve` finds it.  The end piece
-from s up to the first knot c uses the adjoint form: Z' = -Z A with
-Z(c) = I, solved from c back across the cell, has the rows Z(v) = T(c, v),
-so still nothing is inverted.  Every cell that holds an end of a multi-cell
-span is integrated end to end once, so the spacing must keep one cell's
-transition in floating-point range.
+and a span across knots reads one cached table per cell and orientation
+(`EvolutionOperator._table`), a whole cell being its forward table's last
+row and each off-lattice end a table row times a short piece inside an
+accepted step.  `EvolutionOperator._clocked` solves many pieces on one
+clock: both short pieces of a span (nearly always in one step), the pieces
+of a dense solution, the sweeps of `construct_S`, and the steps with no knot
+inside of one direction of a pair sweep (`evolve` given arrays).  Only the
+cell tables are cached.  The end piece from s up to the first knot c uses
+the adjoint form: Z' = -Z A with Z(c) = I, solved from c back across the
+cell, has the rows Z(v) = T(c, v), so still nothing is inverted.  Every
+cell that holds an end of a multi-cell span is integrated end to end once,
+so the spacing must keep one cell's transition in floating-point range.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .errors import IntegrationError
 from .system import CoefficientField
 
 
-# Every solve of an `EvolutionOperator` (`_table` and `_clocked`, so
+# Every solve of an `EvolutionOperator` (`_solve` and `_clocked`, so
 # `classify`'s orbits and the sweeps of `construct_S` too) reads these at
 # call time; the renormalized solve of `spectrum` reads `spectrum.RTOL` and
 # `spectrum.ATOL` instead.  Each solve starts from I within one cell, so an
@@ -116,36 +115,40 @@ class EvolutionOperator:
             raise ValueError(f"checkpoint spacing must be positive and finite, got {checkpoint_spacing}")
         self.field = field
         self.checkpoint_spacing = checkpoint_spacing
-        # (a, b, inverse) -> step table (times, matrices); see `_table`
+        # (a, b, inverse) -> step table (times, matrices) of a lattice cell; see `_table`
         self._cache: dict[tuple[float, float, bool], tuple[np.ndarray, np.ndarray]] = {}
 
     # -- low-level integration ------------------------------------------------
 
-    def _table(self, a: float, b: float, inverse: bool):
-        """Step table (times, matrices) of one solve over [a, b], cached.
+    def _solve(self, a: float, b: float, inverse: bool):
+        """Step table (times, matrices) of one solve over [a, b].
 
         Forward, Y' = A Y from Y(a) = I to b: times run from a to b and
         matrices[j] = T(times[j], a).  Inverse, Z' = -Z A from Z(b) = I back
         to a: times run from b to a and matrices[j] = T(b, times[j]).  The
         times are the steps the solver accepted, both ends included.
         """
+        field, n = self.field, self.field.dim
+        inward = _inward(a, b)
+
+        def rhs(t, y):
+            y, m = y.reshape(n, n), field(inward(t))
+            return (-(y @ m) if inverse else m @ y).ravel()
+
+        span = (b, a) if inverse else (a, b)
+        sol = _integrate(solve_ivp, rhs, span, np.eye(n).ravel(), RTOL, ATOL)
+        return sol.t, sol.y.T.reshape(-1, n, n)
+
+    def _table(self, a: float, b: float, inverse: bool):
+        """The `_solve` of the lattice cell [a, b], cached: the only entries of `_cache`."""
         key = (a, b, inverse)
         hit = self._cache.get(key)
         if hit is None:
-            field, n = self.field, self.field.dim
-            inward = _inward(a, b)
-
-            def rhs(t, y):
-                y, m = y.reshape(n, n), field(inward(t))
-                return (-(y @ m) if inverse else m @ y).ravel()
-
-            span = (b, a) if inverse else (a, b)
-            sol = _integrate(solve_ivp, rhs, span, np.eye(n).ravel(), RTOL, ATOL)
-            hit = self._cache[key] = (sol.t, sol.y.T.reshape(-1, n, n))
+            hit = self._cache[key] = self._solve(a, b, inverse)
         return hit
 
     def _segment(self, a: float, b: float) -> np.ndarray:
-        """Transition matrix T(b, a), the last row of the forward table of [a, b]."""
+        """Transition matrix T(b, a) of the lattice cell [a, b], the last row of its forward table."""
         return self._table(a, b, False)[1][-1]
 
     def _end(self, a: float, b: float, x: float, inverse: bool):
@@ -216,12 +219,12 @@ class EvolutionOperator:
     def _knot_range(self, lo, hi):
         """(first, last): the i of the checkpoints strictly between lo <= hi, compared exactly.
 
-        The one lattice rule: `_knots`, `_whole_cell` and the step filter of
-        `_solve_within_cell_steps` all read it, on floats or on arrays, and
-        the checkpoints i * spacing strictly between lo and hi are those with
-        first <= i <= last.  k = lo // spacing is the floor of the exact
-        quotient, so k * spacing <= lo, but (k + 1) * spacing may round onto
-        lo (and m * spacing onto hi), which then moves the bound one index.
+        The one lattice rule: `_knots` and the step filter of a pair sweep
+        both read it, on floats or on arrays, and the checkpoints i * spacing
+        strictly between lo and hi are those with first <= i <= last.
+        k = lo // spacing is the floor of the exact quotient, so
+        k * spacing <= lo, but (k + 1) * spacing may round onto lo (and
+        m * spacing onto hi), which then moves the bound one index.
         Exact while |lo| and |hi| stay below 2^51 spacing, where the floor is
         exact and consecutive i give distinct checkpoints; `_reach` keeps
         every time below `LATTICE_REACH` spacings.
@@ -261,27 +264,31 @@ class EvolutionOperator:
 
     # -- public surface --------------------------------------------------------
 
-    def evolve(self, t: float, s: float) -> np.ndarray:
-        """T(t, s), the product over the pieces of `_pieces(s, t)`; T(s, s) = I.
+    def evolve(self, t, s) -> np.ndarray:
+        """T(t, s) for times t and s; for arrays (or lists) of them, the (pairs, n, n) stack of T(t_k, s_k).
 
-        A span inside one cell is one cached solve.  Across knots
-        c_1, ..., c_k, T(t, s) = T(t, c_k) T(c_k, c_{k-1}) ... T(c_1, s): the
-        whole cells are forward-table last rows, T(c_1, s) comes from the
-        inverse table of the cell holding s (its forward table if s is a
-        checkpoint) and T(t, c_k) from the forward table of the cell holding
-        t (see `_end`).  The short pieces that join the ends to their table
-        rows are solved together by one `_clocked` solve; an end on a step
-        time or a checkpoint has no piece, and with no piece there is no
-        solve.  The result is a new array, never a cached table row.  A
-        non-finite t or s, or one past `LATTICE_REACH` spacings, raises
-        ValueError, and a product of tables that leaves the range of doubles
-        raises IntegrationError naming (t, s).
+        Arrays of pairs are swept by `_pairs`.  For one pair, T(s, s) = I and
+        T(t, s) is the product over the pieces of `_pieces(s, t)`.  A span
+        inside one cell is one uncached solve.  Across knots c_1, ..., c_k,
+        T(t, s) = T(t, c_k) T(c_k, c_{k-1}) ... T(c_1, s): the whole cells
+        are forward-table last rows, T(c_1, s) comes from the inverse table
+        of the cell holding s (its forward table if s is a checkpoint) and
+        T(t, c_k) from the forward table of the cell holding t (see `_end`).
+        The short pieces that join the ends to their table rows are solved
+        together by one `_clocked` solve; an end on a step time or a
+        checkpoint has no piece, and with no piece there is no solve.  The
+        result is a new array, never a cached table row.  A non-finite t or
+        s, or one past `LATTICE_REACH` spacings, raises ValueError, and a
+        product of tables that leaves the range of doubles raises
+        IntegrationError naming (t, s).
         """
+        if type(t) is np.ndarray or type(t) is list:
+            return self._pairs(t, s)
         if t == s:
             return np.eye(self.field.dim)
         knots = self._knots(s, t)
         if not knots:
-            return self._segment(s, t).copy()
+            return self._solve(s, t, False)[1][-1].copy()
         step = 1 if t > s else -1
         c = self.checkpoint_spacing
         cells = [i * c for i in [knots[0] - step, *knots, knots[-1] + step]]
@@ -304,20 +311,19 @@ class EvolutionOperator:
             raise IntegrationError(f"T({t}, {s}) leaves the range of doubles")
         return out
 
-    def evolve_pairs(self, t, s) -> np.ndarray:
+    def _pairs(self, t, s) -> np.ndarray:
         """Stack of T(t_k, s_k) for arrays of pairs in either orientation.
 
         The unique times u_0 < ... < u_{N-1} are swept once forward,
         T(u_j, s) = T(u_j, u_{j-1}) T(u_{j-1}, s), and once backward,
-        T(u_i, s) = T(u_i, u_{i+1}) T(u_{i+1}, s).  Each step is one
-        ``evolve`` between adjacent times, so backward steps stay backward
-        integrated and nothing is inverted.  Before each sweep, its steps
-        that lie inside one cell, are not cached and are not a whole cell
-        are solved together by one `_clocked` solve, each from I, and cached
-        as two-row tables; so a within-cell step's value depends at round-off
-        on the batch that first solved it (scipy's RMS error norm pools the
-        pieces, so one step's local error may exceed RTOL by up to
-        sqrt(steps)).  Pairs with t == s give I.
+        T(u_i, s) = T(u_i, u_{i+1}) T(u_{i+1}, s), so backward steps stay
+        backward integrated and nothing is inverted.  Each sweep reads its
+        steps from one (steps, n, n) array: the steps with no knot strictly
+        inside (whole cells included) are one `_clocked` solve, each from I,
+        and every other step is one `evolve`.  scipy's RMS error norm pools
+        the batched steps, so one step's local error may exceed RTOL by up to
+        sqrt(steps).  Nothing of the batch is cached, so the stack does not
+        depend on what the operator solved before.  Pairs with t == s give I.
 
         Working memory is O(N n^2) per accepted step of the batched solves,
         beyond the (pairs, n, n) result.  A non-finite t or s, or one past
@@ -351,55 +357,31 @@ class EvolutionOperator:
             col = np.searchsorted(starts, start[pairs])
             ends = end[pairs]
             sweep = times[starts[0] : ends[-1] + 1]
-            self._solve_within_cell_steps(sweep)
+            p, q = sweep[:-1], sweep[1:]
+            inside = np.greater(*self._knot_range(np.minimum(p, q), np.maximum(p, q)))  # no knot: first > last
+            steps = np.empty((p.size, n, n))
+            if inside.any():
+                sol, _ = self._clocked(p[inside], q[inside])
+                steps[inside] = sol.y[:, -1].reshape(-1, n, n)
+            for j in np.flatnonzero(~inside).tolist():
+                steps[j] = self.evolve(q[j], p[j])
             # step j runs from times[j - 1] to times[j]: it moves cur[:live[j]],
             # the starts before it, and ends the pairs cuts[j]:cuts[j + 1] in end order
             js = np.arange(starts[0] + 1, ends[-1] + 2)
             live, cuts = np.searchsorted(starts, js[:-1]).tolist(), np.searchsorted(ends, js).tolist()
-            sweep = sweep.tolist()
             # after step j, cur[c] holds T(times[j], times[starts[c]]) for starts[c] <= j
             cur = np.empty((starts.size, n, n))
             cur[:] = np.eye(n)
             ended = np.empty((pairs.size, n, n))
             with np.errstate(over="ignore", invalid="ignore"):
-                for p, q, k, lo, hi in zip(sweep[:-1], sweep[1:], live, cuts[:-1], cuts[1:]):
-                    cur[:k] = self.evolve(q, p) @ cur[:k]
+                for step, k, lo, hi in zip(steps, live, cuts[:-1], cuts[1:]):
+                    cur[:k] = step @ cur[:k]
                     ended[lo:hi] = cur[col[lo:hi]]
             out[pairs] = ended
         if not np.isfinite(out).all():
             k = int(np.argmin(np.isfinite(out).all(axis=(1, 2))))
             raise IntegrationError(f"T({t[k]}, {s[k]}) leaves the range of doubles")
         return out
-
-    def _solve_within_cell_steps(self, times: np.ndarray) -> None:
-        """Cache T(q, p) for the steps (p, q) between consecutive `times`, in one solve.
-
-        Only the steps `evolve` would solve on their own are taken: inside one
-        cell, not cached and not a whole cell (a whole cell's key holds its
-        step table, which `_end` reads).  The first and last are picked for
-        all steps at once by the lattice rule `_knots` and `_whole_cell` read.
-        Each is stored under its span's key as the two-row table (p, q),
-        (I, T(q, p)).
-        """
-        p, q = times[:-1], times[1:]
-        first, last = self._knot_range(np.minimum(p, q), np.maximum(p, q))
-        pick = (first > last) & ~self._whole_cell(p, q)
-        steps = [(a, b) for a, b in zip(p[pick].tolist(), q[pick].tolist()) if (a, b, False) not in self._cache]
-        if not steps:
-            return
-        sol, _ = self._clocked(*zip(*steps))
-        n = self.field.dim
-        for (p, q), m in zip(steps, sol.y[:, -1].reshape(-1, n, n)):
-            self._cache[(p, q, False)] = (np.array([p, q]), np.array([np.eye(n), m]))
-
-    def _whole_cell(self, a, b):
-        """Whether both ends of a span with no knots are checkpoints, compared exactly; floats or arrays.
-
-        `_knot_range(v, v)` leaves out one index more when v is itself a
-        checkpoint: first - last is 2 there and 1 elsewhere.
-        """
-        (fa, la), (fb, lb) = self._knot_range(a, a), self._knot_range(b, b)
-        return (fa - la > 1) & (fb - lb > 1)
 
     def matrix_solution(self, a: float, b: float, m0: np.ndarray):
         """Dense solution Y(v) of Y' = A(v) Y, Y(a) = m0, for v between a and b.
@@ -444,10 +426,9 @@ class EvolutionOperator:
     def cache_report(self) -> dict:
         """Cached table count and the worst condition number among them.
 
-        `segments` counts every cached table: the step tables of the cells,
-        the single-piece spans and the batched within-cell steps of
-        `evolve_pairs`.  `worst_condition` is taken over each table's last
-        row, its transition across its whole span.
+        `segments` counts the cached step tables, at most four per lattice
+        cell that a multi-cell `evolve` touched.  `worst_condition` is taken
+        over each table's last row, its transition across its whole cell.
         """
         if not self._cache:
             return {"segments": 0, "worst_condition": 1.0}

@@ -67,6 +67,9 @@ def test_a_traced_pass_reaches_every_span_of_its_pipeline(name):
     with tracer.installed():
         out = wl.run(inputs, lambda fn, *args, **kwargs: fn(*args, **kwargs))
     assert REACHED[name] <= {span for span, _ in tracer.spans}
+    if name == "certify-grid":
+        # the pair table reads T through evolve, called from the first check
+        assert ("evolution.evolve", "dichotomy.verify") in tracer.spans
     if name == "lyapunov-S":
         # the construct_S sweeps solve through evolution's solve_ivp, densely
         assert ("evolution.solve_ivp", "lyapfun.construct_S") in tracer.spans

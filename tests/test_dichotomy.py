@@ -25,7 +25,7 @@ from dichokit.dichotomy import (
 )
 from dichokit.errors import DomainError, EstimationError, IntegrationError
 from dichokit.evolution import EvolutionOperator
-from dichokit.growth import RateQuadruple, builtin, product_rate
+from dichokit.growth import LOG_SATURATION, RateQuadruple, builtin, product_rate
 from dichokit.lyapfun import construct_S
 from dichokit.system import Example22Params, constant_field, make_example22
 
@@ -195,7 +195,7 @@ pair_lists = st.lists(
 def test_pair_table_matches_per_pair_evolve(setup, pairs, data):
     spec, op = setup()
     t, s = np.array(pairs).T
-    table = op.evolve_pairs(t, s)
+    table = op.evolve(t, s)
     for (ti, si), got in zip(pairs, table):
         want = op.evolve(ti, si)
         assert np.linalg.norm(got - want, 2) <= 1e-9 * np.linalg.norm(want, 2)
@@ -215,20 +215,21 @@ def test_pair_table_matches_per_pair_evolve(setup, pairs, data):
 
 
 def count_table_work(monkeypatch):
-    """Counts of the pair sweeps and the batched norm calls made from now on."""
+    """Counts of the pair sweeps (array calls of evolve) and the batched norm calls made from now on."""
     calls = Counter()
+    real_evolve, real_norms = EvolutionOperator.evolve, dichotomy._norms
 
-    def count(owner, name):
-        real = getattr(owner, name)
+    def evolve(op, t, s):
+        if type(t) is np.ndarray:
+            calls["sweeps"] += 1
+        return real_evolve(op, t, s)
 
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+    def norms(stack):
+        calls["_norms"] += 1
+        return real_norms(stack)
 
-        monkeypatch.setattr(owner, name, counted)
-
-    count(EvolutionOperator, "evolve_pairs")
-    count(dichotomy, "_norms")
+    monkeypatch.setattr(EvolutionOperator, "evolve", evolve)
+    monkeypatch.setattr(dichotomy, "_norms", norms)
     return calls
 
 
@@ -243,7 +244,7 @@ def test_checks_on_one_grid_share_one_sweep(monkeypatch):
     assert verify(fitted, op, grid).passed
     assert check_projection(spec.P, op, grid).passed
     assert verify(spec, op, grid).to_dict() == first.to_dict()
-    assert calls == {"evolve_pairs": 1, "_norms": 1}
+    assert calls == {"sweeps": 1, "_norms": 1}
 
 
 def test_a_changed_P_grid_or_operator_rebuilds_the_table(monkeypatch):
@@ -255,11 +256,11 @@ def test_a_changed_P_grid_or_operator_rebuilds_the_table(monkeypatch):
     assert check_projection(P, op, grid).passed
     values["P"] = np.full((2, 2), 0.5)  # the same P, now at 45 degrees to the flow
     assert not check_projection(P, op, grid).passed
-    assert calls == {"evolve_pairs": 2, "_norms": 2}
+    assert calls == {"sweeps": 2, "_norms": 2}
     check_projection(P, op, grid[::-1])
     check_projection(P, op, [(t + 0.125, s + 0.125) for t, s in grid])
     check_projection(P, EvolutionOperator(op.field), grid)
-    assert calls == {"evolve_pairs": 5, "_norms": 5}
+    assert calls == {"sweeps": 5, "_norms": 5}
 
 
 def test_writing_into_certificate_rows_leaves_a_later_verify_intact():
@@ -299,7 +300,7 @@ def test_empty_grid():
     rep = check_projection(spec.P, op, [])
     assert (rep.max_commute_residual, rep.max_idempotency_residual) == (0.0, 0.0)
     assert rep.worst_commute_at is None and rep.worst_idempotency_at is None
-    assert op.evolve_pairs([], []).shape == (0, 2, 2)
+    assert op.evolve([], []).shape == (0, 2, 2)
 
 
 def test_certificate_locates_worst_pairs():
@@ -466,6 +467,25 @@ def test_estimate_rejects_degenerate_grid():
     growing = EvolutionOperator(constant_field(np.eye(2)))  # P's side grows like e^{t - s}
     with pytest.raises(EstimationError, match="fitted stable exponent a=1 is not negative"):
         estimate_constants(growing, spec.P, exp_quad(), square_grid(0.0, 5.0, 0.5))
+
+
+def test_a_norm_past_double_range_reads_inf_and_fails_at_its_pair():
+    # T(690, 0) of diag(-1, 1) is finite, but T(690, 0) P(0) holds e^690 1e10:
+    # forming it warned of an overflow in matmul (an error under the warning
+    # filter of pyproject.toml), and estimate_constants called the stable
+    # regression rank-deficient
+    op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0])), 100.0)
+    P = lambda t: np.array([[0.0, 0.0], [1e10, 1.0]])
+    grid = [(690.0, 0.0), (0.0, 0.0)]
+    cert = verify(DichotomySpec(P, exp_quad(), 1.0, -1.0, 1.0, 0.0), op, grid)
+    assert not cert.passed and cert.worst_stable_at == cert.worst_commute_at == (690.0, 0.0)
+    assert cert.rows.stable_ratio[0] == math.exp(LOG_SATURATION) and cert.saturated >= 1
+    assert cert.rows.commute_residual[0] == math.inf
+    rep = check_projection(P, op, grid)
+    assert not rep.passed and rep.worst_commute_at == (690.0, 0.0) and rep.max_commute_residual == math.inf
+    grid += [(float(t), 0.0) for t in range(1, 30)]
+    with pytest.raises(EstimationError, match=r"stable norm at \(t, s\) = \(690.0, 0.0\) is past the largest double"):
+        estimate_constants(op, P, exp_quad(), grid)
 
 
 def test_projection_report_passes_at_its_named_bounds():

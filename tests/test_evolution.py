@@ -51,7 +51,7 @@ def test_identity_at_equal_times():
 def test_evolve_pairs_rejects_t_and_s_of_different_sizes():
     op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0])))
     with pytest.raises(ValueError, match="need as many t as s, got 2 and 1"):
-        op.evolve_pairs([0.0, 1.0], [0.0])
+        op.evolve([0.0, 1.0], [0.0])
 
 
 def test_example22_matches_closed_form():
@@ -266,37 +266,38 @@ def test_writing_into_an_evolve_result_leaves_the_cache_intact(t, s):
 
 
 def test_evolve_pairs_memory_is_linear_in_times():
-    # N unique times, one pair per adjacent pair plus the longest span: the
-    # sweep may hold O(N n^2) working state, never the N^2 n^2 of a full table
+    # N unique times, one pair per adjacent pair plus the longest span: a
+    # sweep, its batched solve included, holds O(N n^2) working state, never
+    # the N^2 n^2 of a full table
     import tracemalloc
 
+    def peak(n_times):
+        u = np.linspace(0.0, 3.0, n_times)
+        t, s = np.append(u[1:], u[-1]), np.append(u[:-1], u[0])
+        op = EvolutionOperator(constant_field([[-1.0, 3.0], [0.5, 1.0]]))
+        op.evolve(t, s)  # so that allocations made once per process fall outside the measure
+        tracemalloc.start()
+        try:
+            op.evolve(t[::-1], s[::-1])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     n_times = 300
-    u = np.linspace(0.0, 3.0, n_times)
-    t = np.append(u[1:], u[-1])
-    s = np.append(u[:-1], u[0])
-    op = EvolutionOperator(constant_field([[-1.0, 3.0], [0.5, 1.0]]))
-    op.evolve_pairs(t, s)  # fill the segment cache, which is O(N) on its own
-    tracemalloc.start()
-    try:
-        # a second sweep, over the steps the first call cached
-        op.evolve_pairs(t[::-1], s[::-1])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    full_table = n_times**2 * 2 * 2 * 8
-    assert peak < full_table / 10
+    small, large = peak(n_times), peak(4 * n_times)
+    # from N to 4N times a full table grows 16 times, a linear sweep 4 times
+    assert large < 8 * small
+    assert large < (4 * n_times) ** 2 * 2 * 2 * 8 / 10
 
 
 def test_the_cache_is_bounded_by_the_cells_touched():
-    # at most four step tables per cell of [-4, 4], plus one cached solve per
-    # query inside one cell
+    # at most four step tables per cell of [-4, 4]; a query inside one cell
+    # is an uncached solve
     op, _ = example22_pair()
     rng = np.random.default_rng(14)
-    queries = rng.uniform(-4.0, 4.0, size=(2000, 2)).tolist()
-    single = {(s, t) for t, s in queries if not op._knots(s, t)}
-    for t, s in queries:
+    for t, s in rng.uniform(-4.0, 4.0, size=(2000, 2)).tolist():
         op.evolve(t, s)
-    assert op.cache_report()["segments"] <= 4 * 8 + len(single)
+    assert op.cache_report()["segments"] <= 4 * 8
 
 
 NONNORMAL = np.array([[-1.0, 3.0], [0.5, 1.0]])
@@ -386,32 +387,29 @@ def recorded_pieces(monkeypatch):
 
 def test_a_pair_sweep_solves_its_within_cell_steps_once_per_direction(monkeypatch):
     # nine steps inside the cell [0, 1]: one solve of nine pieces forward and
-    # one backward, and none when the steps come round again
+    # one backward, again on every call, which gives the same stack
     op = EvolutionOperator(constant_field(NONNORMAL))
     pieces = recorded_pieces(monkeypatch)
     u = np.linspace(0.05, 0.95, 10)
     t, s = (v.ravel() for v in np.meshgrid(u, u))
-    table = op.evolve_pairs(t, s)
+    table = op.evolve(t, s)
     assert pieces == [9, 9]
     pieces.clear()
-    assert np.array_equal(op.evolve_pairs(s, t), table.reshape(10, 10, 2, 2).transpose(1, 0, 2, 3).reshape(-1, 2, 2))
-    op.evolve_pairs(t[::-1], s[::-1])
-    assert pieces == []
+    assert np.array_equal(op.evolve(s, t), table.reshape(10, 10, 2, 2).transpose(1, 0, 2, 3).reshape(-1, 2, 2))
+    assert pieces == [9, 9] and op._cache == {}
 
 
-def test_a_pair_sweep_leaves_whole_cells_and_steps_across_knots_to_evolve():
-    # (1, 2) is a whole cell, whose key holds the cell's step table, and
-    # (2.5, 3.7) crosses the knot 3; the three other steps are batched
+def test_a_pair_sweep_batches_whole_cells_and_leaves_steps_across_knots_to_evolve(monkeypatch):
+    # (1, 2) is a whole cell, batched with the three other steps that have no
+    # knot inside; (2.5, 3.7) crosses the knot 3 and is one evolve, whose two
+    # cell tables and end pieces are the only other solves, and the only cache
     u = [0.0, 0.5, 1.0, 2.0, 2.5, 3.7]
     op = EvolutionOperator(constant_field(NONNORMAL))
-    op.evolve_pairs(u[1:], u[:-1])
-    fresh = EvolutionOperator(op.field)
-    for key in ((1.0, 2.0, False), (2.0, 3.0, True), (3.0, 4.0, False)):
-        assert all(np.array_equal(got, want) for got, want in zip(op._cache[key], fresh._table(*key)))
-    for p, q in ((0.0, 0.5), (0.5, 1.0), (2.0, 2.5)):
-        times, mats = op._cache[(p, q, False)]
-        assert times.tolist() == [p, q] and np.array_equal(mats[0], np.eye(2))
-    assert (2.5, 3.7, False) not in op._cache
+    pieces = recorded_pieces(monkeypatch)
+    steps = op.evolve(u[1:], u[:-1])
+    assert pieces == [4, 1, 1, 2]
+    assert list(op._cache) == [(2.0, 3.0, True), (3.0, 4.0, False)]
+    assert np.array_equal(steps[-1], EvolutionOperator(op.field).evolve(3.7, 2.5))
 
 
 @settings(max_examples=40, deadline=None)
@@ -435,25 +433,47 @@ def test_batched_steps_match_fresh_per_step_solves(setup, spacing, times):
     op = EvolutionOperator(field, spacing)
     u = np.unique(times)
     t, s = (v.ravel() for v in np.meshgrid(u, u))
-    table = op.evolve_pairs(t, s)
+    table = op.evolve(t, s)
     fresh = EvolutionOperator(field, spacing)
-    for sweep in (u.tolist(), u[::-1].tolist()):
-        steps = [(p, q) for p, q in zip(sweep[:-1], sweep[1:]) if not op._knots(p, q) and not op._whole_cell(p, q)]
-        for p, q in steps:
-            times_pq, mats = op._cache[(p, q, False)]
-            assert times_pq.tolist() == [p, q]
-            assert rel(mats[-1], fresh._segment(p, q)) <= (math.sqrt(len(steps)) + 1) * evolution.RTOL
+    for p, q in ((u[:-1], u[1:]), (u[1:], u[:-1])):
+        # the pairs (q_j, p_j) of one orientation end after one step each, so
+        # they read the steps of one sweep: batched when no knot lies inside
+        steps = op.evolve(q, p)
+        batched = [not op._knots(a, b) for a, b in zip(p.tolist(), q.tolist())]
+        for a, b, step, inside in zip(p.tolist(), q.tolist(), steps, batched):
+            if inside:
+                assert rel(step, fresh.evolve(b, a)) <= (math.sqrt(sum(batched)) + 1) * evolution.RTOL
+            else:
+                assert np.array_equal(step, fresh.evolve(b, a))
     for k in range(t.size):
         assert rel(table[k], op.evolve(t[k], s[k])) <= 1e-9 if t[k] != s[k] else np.array_equal(table[k], np.eye(2))
+
+
+def test_a_pair_sweep_does_not_depend_on_earlier_queries():
+    # no batched step is cached, and a cell table is the same solve whichever
+    # query builds it; earlier scalar queries over steps of the sweep, some
+    # inside one cell, and earlier array queries leave the stack bitwise as is
+    field, _, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
+    rng = np.random.default_rng(29)
+    t, s = rng.uniform(-3.0, 3.0, size=(2, 40))
+    used = EvolutionOperator(field)
+    u = np.unique(np.concatenate([t, s]))
+    for p, q in zip(u[:-1:3].tolist(), u[1::3].tolist()):
+        used.evolve(q, p)
+    for a, b in rng.uniform(-3.0, 3.0, size=(20, 2)).tolist():
+        used.evolve(a, b)
+    used.evolve(s[:25], t[5:30])
+    used.evolve(t[:10].tolist(), s[:10].tolist())
+    assert np.array_equal(used.evolve(t, s), EvolutionOperator(field).evolve(t, s))
 
 
 def test_writing_into_a_pair_result_leaves_later_calls_intact():
     op, _ = example22_pair()
     t, s = np.array([0.5, 2.25, -1.0, 0.5]), np.array([-0.75, 0.5, 2.25, 0.5])
-    first = op.evolve_pairs(t, s)
+    first = op.evolve(t, s)
     want = first.copy()
     first[:] = 7.0
-    again = op.evolve_pairs(t.tolist(), s.tolist())
+    again = op.evolve(t.tolist(), s.tolist())
     assert again is not first and np.array_equal(again, want)
 
 
@@ -612,7 +632,7 @@ def test_batched_reads_of_a_vectorized_field_match_its_per_time_reads():
     ts, ss = np.random.default_rng(5).uniform(-3.0, 3.0, size=(2, 40))
 
     def solve(f):
-        pairs = EvolutionOperator(f).evolve_pairs(ts, ss)
+        pairs = EvolutionOperator(f).evolve(ts, ss)
         dense = EvolutionOperator(f).matrix_solution(-2.5, 3.5, np.eye(2))(np.linspace(-2.5, 3.5, 25))
         lyap = construct_S(spec, EvolutionOperator(f), 0.5, np.linspace(-2.0, 2.0, 9))
         return pairs, dense, lyap.matrices
@@ -638,8 +658,7 @@ def test_a_subnormal_span_takes_one_step_without_a_warning(t, s, monkeypatch):
         warnings.simplefilter("error")
         got = op.evolve(t, s)
         dense = op.matrix_solution(s, t, np.eye(2))(np.array([s, t]))
-    assert np.array_equal(got, np.eye(2))
-    assert op._cache[(s, t, False)][0].size == 2
+    assert np.array_equal(got, np.eye(2)) and op._cache == {}
     assert np.array_equal(dense, [np.eye(2)] * 2)
     assert steps == [1, 1]
 
@@ -667,9 +686,9 @@ def test_the_clocked_solve_of_shifted_pieces_matches_the_matrix_exponential():
         lambda op: op.evolve(math.nan, 0.0),
         lambda op: op.evolve(0.5, math.nan),
         lambda op: op.evolve(math.inf, 0.0),
-        lambda op: op.evolve_pairs([math.nan], [0.0]),
-        lambda op: op.evolve_pairs([math.nan], [math.nan]),
-        lambda op: op.evolve_pairs([0.0, 1.0], [0.5, math.inf]),
+        lambda op: op.evolve([math.nan], [0.0]),
+        lambda op: op.evolve([math.nan], [math.nan]),
+        lambda op: op.evolve([0.0, 1.0], [0.5, math.inf]),
         lambda op: op.matrix_solution(0.0, math.nan, np.eye(2)),
     ],
 )
@@ -698,7 +717,7 @@ def test_evolve_evolve_pairs_and_dense_solutions_agree_on_shared_spans(data):
     vs = np.concatenate([[b], np.clip(a + (b - a) * fractions, min(a, b), max(a, b))])
     dense = op.matrix_solution(a, b, x)(vs)
     single = np.array([op.evolve(v, a) @ x for v in vs])
-    pairs = op.evolve_pairs(vs, np.full(vs.size, a)) @ x
+    pairs = op.evolve(vs, np.full(vs.size, a)) @ x
     live = np.argmax(np.abs(x))
     assert np.all(single[:, 1 - live] == 0.0) and np.all(dense[:, 1 - live] == 0.0)
     for got in (dense, pairs):
@@ -745,8 +764,10 @@ def enumerated_knots(a, b, c):
     return inner if b > a else inner[::-1]
 
 
-def enumerated_checkpoint(v, c):
-    return any(i * c == v for i in range(math.floor(v / c) - 1, math.floor(v / c) + 2))
+def array_rule_knots(op, a, b):
+    # the knots of the lattice rule read on arrays, as a pair sweep reads it
+    first, last = op._knot_range(np.array([min(a, b)]), np.array([max(a, b)]))
+    return list(range(int(first[0]), int(last[0]) + 1))
 
 
 @st.composite
@@ -765,33 +786,30 @@ def test_the_lattice_rule_finds_every_checkpoint_strictly_inside_a_span(data, sp
     op = EvolutionOperator(constant_field(NONNORMAL), spacing)
     a, b = data.draw(lattice_times(spacing)), data.draw(lattice_times(spacing))
     assert op._knots(a, b) == enumerated_knots(a, b, spacing)
-    assert op._whole_cell(a, b) == (enumerated_checkpoint(a, spacing) and enumerated_checkpoint(b, spacing))
+    assert array_rule_knots(op, a, b) == sorted(enumerated_knots(a, b, spacing))
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    data=st.data(),
-    spacing=st.sampled_from([1.0, 0.1]),
-    backward=st.booleans(),
-    cached=st.integers(0, 5),
-)
-def test_the_array_step_filter_picks_the_steps_of_the_per_step_rule(data, spacing, backward, cached):
-    # the within-cell steps of a sweep are picked in one array pass; they must
-    # be exactly the steps with no knot that are no whole cell and not cached
+@given(data=st.data(), spacing=st.sampled_from([1.0, 0.1]), backward=st.booleans())
+def test_the_array_step_filter_picks_the_steps_of_the_per_step_rule(data, spacing, backward):
+    # the steps of a sweep that its one batched solve takes are picked in one
+    # array pass; they must be exactly the steps with no knot inside
     times = data.draw(st.lists(lattice_times(spacing), min_size=2, max_size=40, unique=True))
     sweep = np.unique(times)[::-1] if backward else np.unique(times)
     steps = list(zip(sweep[:-1].tolist(), sweep[1:].tolist()))
     op = EvolutionOperator(constant_field(NONNORMAL), spacing)
-    for p, q in steps[:cached]:
-        op._cache[(p, q, False)] = "cached"
-    want = {
-        (p, q, False)
-        for p, q in steps[cached:]
-        if not op._knots(p, q) and not op._whole_cell(p, q) and (p, q, False) not in op._cache
-    }
-    before = set(op._cache)
-    op._solve_within_cell_steps(sweep)
-    assert set(op._cache) - before == want
+    solves, clocked = [], op._clocked
+
+    def recording(lo, hi):
+        solves.append(list(zip(lo.tolist(), hi.tolist())))
+        return clocked(lo, hi)
+
+    # the instance attributes stand in for the batched solve and for the
+    # per-step evolve of the steps across knots, which the filter leaves out
+    op._clocked, op.evolve = recording, lambda t, s: np.eye(2)
+    EvolutionOperator.evolve(op, sweep[1:], sweep[:-1])
+    want = [(p, q) for p, q in steps if not op._knots(p, q)]
+    assert solves == ([want] if want else [])
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -807,8 +825,8 @@ def test_a_transition_past_double_range_raises_naming_its_span(n):
             op.evolve(-0.5, 799.5)
         # each step of the sweep, (0, 400) and (400, 800), stays in range; the pair does not
         with pytest.raises(IntegrationError, match=r"T\(800.0, 0.0\) leaves the range of doubles"):
-            op.evolve_pairs([400.0, 800.0], [0.0, 0.0])
-        assert np.allclose(op.evolve_pairs([400.0], [0.0])[0] * np.exp(-400.0), np.diag([0.0, 1.0] * (n // 2)))
+            op.evolve([400.0, 800.0], [0.0, 0.0])
+        assert np.allclose(op.evolve([400.0], [0.0])[0] * np.exp(-400.0), np.diag([0.0, 1.0] * (n // 2)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -827,7 +845,7 @@ def test_the_lattice_rule_holds_out_to_its_reach(spacing, index, ulps, cells):
     b = (index + cells) * spacing if cells else math.nextafter(a, math.inf)
     if max(abs(a), abs(b)) < evolution.LATTICE_REACH * spacing:
         assert op._knots(a, b) == enumerated_knots(a, b, spacing)
-        assert op._whole_cell(a, b) == (enumerated_checkpoint(a, spacing) and enumerated_checkpoint(b, spacing))
+        assert array_rule_knots(op, a, b) == sorted(enumerated_knots(a, b, spacing))
 
 
 @pytest.mark.parametrize(
@@ -835,7 +853,7 @@ def test_the_lattice_rule_holds_out_to_its_reach(spacing, index, ulps, cells):
     [
         lambda op: op.evolve(2.0**60 + 256, 2.0**60),
         lambda op: op.evolve(0.0, -(2.0**50)),
-        lambda op: op.evolve_pairs([2.0**60 + 256, 0.0], [2.0**60, 0.5]),
+        lambda op: op.evolve([2.0**60 + 256, 0.0], [2.0**60, 0.5]),
         lambda op: op.matrix_solution(0.0, 2.0**51, np.eye(2)),
     ],
 )
