@@ -123,8 +123,9 @@ class Certificate:
 
 
 def square_grid(lo: float, hi: float, step: float):
-    """All (t, s) pairs with t >= s on a uniform grid, diagonal included.
+    """All (t, s) pairs with t >= s on a uniform grid, diagonal included, as an (m, 2) array.
 
+    The pairs run row by row: t over the grid, and for each t, s up to t.
     The ends must be finite with lo <= hi and the step positive and finite;
     otherwise ValueError, since the grid would be empty or unbounded.
     """
@@ -133,7 +134,8 @@ def square_grid(lo: float, hi: float, step: float):
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"grid ends must be finite with lo <= hi, got [{lo}, {hi}]")
     vals = np.arange(lo, hi + step * 0.5, step)
-    return [(float(t), float(s)) for i, t in enumerate(vals) for s in vals[: i + 1]]
+    i, j = np.tril_indices(vals.size)
+    return np.column_stack([vals[i], vals[j]])
 
 
 # -- the pair table shared by the grid checks ---------------------------------
@@ -141,7 +143,9 @@ def square_grid(lo: float, hi: float, step: float):
 
 def _grid_arrays(grid):
     """The t and s columns of a grid of (t, s) pairs; ValueError on any other shape."""
-    g = np.asarray(list(grid) or np.empty((0, 2)), dtype=float)
+    g = np.asarray(grid, dtype=float)
+    if g.shape == (0,):
+        g = g.reshape(0, 2)
     if g.ndim != 2 or g.shape[1] != 2:
         raise ValueError(f"a grid is an (m, 2) sequence of (t, s) pairs, got shape {g.shape}")
     return g[:, 0], g[:, 1]

@@ -1,4 +1,4 @@
-"""Evolution operators T(t, s) of x' = A(t) x and their dense solutions.
+"""Evolution operators T(t, s) of x' = A(t) x.
 
 T(t, s) is assembled from per-interval transition matrices between cached
 checkpoints (spacing <= checkpoint_spacing, anchored at 0), because a single
@@ -21,14 +21,14 @@ and a span across knots reads one cached table per cell and orientation
 (`EvolutionOperator._table`), a whole cell being its forward table's last
 row and each off-lattice end a table row times a short piece inside an
 accepted step.  `EvolutionOperator._clocked` solves many pieces on one
-clock: both short pieces of a span (nearly always in one step), the pieces
-of a dense solution, the sweeps of `construct_S`, and the steps with no knot
-inside of one direction of a pair sweep (`evolve` given arrays).  Only the
-cell tables are cached.  The end piece from s up to the first knot c uses
-the adjoint form: Z' = -Z A with Z(c) = I, solved from c back across the
-cell, has the rows Z(v) = T(c, v), so still nothing is inverted.  Every
-cell that holds an end of a multi-cell span is integrated end to end once,
-so the spacing must keep one cell's transition in floating-point range.
+clock: both short pieces of a span (nearly always in one step), the sweeps
+of `construct_S`, and the steps with no knot inside of one direction of a
+pair sweep (`evolve` given arrays, which also reads `classify`'s orbits).
+Only the cell tables are cached.  The end piece from s up to the first
+knot c uses the adjoint form: Z' = -Z A with Z(c) = I, solved from c back
+across the cell, has the rows Z(v) = T(c, v), so still nothing is inverted.
+Every cell that holds an end of a multi-cell span is integrated end to end
+once, so the spacing must keep one cell's transition in floating-point range.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .system import CoefficientField
 
 
 # Every solve of an `EvolutionOperator` (`_solve` and `_clocked`, so
-# `classify`'s orbits and the sweeps of `construct_S` too) reads these at
+# `classify`'s pair sweep and the sweeps of `construct_S` too) reads these at
 # call time; the renormalized solve of `spectrum` reads `spectrum.RTOL` and
 # `spectrum.ATOL` instead.  Each solve starts from I within one cell, so an
 # entry keeps relative accuracy unless it decays below about ATOL there.
@@ -267,15 +267,17 @@ class EvolutionOperator:
     def evolve(self, t, s) -> np.ndarray:
         """T(t, s) for times t and s; for arrays (or lists) of them, the (pairs, n, n) stack of T(t_k, s_k).
 
-        Arrays of pairs are swept by `_pairs`.  For one pair, T(s, s) = I and
-        T(t, s) is the product over the pieces of `_pieces(s, t)`.  A span
-        inside one cell is one uncached solve.  Across knots c_1, ..., c_k,
-        T(t, s) = T(t, c_k) T(c_k, c_{k-1}) ... T(c_1, s): the whole cells
-        are forward-table last rows, T(c_1, s) comes from the inverse table
-        of the cell holding s (its forward table if s is a checkpoint) and
-        T(t, c_k) from the forward table of the cell holding t (see `_end`).
-        The short pieces that join the ends to their table rows are solved
-        together by one `_clocked` solve; an end on a step time or a
+        Arrays of pairs are swept by `_pairs`: an orbit or dense solution
+        from m0 at time a, read at the times vs, is
+        `evolve(vs, np.full(vs.size, a)) @ m0`.  For one pair, T(s, s) = I
+        and T(t, s) is the product over the pieces of `_pieces(s, t)`.  A
+        span inside one cell is one uncached solve.  Across knots c_1, ...,
+        c_k, T(t, s) = T(t, c_k) T(c_k, c_{k-1}) ... T(c_1, s): the whole
+        cells are forward-table last rows, T(c_1, s) comes from the inverse
+        table of the cell holding s (its forward table if s is a checkpoint)
+        and T(t, c_k) from the forward table of the cell holding t (see
+        `_end`).  The short pieces that join the ends to their table rows are
+        solved together by one `_clocked` solve; an end on a step time or a
         checkpoint has no piece, and with no piece there is no solve.  The
         result is a new array, never a cached table row.  A non-finite t or
         s, or one past `LATTICE_REACH` spacings, raises ValueError, and a
@@ -382,46 +384,6 @@ class EvolutionOperator:
             k = int(np.argmin(np.isfinite(out).all(axis=(1, 2))))
             raise IntegrationError(f"T({t[k]}, {s[k]}) leaves the range of doubles")
         return out
-
-    def matrix_solution(self, a: float, b: float, m0: np.ndarray):
-        """Dense solution Y(v) of Y' = A(v) Y, Y(a) = m0, for v between a and b.
-
-        m0 is finite with one row per dimension: a vector, or n x m to evolve m
-        columns at once; any other m0 raises ValueError naming its shape.  The
-        pieces (lo_k, hi_k) of `_pieces(a, b)` are one dense `_clocked` solve,
-        each from I, chained by start_0 = m0 and start_{k+1} = (end of piece
-        k) start_k; Y(v) on piece k is its interpolant at sigma = (v - lo_k) /
-        c_k times start_k, so a decaying solution keeps its relative accuracy
-        over any number of cells.  scipy's RMS error norm pools the pieces:
-        one piece's local error may exceed RTOL by up to sqrt(pieces).  The
-        lookup takes a time or an array of times (stacked along axis 0) in one
-        interpolant call; a time on a knot reads the piece that ends there.
-        A time outside [a, b], NaN included, raises ValueError.
-        """
-        m0, n = np.asarray(m0, dtype=float), self.field.dim
-        if m0.ndim not in (1, 2) or m0.shape[0] != n or not np.all(np.isfinite(m0)):
-            raise ValueError(f"m0 must be finite with leading dimension {n}, got shape {m0.shape}")
-
-        def at(v):
-            vs = np.asarray(v, dtype=float).ravel()
-            inside = (min(a, b) <= vs) & (vs <= max(a, b))
-            if not inside.all():
-                raise ValueError(f"time {vs[~inside][0]} outside the solved span [{a}, {b}]")
-            if a == b or vs.size == 0:
-                return np.broadcast_to(m0, np.shape(v) + m0.shape).copy()
-            k = np.maximum(np.searchsorted(sign * lo, sign * vs) - 1, 0)
-            ys = sol.sol(ell * ((vs - lo[k]) / (hi[k] - lo[k]))).T.reshape(vs.size, -1, n, n)
-            return (ys[np.arange(vs.size), k] @ starts[k]).reshape(np.shape(v) + m0.shape)
-
-        if a == b:  # a one-point span: no solve, and `at` reads m0
-            return at
-        lo, hi = np.array(self._pieces(a, b)).T
-        sol, _ = self._clocked(lo, hi, dense=True)
-        ends, starts = sol.y[:, -1].reshape(-1, n, n), [m0.reshape(n, -1)]
-        for end in ends[:-1]:
-            starts.append(end @ starts[-1])
-        starts, sign, ell = np.array(starts), math.copysign(1.0, b - a), sol.t[-1]
-        return at
 
     def cache_report(self) -> dict:
         """Cached table count and the worst condition number among them.

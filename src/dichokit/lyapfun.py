@@ -297,21 +297,25 @@ def classify(lyap: QuadraticLyapunov, op: EvolutionOperator, tau: float, x, hori
 
     H is sampled at `CLASSIFY_SAMPLES` times t_k evenly spread over
     (tau, tau + horizon], strictly after tau, so vectors with H(tau, x) = 0
-    but a definite eventual sign still classify.  Sample k counts only when
-    |H(t_k, x_k)| > `CLASSIFY_MARGIN` |x_k|^2 |S(t_k)|_F (Frobenius norm), a
-    margin relative to the orbit and the form at that time, since H decays
-    with a stable orbit.  The label is 'stable' when every sample counts
-    positive and 'unstable' when every sample counts negative.  A horizon
-    that is not positive raises ValueError.
+    but a definite eventual sign still classify.  The orbit x_k =
+    T(t_k, tau) x comes from one array `evolve` over the pairs (t_k, tau),
+    which solves each step between samples from I.  Sample k counts only
+    when |H(t_k, x_k)| > `CLASSIFY_MARGIN` |x_k|^2 |S(t_k)|_F (Frobenius
+    norm), a margin relative to the orbit and the form at that time, since
+    H decays with a stable orbit.  The label is 'stable' when every sample
+    counts positive and 'unstable' when every sample counts negative.  A horizon
+    that is not positive, or an x that is zero, not finite or not of
+    `op.field.dim` entries, raises ValueError.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     x = np.asarray(x, dtype=float)
+    if x.shape != (op.field.dim,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be a finite vector of {op.field.dim} entries, got {x}")
     if np.linalg.norm(x) == 0:
         raise ValueError("cannot classify the zero vector")
-    orbit = op.matrix_solution(tau, tau + horizon, x)
     ts = tau + horizon * np.arange(1, CLASSIFY_SAMPLES + 1) / CLASSIFY_SAMPLES
-    xs, s = orbit(ts), lyap.S(ts)
+    xs, s = op.evolve(ts, np.full(ts.size, tau)) @ x, lyap.S(ts)
     values = lyap.H(ts, xs)
     margin = CLASSIFY_MARGIN * np.einsum("ki,ki->k", xs, xs) * np.sqrt(np.einsum("kij,kij->k", s, s))
     if np.all(values > margin):

@@ -48,7 +48,7 @@ REACHED = {
     "lyapunov-S": {
         "lyapfun.construct_S", "lyapfun.derivative_condition", "lyapfun.classify", "lyapfun.quad_vec",
         "lyapfun.spectral_norm", "tails.time_for_log_decrease", "tails.time_backward_for_log_drop",
-        "evolution.solve_ivp", "system.field_eval",
+        "evolution.evolve", "evolution.solve_ivp", "system.field_eval",
     },
     "coupled-spectrum": {
         "spectrum.spectrum", "spectrum.regularity", "spectrum.dichotomy_from_spectrum", "spectrum.solve_ivp",
@@ -74,3 +74,5 @@ def test_a_traced_pass_reaches_every_span_of_its_pipeline(name):
         # the construct_S sweeps solve through evolution's solve_ivp, densely
         assert ("evolution.solve_ivp", "lyapfun.construct_S") in tracer.spans
         assert tracer.metrics(out.op)["lyapfun.dense_solves"] > 0
+        # classify reads its orbit through one array evolve
+        assert ("evolution.evolve", "lyapfun.classify") in tracer.spans

@@ -86,7 +86,9 @@ def test_square_grid_rejects_an_empty_or_unbounded_grid():
     for lo, hi in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.inf)):
         with pytest.raises(ValueError, match="ends must be finite with lo <= hi"):
             square_grid(lo, hi, 0.1)
-    assert square_grid(1.0, 1.0, 0.1) == [(1.0, 1.0)]
+    assert np.array_equal(square_grid(1.0, 1.0, 0.1), [(1.0, 1.0)])
+    # row by row: t over the grid, then s up to t
+    assert np.array_equal(square_grid(0.0, 1.0, 0.5), [(0, 0), (0.5, 0), (0.5, 0.5), (1, 0), (1, 0.5), (1, 1)])
 
 
 @pytest.mark.parametrize(
@@ -277,8 +279,8 @@ def test_writing_into_certificate_rows_leaves_a_later_verify_intact():
 @pytest.mark.parametrize(
     "check",
     [
-        lambda spec, op: verify(spec, op, square_grid(-2.0, 2.0, 0.25) + [(math.nan, 0.0)]),
-        lambda spec, op: estimate_constants(op, spec.P, spec.rates, square_grid(-2.0, 2.0, 0.25) + [(math.nan, 0.0)]),
+        lambda spec, op: verify(spec, op, [*square_grid(-2.0, 2.0, 0.25), (math.nan, 0.0)]),
+        lambda spec, op: estimate_constants(op, spec.P, spec.rates, [*square_grid(-2.0, 2.0, 0.25), (math.nan, 0.0)]),
         lambda spec, op: check_projection(spec.P, op, [(math.nan, math.nan)]),
         lambda spec, op: check_projection(spec.P, op, [(0.0, 1.0), (math.inf, 0.5)]),
     ],
@@ -318,7 +320,7 @@ def test_certificate_locates_worst_pairs():
         assert cert.worst_stable_at == (t, s)
         t, s = grid[int(np.argmax(unstable))]
         assert cert.worst_unstable_at == (s, t)  # the unstable bound is checked with t <= s
-        assert cert.worst_commute_at in grid
+        assert cert.worst_commute_at in [tuple(pair) for pair in grid]
 
 
 def test_certificate_counts_saturated_ratios_and_serializes():

@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 from dataclasses import replace
 
@@ -14,7 +13,7 @@ from dichokit.dichotomy import DichotomySpec
 from dichokit.errors import IntegrationError
 from dichokit.evolution import EvolutionOperator, _inward
 from dichokit.growth import RateQuadruple, builtin
-from dichokit.lyapfun import construct_S
+from dichokit.lyapfun import classify, construct_S
 from dichokit.system import (
     BlockSystem,
     CoefficientField,
@@ -41,11 +40,7 @@ def test_identity_at_equal_times():
     op = EvolutionOperator(constant_field(np.diag([-1.0, 1.0])))
     assert np.array_equal(op.evolve(1.3, 1.3), np.eye(2))
     m0 = np.array([[1.0, 2.0], [3.0, 4.0]])
-    solution = op.matrix_solution(1.3, 1.3, m0)
-    assert np.array_equal(solution(1.3), m0) and np.array_equal(solution(np.array([1.3, 1.3])), [m0, m0])
-    for outside in (5.0, math.nan):
-        with pytest.raises(ValueError, match=f"time {outside} outside the solved span"):
-            solution(outside)
+    assert np.array_equal(op.evolve(np.full(2, 1.3), np.full(2, 1.3)) @ m0, [m0, m0])
 
 
 def test_evolve_pairs_rejects_t_and_s_of_different_sizes():
@@ -109,40 +104,17 @@ def test_error_shrinks_with_tolerance(monkeypatch):
     assert errs[-1] < errs[0]
 
 
-def test_dense_matrix_solution_accuracy():
-    op, analytic = example22_pair()
-    sol = op.matrix_solution(0.0, 3.0, np.eye(2))
-    for v in (0.4, 1.1, 2.9):
-        assert np.allclose(sol(v), analytic(v, 0.0), rtol=1e-7, atol=1e-10)
-
-
 @pytest.mark.parametrize("a, b", [(-1.5, 1.5), (-1.0, 1.0), (1.5, -1.5), (-0.3, 2.7), (0.0, 2.0)])
 def test_dense_solutions_across_the_jump_match_closed_form(a, b):
-    # Example 2.2's field jumps at 0; each span is cut there like evolve's
+    # Example 2.2's field jumps at 0; a sweep step ends there or is cut there like evolve's
     op, analytic = example22_pair()
     x = np.array([1.0, 1.0])
-    orbit = op.matrix_solution(a, b, x)
-    cols = op.matrix_solution(a, b, np.eye(2))
-    for v in np.linspace(a, b, 13):
+    vs = np.linspace(a, b, 13)
+    cols = op.evolve(vs, np.full(vs.size, a))
+    for v, col, got in zip(vs, cols, cols @ x):
         want = analytic(v, a)
-        assert np.linalg.norm(orbit(v) - want @ x) <= 2e-9 * np.linalg.norm(want @ x)
-        assert np.linalg.norm(cols(v) - want, 2) <= 2e-9 * np.linalg.norm(want, 2)
-
-
-@pytest.mark.parametrize("a, b", [(-1.5, 1.5), (1.5, -1.5)])
-def test_dense_lookup_of_an_array_matches_one_time_at_a_time(a, b):
-    # the lookup of an array makes one interpolant call for all pieces; the
-    # per-time loop is the reference, knots (-1, 0, 1) and both ends included
-    op, _ = example22_pair()
-    x = np.array([1.0, 1.0])
-    orbit = op.matrix_solution(a, b, x)
-    cols = op.matrix_solution(a, b, np.eye(2))
-    vs = np.concatenate([np.linspace(a, b, 13), RNG.uniform(-1.5, 1.5, 20)])
-    assert orbit(vs).shape == (vs.size, 2) and cols(vs).shape == (vs.size, 2, 2)
-    assert np.array_equal(orbit(vs), [orbit(v) for v in vs])
-    assert np.array_equal(cols(vs), [cols(v) for v in vs])
-    with pytest.raises(ValueError):
-        orbit(np.array([0.0, 1.6]))
+        assert np.linalg.norm(got - want @ x) <= 2e-9 * np.linalg.norm(want @ x)
+        assert np.linalg.norm(col - want, 2) <= 2e-9 * np.linalg.norm(want, 2)
 
 
 def test_dense_stage_times_stay_on_their_side_of_the_jump():
@@ -153,7 +125,7 @@ def test_dense_stage_times_stay_on_their_side_of_the_jump():
     x = np.array([1.0, 1.0])
     for end in (-1.6549270241938287e-36, -1e-20, 0.0, 1e-300):
         want = analytic(end, -1.0) @ x
-        got = op.matrix_solution(-1.0, end, x)(end)
+        got = op.evolve([end], [-1.0])[0] @ x
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
@@ -184,9 +156,10 @@ def test_every_solve_reaches_its_module_global_at_call_time(monkeypatch):
     spec = DichotomySpec(
         lambda t: np.diag([1.0, 0.0]), RateQuadruple(exp, exp, exp, exp), K=1.0, a=-1.0, b=1.0, eps=0.0
     )
+    lyap = construct_S(spec, EvolutionOperator(diag), 0.5, [0.0, 1.0])
     calls = {
         "evolve": (evolution, lambda op: op.evolve(2.5, -1.5)),
-        "matrix_solution": (evolution, lambda op: op.matrix_solution(-1.5, 2.5, np.eye(2))(0.5)),
+        "classify": (evolution, lambda op: classify(lyap, op, 0.0, [1.0, 0.0], 1.0)),
         "construct_S": (evolution, lambda op: construct_S(spec, op, 0.5, [0.0, 1.0])),
         "spectrum": (spectrum, lambda op: spectrum.spectrum(block, exp, exp)),
     }
@@ -633,9 +606,8 @@ def test_batched_reads_of_a_vectorized_field_match_its_per_time_reads():
 
     def solve(f):
         pairs = EvolutionOperator(f).evolve(ts, ss)
-        dense = EvolutionOperator(f).matrix_solution(-2.5, 3.5, np.eye(2))(np.linspace(-2.5, 3.5, 25))
         lyap = construct_S(spec, EvolutionOperator(f), 0.5, np.linspace(-2.0, 2.0, 9))
-        return pairs, dense, lyap.matrices
+        return pairs, lyap.matrices
 
     assert field.vectorized
     for got, want in zip(solve(field), solve(replace(field, vectorized=False))):
@@ -657,9 +629,9 @@ def test_a_subnormal_span_takes_one_step_without_a_warning(t, s, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = op.evolve(t, s)
-        dense = op.matrix_solution(s, t, np.eye(2))(np.array([s, t]))
+        orbit = op.evolve([s, t], [s, s])
     assert np.array_equal(got, np.eye(2)) and op._cache == {}
-    assert np.array_equal(dense, [np.eye(2)] * 2)
+    assert np.array_equal(orbit, [np.eye(2)] * 2)
     assert steps == [1, 1]
 
 
@@ -689,7 +661,7 @@ def test_the_clocked_solve_of_shifted_pieces_matches_the_matrix_exponential():
         lambda op: op.evolve([math.nan], [0.0]),
         lambda op: op.evolve([math.nan], [math.nan]),
         lambda op: op.evolve([0.0, 1.0], [0.5, math.inf]),
-        lambda op: op.matrix_solution(0.0, math.nan, np.eye(2)),
+        lambda op: op.evolve(np.linspace(0.5, 1.5, 3), np.full(3, math.nan)),
     ],
 )
 def test_a_non_finite_end_raises_naming_it(call):
@@ -715,13 +687,11 @@ def test_evolve_evolve_pairs_and_dense_solutions_agree_on_shared_spans(data):
     x = np.array([1.0, 0.0] if b > a else [0.0, 1.0]) * data.draw(st.floats(0.5, 2.0))
     fractions = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)))
     vs = np.concatenate([[b], np.clip(a + (b - a) * fractions, min(a, b), max(a, b))])
-    dense = op.matrix_solution(a, b, x)(vs)
     single = np.array([op.evolve(v, a) @ x for v in vs])
     pairs = op.evolve(vs, np.full(vs.size, a)) @ x
     live = np.argmax(np.abs(x))
-    assert np.all(single[:, 1 - live] == 0.0) and np.all(dense[:, 1 - live] == 0.0)
-    for got in (dense, pairs):
-        assert np.max(np.abs(got[:, live] / single[:, live] - 1.0)) <= 1e-8
+    assert np.all(single[:, 1 - live] == 0.0) and np.all(pairs[:, 1 - live] == 0.0)
+    assert np.max(np.abs(pairs[:, live] / single[:, live] - 1.0)) <= 1e-8
 
 
 def test_a_long_decaying_orbit_matches_the_closed_form():
@@ -729,32 +699,10 @@ def test_a_long_decaying_orbit_matches_the_closed_form():
     # cell kept only ATOL there
     field, analytic, _ = make_example22(Example22Params(1.0, 0.1, 1.0))
     vs = np.linspace(0.0, 50.0, 101)
-    got = EvolutionOperator(field).matrix_solution(0.0, 50.0, (1, 0))(vs)
+    got = EvolutionOperator(field).evolve(vs, np.zeros(vs.size)) @ np.array([1.0, 0.0])
     want = np.array([analytic(v, 0.0)[:, 0] for v in vs])
     assert np.all(got[:, 1] == 0.0)
     assert np.max(np.abs(got[:, 0] / want[:, 0] - 1.0)) <= 1e-8
-
-
-@pytest.mark.parametrize("a, b", [(-1.5, 2.5), (2.5, -1.5), (0.2, 0.7), (0.0, 50.0)])
-def test_a_dense_solution_is_one_solve(monkeypatch, a, b):
-    calls = []
-
-    def recording(*args, real=evolution.solve_ivp, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(evolution, "solve_ivp", recording)
-    op, _ = example22_pair()
-    op.matrix_solution(a, b, np.eye(2))
-    assert len(calls) == 1 and op._cache == {}
-
-
-@pytest.mark.parametrize("m0", [[[math.nan, 0.0], [0.0, 1.0]], [[1.0], [0.0], [0.0]], np.zeros((2, 2, 2)), 1.0])
-def test_a_dense_solution_rejects_a_start_that_is_not_finite_or_of_the_wrong_shape(m0):
-    op, _ = example22_pair()
-    shape = re.escape(str(np.shape(m0)))
-    with pytest.raises(ValueError, match=f"leading dimension 2, got shape {shape}"):
-        op.matrix_solution(0.0, 1.0, m0)
 
 
 def enumerated_knots(a, b, c):
@@ -854,7 +802,7 @@ def test_the_lattice_rule_holds_out_to_its_reach(spacing, index, ulps, cells):
         lambda op: op.evolve(2.0**60 + 256, 2.0**60),
         lambda op: op.evolve(0.0, -(2.0**50)),
         lambda op: op.evolve([2.0**60 + 256, 0.0], [2.0**60, 0.5]),
-        lambda op: op.matrix_solution(0.0, 2.0**51, np.eye(2)),
+        lambda op: op.evolve(np.linspace(1.0, 2.0**51, 3), np.zeros(3)),
     ],
 )
 def test_a_time_past_the_lattice_reach_raises_naming_it(call):

@@ -459,6 +459,7 @@ def test_classify_rejects_zero_vector():
         ([1.0, 0.0], -1.0, "horizon"),
         ([1.0, 0.0], math.nan, "horizon"),
         ([math.nan, 0.0], 1.0, "finite"),
+        ([1.0, 0.0, 0.0], 1.0, "x must be a finite vector of 2 entries"),
     ],
 )
 def test_classify_rejects_an_empty_horizon_and_a_non_finite_vector(x, horizon, match):
