@@ -18,6 +18,9 @@ on arrays, P read once per unique time and every norm from one batched call.
 Each operator's last table is kept (weakly) and reused while the (hi, lo)
 arrays and P's values are equal, so `verify`, `estimate_constants` and
 `check_projection` on one grid share one sweep; the rates enter per call.
+The reuse check compares (hi, lo) first and only then reads P, at the kept
+table's own unique times, so a reuse sorts nothing; a new (hi, lo) finds
+its unique times and reads P there.
 """
 
 from __future__ import annotations
@@ -209,6 +212,7 @@ class _PairTable:
     hi: np.ndarray
     lo: np.ndarray
     u: np.ndarray
+    idx: np.ndarray  # u[idx] is the concatenation of hi and lo
     p_u: np.ndarray  # P(u), with hi and lo the table's key
     stable: np.ndarray
     unstable: np.ndarray
@@ -224,22 +228,27 @@ def _pair_table(op: EvolutionOperator, P: Projection, t: np.ndarray, s: np.ndarr
     """The table of the pairs (t_k, s_k): the operator's last one if its key matches, else a new one."""
     hi, lo = np.maximum(t, s), np.minimum(t, s)
     n, m = op.field.dim, hi.size
-    u, idx = np.unique(np.concatenate([hi, lo]), return_inverse=True)
-    p_u = _projections(P, u, n)
     tab = _tables.get(op)
-    if tab is not None and np.array_equal(hi, tab.hi) and np.array_equal(lo, tab.lo) and np.array_equal(p_u, tab.p_u):
-        return tab
+    if tab is not None and np.array_equal(hi, tab.hi) and np.array_equal(lo, tab.lo):
+        u, idx = tab.u, tab.idx
+        p_u = _projections(P, u, n)
+        if np.array_equal(p_u, tab.p_u):
+            return tab
+    else:
+        u, idx = np.unique(np.concatenate([hi, lo]), return_inverse=True)
+        p_u = _projections(P, u, n)
     T = op.evolve(np.concatenate([hi, lo]), np.concatenate([lo, hi]))
     fwd, bwd, p_hi, p_lo = T[:m], T[m:], p_u[idx[:m]], p_u[idx[m:]]
     with np.errstate(over="ignore", invalid="ignore"):
+        fwd_p = fwd @ p_lo
         stacks = np.concatenate(
-            [fwd @ p_lo, bwd @ (np.eye(n) - p_hi), p_hi @ fwd - fwd @ p_lo, p_lo @ bwd - bwd @ p_hi, p_u @ p_u - p_u]
+            [fwd_p, bwd @ (np.eye(n) - p_hi), p_hi @ fwd - fwd_p, p_lo @ bwd - bwd @ p_hi, p_u @ p_u - p_u]
         )
     # a product past the range of doubles holds inf, or NaN where two such cancel: its norm reads inf
     finite = np.isfinite(stacks).all(axis=(1, 2))
     norms = np.full(len(stacks), np.inf)
     norms[finite] = _norms(stacks[finite])
-    tab = _tables[op] = _PairTable(hi, lo, u, p_u, *norms[: 4 * m].reshape(4, m), norms[4 * m :])
+    tab = _tables[op] = _PairTable(hi, lo, u, idx, p_u, *norms[: 4 * m].reshape(4, m), norms[4 * m :])
     return tab
 
 

@@ -22,8 +22,11 @@ and a span across knots reads one cached table per cell and orientation
 row and each off-lattice end a table row times a short piece inside an
 accepted step.  `EvolutionOperator._clocked` solves many pieces on one
 clock: both short pieces of a span (nearly always in one step), the sweeps
-of `construct_S`, and the steps with no knot inside of one direction of a
-pair sweep (`evolve` given arrays, which also reads `classify`'s orbits).
+of `construct_S`, and the steps with no knot inside of both directions of a
+pair sweep (`evolve` given arrays, which also reads `classify`'s orbits),
+a backward step being a piece run from its later end.  The solver's RMS
+error norm pools the pieces of one solve, so one piece's local error may
+exceed RTOL by up to sqrt(pieces), counted over both directions.
 Only the cell tables are cached.  The end piece from s up to the first
 knot c uses the adjoint form: Z' = -Z A with Z(c) = I, solved from c back
 across the cell, has the rows Z(v) = T(c, v), so still nothing is inverted.
@@ -191,8 +194,8 @@ class EvolutionOperator:
         array of times.
         """
         n, field = self.field.dim, self.field
-        ell = max(abs(q - p) for p, q in zip(lo, hi))
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        ell = np.abs(hi - lo).max()
         c = (hi - lo) / ell
         scale, inward = c[:, None, None], _inward(lo, hi)
 
@@ -320,14 +323,16 @@ class EvolutionOperator:
         T(u_j, s) = T(u_j, u_{j-1}) T(u_{j-1}, s), and once backward,
         T(u_i, s) = T(u_i, u_{i+1}) T(u_{i+1}, s), so backward steps stay
         backward integrated and nothing is inverted.  Each sweep reads its
-        steps from one (steps, n, n) array: the steps with no knot strictly
-        inside (whole cells included) are one `_clocked` solve, each from I,
-        and every other step is one `evolve`.  scipy's RMS error norm pools
-        the batched steps, so one step's local error may exceed RTOL by up to
-        sqrt(steps).  Nothing of the batch is cached, so the stack does not
-        depend on what the operator solved before.  Pairs with t == s give I.
+        steps from one (steps, n, n) array.  The steps with no knot strictly
+        inside (whole cells included) of both sweeps are one `_clocked` solve,
+        each from I, a backward step being a piece with hi < lo on the same
+        clock; every other step is one `evolve`.  scipy's RMS error norm pools
+        the batched steps of both directions, so one step's local error may
+        exceed RTOL by up to sqrt(steps), counted over both.  Nothing of the
+        batch is cached, so the stack does not depend on what the operator
+        solved before.  Pairs with t == s give I.
 
-        Working memory is O(N n^2) per accepted step of the batched solves,
+        Working memory is O(N n^2) per accepted step of the batched solve,
         beyond the (pairs, n, n) result.  A non-finite t or s, or one past
         `LATTICE_REACH` spacings, raises ValueError naming it, and a step or
         pair whose transition leaves the range of doubles raises
@@ -350,6 +355,7 @@ class EvolutionOperator:
         ti, si = idx[: t.size], idx[t.size :]
         last = u.size - 1
         # positions count along the sweep; the backward sweep reverses them
+        sweeps, ps, qs = [], [np.empty(0)], [np.empty(0)]
         for times, end, start in ((u, ti, si), (u[::-1], last - ti, last - si)):
             pairs = np.flatnonzero(end > start)
             if pairs.size == 0:
@@ -359,14 +365,19 @@ class EvolutionOperator:
             col = np.searchsorted(starts, start[pairs])
             ends = end[pairs]
             sweep = times[starts[0] : ends[-1] + 1]
-            p, q = sweep[:-1], sweep[1:]
-            inside = np.greater(*self._knot_range(np.minimum(p, q), np.maximum(p, q)))  # no knot: first > last
-            steps = np.empty((p.size, n, n))
-            if inside.any():
-                sol, _ = self._clocked(p[inside], q[inside])
-                steps[inside] = sol.y[:, -1].reshape(-1, n, n)
-            for j in np.flatnonzero(~inside).tolist():
-                steps[j] = self.evolve(q[j], p[j])
+            sweeps.append((pairs, starts, col, ends))
+            ps.append(sweep[:-1])
+            qs.append(sweep[1:])
+        # the steps (p, q) of both sweeps in sweep order: a backward one has q < p
+        p, q = np.concatenate(ps), np.concatenate(qs)
+        inside = np.greater(*self._knot_range(np.minimum(p, q), np.maximum(p, q)))  # no knot: first > last
+        steps = np.empty((p.size, n, n))
+        if inside.any():
+            steps[inside] = self._clocked(p[inside], q[inside])[0].y[:, -1].reshape(-1, n, n)
+        for j in np.flatnonzero(~inside).tolist():
+            steps[j] = self.evolve(q[j], p[j])
+        first = 0
+        for pairs, starts, col, ends in sweeps:
             # step j runs from times[j - 1] to times[j]: it moves cur[:live[j]],
             # the starts before it, and ends the pairs cuts[j]:cuts[j + 1] in end order
             js = np.arange(starts[0] + 1, ends[-1] + 2)
@@ -376,10 +387,11 @@ class EvolutionOperator:
             cur[:] = np.eye(n)
             ended = np.empty((pairs.size, n, n))
             with np.errstate(over="ignore", invalid="ignore"):
-                for step, k, lo, hi in zip(steps, live, cuts[:-1], cuts[1:]):
+                for step, k, lo, hi in zip(steps[first:], live, cuts[:-1], cuts[1:]):
                     cur[:k] = step @ cur[:k]
                     ended[lo:hi] = cur[col[lo:hi]]
             out[pairs] = ended
+            first += len(live)
         if not np.isfinite(out).all():
             k = int(np.argmin(np.isfinite(out).all(axis=(1, 2))))
             raise IntegrationError(f"T({t[k]}, {s[k]}) leaves the range of doubles")

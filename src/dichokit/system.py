@@ -27,7 +27,9 @@ class CoefficientField:
 
     ``eval`` takes one time and returns the (n, n) matrix.  With
     ``vectorized`` set it also takes a 1-d array of m times and returns the
-    (m, n, n) stack, and `stack` reads the field in that one call.
+    (m, n, n) stack, and `stack` reads the field in that one call; otherwise
+    `stack` copies each return into its own row, so an ``eval`` may return
+    one buffer that it rewrites at every call.
     """
 
     dim: int
@@ -53,12 +55,13 @@ class CoefficientField:
         """The (m, n, n) stack of A(t) for the m times `ts`.
 
         Every stage of a batched solve (`EvolutionOperator._clocked`) reads
-        all its pieces in one such call.  It equals
-        ``np.array([self(t) for t in ts])``, and a field that is not
-        vectorized is read just so, one checked call per time.  A
-        vectorized field is read in one ``eval`` call and checked once for
-        the whole stack: the domain, the shape (a wrong one naming the first
-        time) and finiteness, an error naming the first bad t.  Its array
+        all its pieces in one such call.  Row k equals ``self(ts[k])``, and
+        the stack is checked once: the domain before any ``eval``,
+        finiteness after, each error naming the first bad t.  A field that
+        is not vectorized is read one time at a time into one preallocated
+        array, each return copied and its shape checked as it comes (a
+        wrong one naming its time).  A vectorized field is read in one
+        ``eval`` call, a wrong shape naming the first time; its array
         arithmetic may round differently from its scalar one (`np.log1p`
         against `math.log1p`).
         """
@@ -66,15 +69,21 @@ class CoefficientField:
         want = (self.dim, self.dim)
         if not ts.size:
             return np.empty((0, *want))
-        if not self.vectorized:
-            return np.array([self(t) for t in ts.tolist()])
         if self.domain == "half" and (ts < 0).any():
             raise DomainError(f"field is half-line only, got t={ts[np.argmax(ts < 0)]}")
-        a = np.asarray(self.eval(ts), dtype=float)
-        if a.shape != (ts.size, *want):
-            raise ValueError(
-                f"field returned shape {a.shape} for {ts.size} times from t={ts[0]}, expected {(ts.size, *want)}"
-            )
+        if self.vectorized:
+            a = np.asarray(self.eval(ts), dtype=float)
+            if a.shape != (ts.size, *want):
+                raise ValueError(
+                    f"field returned shape {a.shape} for {ts.size} times from t={ts[0]}, expected {(ts.size, *want)}"
+                )
+        else:
+            a = np.empty((ts.size, *want))
+            for k, t in enumerate(ts.tolist()):
+                row = np.asarray(self.eval(t), dtype=float)
+                if row.shape != want:
+                    raise ValueError(f"field returned shape {row.shape} at t={t}, expected {want}")
+                a[k] = row
         if not np.isfinite(a).all():
             k = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))[0]
             raise ValueError(f"field returned non-finite entries at t={ts[k]}")
@@ -159,15 +168,20 @@ class BlockSystem:
         return tuple(out)
 
     def combined(self) -> CoefficientField:
+        """The field diag(W1(t), W2(t)), vectorized: its `stack` fills the blocks from `W1.stack` and `W2.stack`."""
         l, n = self.split, self.dim
 
         def ev(t):
-            a = np.zeros((n, n))
-            a[:l, :l], a[l:, l:] = self.blocks(t)
+            if type(t) is np.ndarray:
+                a = np.zeros((t.size, n, n))
+                a[:, :l, :l], a[:, l:, l:] = self.W1.stack(t), self.W2.stack(t)
+            else:
+                a = np.zeros((n, n))
+                a[:l, :l], a[l:, l:] = self.blocks(t)
             return a
 
         domain = "full" if self.W1.domain == self.W2.domain == "full" else "half"
-        return CoefficientField(n, ev, domain)
+        return CoefficientField(n, ev, domain, True)
 
     def projection(self) -> np.ndarray:
         """The coordinate projection onto E along F."""

@@ -398,7 +398,11 @@ def example22_closed_form(spec, analytic, grid):
 
 
 def assert_example22_matches_closed_form(params, grid):
-    field, analytic, spec = make_example22(params)
+    assert_matches_closed_form(*make_example22(params), grid)
+
+
+def assert_matches_closed_form(field, analytic, spec, grid):
+    """verify and estimate_constants on `field` against `example22_closed_form` of its analytic T."""
     op = EvolutionOperator(field)
     (ws, wu), (K, a, b, eps) = example22_closed_form(spec, analytic, grid)
     # a span of 16 steps decaying to e^-28 (expsq, eta2 = 0, every ratio 1)
@@ -431,12 +435,20 @@ def test_example22_with_general_rates_matches_its_closed_form(hats, etas):
     assert_example22_matches_closed_form(Example22Params(*etas, quad), square_grid(*grid))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: entries decaying below ATOL")
 def test_example22_with_expsq_hats_at_moderate_times_matches_its_closed_form():
-    # the worst unstable ratio reads 5.1e7 at (14, 16)
     r = builtin("expsq")
     params = Example22Params(1.0, 0.1, 1.0, RateQuadruple(r, r, r, r))
     assert_example22_matches_closed_form(params, square_grid(12.0, 16.0, 0.5))
+
+
+def test_a_decay_of_e_minus_40_per_cell_matches_its_closed_form():
+    # whole cells decaying by e^-40, below ATOL: the pair sweep's one solve
+    # also holds the backward steps, growing by e^40, which each step must
+    # meet to RTOL, and that keeps the forward decay relatively accurate
+    rates = RateQuadruple(builtin("exp"), builtin("exp"), builtin("expabs"), builtin("expabs"))
+    spec = DichotomySpec(P=lambda t: np.diag([1.0, 0.0]), rates=rates, K=1.0, a=-40.0, b=1.0, eps=0.0)
+    analytic = lambda t, s: np.diag([math.exp(-40.0 * (t - s)), math.exp(t - s)])
+    assert_matches_closed_form(constant_field(np.diag([-40.0, 1.0])), analytic, spec, square_grid(-4.0, 4.0, 1.0))
 
 
 def test_estimate_with_trivial_unstable_side_warns(caplog):
